@@ -6,7 +6,6 @@ import numpy as np
 from lexner.autograd import Tensor
 from lexner.fusion import (
     FusionLayerParams,
-    NodeStates,
     encode,
     fusion_layer,
     inter_source_fusion,
@@ -39,7 +38,8 @@ print("word-word attention of head 0 (rows sum to 1):")
 print(np.round(weights[0], 3))
 print("masked entries exactly zero:", bool(np.all(weights[0][graph.word_mask == 0] == 0)))
 
-t_c = intra_source_attention(h_c, graph.char_mask, params.char_att, heads, d_c)
+# characters are fully connected: mask=None admits every pair
+t_c = intra_source_attention(h_c, None, params.char_att, heads, d_c)
 
 # cross-source gating: each character absorbs its words through learned
 # elementwise gates; characters without words pass through untouched
@@ -49,8 +49,8 @@ print("\nper-character update magnitude from word fusion:")
 print(np.round(delta, 3), "(all characters here belong to some word)")
 
 # a full layer = attention + gating + FFN per source, then stack L of them
-states = fusion_layer(NodeStates(h_c, h_w), graph, params, heads)
-print(f"\nafter one layer: H_c {states.h_c.shape}, H_w {states.h_w.shape}")
+one_c, one_w = fusion_layer(h_c, h_w, graph, params, heads)
+print(f"\nafter one layer: H_c {one_c.shape}, H_w {one_w.shape}")
 
 layers = [FusionLayerParams.init(d_c, 32, heads, rng) for _ in range(3)]
 out_c, out_w = encode(graph, h_c, h_w, layers, heads)

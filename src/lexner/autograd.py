@@ -308,14 +308,14 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     )
 
 
-def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
+def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:
     """Softmax with hard exclusion of masked entries.
 
     Entries where mask == 0 get weight exactly 0; each row must keep at least
-    one admissible entry. Backward uses the standard softmax Jacobian, which
-    is exactly zero at excluded entries.
+    one admissible entry. ``mask=None`` admits every entry. Backward uses the
+    standard softmax Jacobian, which is exactly zero at excluded entries.
     """
-    s = np.where(mask > 0, scores.data, -np.inf)
+    s = scores.data if mask is None else np.where(mask > 0, scores.data, -np.inf)
     m = np.max(s, axis=axis, keepdims=True)
     if not np.isfinite(m).all():
         raise ValueError("mask has a row with no admissible entries")

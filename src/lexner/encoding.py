@@ -198,16 +198,18 @@ def relative_position_features(
 def char_states(
     chars: Sequence[str], table: EmbeddingTable, codec: PositionCodec
 ) -> Tensor:
-    """Initial character node states: embedding + absolute position encoding."""
+    """Initial character node states: embedding + absolute position encoding.
+
+    The codec's range is the model's max_sentence_len; longer sentences are
+    rejected.
+    """
+    if len(chars) > codec.max_position:
+        raise ValueError(
+            f"sentence of {len(chars)} characters exceeds max_sentence_len={codec.max_position}"
+        )
     idx = table.indices(chars)
     positions = codec.table[: len(chars)]
     return table.rows[idx] + positions
-
-
-def encode_char(
-    char: str, position: int, table: EmbeddingTable, codec: PositionCodec
-) -> Tensor:
-    return table.rows[table.lookup_index(char)] + codec.encode(position)
 
 
 def word_states(
@@ -226,16 +228,6 @@ def word_states(
     rel = (p4 @ proj.w_r).relu()
     v = table.rows[idx] + rel
     return (v @ proj.w1 + proj.b1).tanh() @ proj.w2 + proj.b2
-
-
-def encode_word(
-    word: MatchedWord,
-    table: EmbeddingTable,
-    proj: WordProjection,
-    codec: PositionCodec,
-) -> Tensor:
-    states = word_states([word], table, proj, codec)
-    return states.reshape((states.data.shape[1],))
 
 
 def initial_states(

@@ -108,16 +108,9 @@ class FusionLayerParams:
         return out
 
 
-@dataclass
-class NodeStates:
-    h_c: Tensor
-    h_w: Tensor
-    layer: int = 0
-
-
 def intra_source_attention(
     h: Tensor,
-    mask: np.ndarray,
+    mask: np.ndarray | None,
     params: AttentionParams,
     heads: int,
     scale_dim: int,
@@ -129,18 +122,20 @@ def intra_source_attention(
     """Masked multi-head self-attention over one source, with residual + norm.
 
     Non-adjacent pairs (mask == 0) are excluded from the softmax by default,
-    giving them exactly zero weight. ``multiplicative_mask`` instead
-    multiplies raw scores by the mask before a full softmax (the literal
-    ablation form, which leaves masked logits at zero rather than excluded).
+    giving them exactly zero weight; ``mask=None`` admits every pair.
+    ``multiplicative_mask`` instead multiplies raw scores by the mask before
+    a full softmax (the literal ablation form, which leaves masked logits at
+    zero rather than excluded).
     Scores are scaled by 1/sqrt(scale_dim) with scale_dim the full model
     dimension, not the per-head width. When ``weights_out`` is a list, each
     head's attention weight matrix is appended to it.
     """
     n, d = h.data.shape
-    if mask.shape != (n, n):
-        raise ValueError(f"mask shape {mask.shape} does not match {n} nodes")
-    if not np.array_equal(mask, mask.T) or not np.all(np.diag(mask)):
-        raise ValueError("attention mask must be symmetric with ones on the diagonal")
+    if mask is not None:
+        if mask.shape != (n, n):
+            raise ValueError(f"mask shape {mask.shape} does not match {n} nodes")
+        if not np.array_equal(mask, mask.T) or not np.all(np.diag(mask)):
+            raise ValueError("attention mask must be symmetric with ones on the diagonal")
     d_z = d // heads
     scale = 1.0 / np.sqrt(scale_dim)
     q = h @ params.wq
@@ -150,8 +145,8 @@ def intra_source_attention(
     for i in range(heads):
         cols = slice(i * d_z, (i + 1) * d_z)
         scores = (q[:, cols] @ k[:, cols].T) * scale
-        if multiplicative_mask:
-            att = masked_softmax(scores * mask.astype(h.data.dtype), np.ones_like(mask))
+        if multiplicative_mask and mask is not None:
+            att = masked_softmax(scores * mask.astype(h.data.dtype), None)
         else:
             att = masked_softmax(scores, mask)
         if weights_out is not None:
@@ -176,7 +171,7 @@ def inter_source_fusion(
         return t_c, t_w
     n, d = t_c.data.shape
     m = t_w.data.shape[0]
-    adj = graph.inter_matrix(dtype=t_c.data.dtype)
+    adj = graph.inter_mask.astype(t_c.data.dtype)
 
     a = (t_c @ params.w_c1).reshape(n, 1, d)
     b = (t_w @ params.w_c2).reshape(1, m, d)
@@ -201,31 +196,31 @@ def _ffn_block(
 
 
 def fusion_layer(
-    states: NodeStates,
+    h_c: Tensor,
+    h_w: Tensor,
     graph: LatticeGraph,
     params: FusionLayerParams,
     heads: int,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     multiplicative_mask: bool = False,
-) -> NodeStates:
+) -> tuple[Tensor, Tensor]:
     """One full fusion layer: intra-source attention, gating, FFN per source."""
-    d_c = states.h_c.data.shape[1]
+    d_c = h_c.data.shape[1]
     t_c = intra_source_attention(
-        states.h_c, graph.char_mask, params.char_att, heads, d_c,
-        dropout_rate, rng, multiplicative_mask,
+        h_c, None, params.char_att, heads, d_c, dropout_rate, rng, multiplicative_mask
     )
     if graph.m > 0:
         t_w = intra_source_attention(
-            states.h_w, graph.word_mask, params.word_att, heads, d_c,
+            h_w, graph.word_mask, params.word_att, heads, d_c,
             dropout_rate, rng, multiplicative_mask,
         )
     else:
-        t_w = states.h_w
+        t_w = h_w
     s_c, s_w = inter_source_fusion(t_c, t_w, graph, params)
     h_c = _ffn_block(s_c, params.char_ffn, dropout_rate, rng)
     h_w = _ffn_block(s_w, params.word_ffn, dropout_rate, rng) if graph.m > 0 else s_w
-    return NodeStates(h_c, h_w, states.layer + 1)
+    return h_c, h_w
 
 
 def encode(
@@ -239,9 +234,8 @@ def encode(
     multiplicative_mask: bool = False,
 ) -> tuple[Tensor, Tensor]:
     """Run the stacked fusion layers; returns the final (H_c, H_w)."""
-    states = NodeStates(h_c, h_w, 0)
     for params in layers:
-        states = fusion_layer(
-            states, graph, params, heads, dropout_rate, rng, multiplicative_mask
+        h_c, h_w = fusion_layer(
+            h_c, h_w, graph, params, heads, dropout_rate, rng, multiplicative_mask
         )
-    return states.h_c, states.h_w
+    return h_c, h_w

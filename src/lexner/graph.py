@@ -1,8 +1,9 @@
 """Unified multi-source lattice graph: character nodes, word nodes, and masks.
 
-Characters form a fully connected source; words are connected to each other
-when their spans overlap (they are assigned to a common character), and every
-character is connected to each word whose span contains it.
+Characters form a fully connected source, so they need no mask; words are
+connected to each other when their spans overlap (they are assigned to a
+common character), and every character is connected to each word whose span
+contains it.
 """
 
 from __future__ import annotations
@@ -20,27 +21,17 @@ GRAPH_VARIANTS = ("standard", "wo_word_edge", "fc_intra", "fc_inter")
 class LatticeGraph:
     """Immutable node/edge structure of one sentence's lattice.
 
-    char_mask is the n x n intra-source mask (all ones), word_mask the m x m
-    intra-source mask (ones where spans overlap, ones on the diagonal).
-    words_of_char[i] lists word ids adjacent to character i; chars_of_word[j]
-    lists character ids adjacent to word j. The two adjacency directions are
-    transposes of each other.
+    word_mask is the m x m intra-source mask (ones where spans overlap, ones
+    on the diagonal). inter_mask is the n x m character-word adjacency: row i
+    marks the words adjacent to character i, column j the characters adjacent
+    to word j.
     """
 
     n: int
     m: int
     words: list[MatchedWord]
-    char_mask: np.ndarray
     word_mask: np.ndarray
-    words_of_char: list[list[int]]
-    chars_of_word: list[list[int]]
-
-    def inter_matrix(self, dtype=np.float64) -> np.ndarray:
-        """Dense n x m character-word adjacency."""
-        adj = np.zeros((self.n, self.m), dtype=dtype)
-        for i, ws in enumerate(self.words_of_char):
-            adj[i, ws] = 1
-        return adj
+    inter_mask: np.ndarray
 
 
 def build_graph(n: int, words: list[MatchedWord]) -> LatticeGraph:
@@ -51,21 +42,13 @@ def build_graph(n: int, words: list[MatchedWord]) -> LatticeGraph:
         if not (0 <= w.head <= w.tail < n):
             raise ValueError(f"word span ({w.head},{w.tail}) out of range for n={n}")
     m = len(words)
-    char_mask = np.ones((n, n), dtype=np.uint8)
-    word_mask = np.zeros((m, m), dtype=np.uint8)
-    heads = np.array([w.head for w in words], dtype=np.int64).reshape(m, 1)
-    tails = np.array([w.tail for w in words], dtype=np.int64).reshape(m, 1)
-    if m:
-        # spans overlap iff neither ends before the other starts
-        word_mask = ((heads <= tails.T) & (heads.T <= tails)).astype(np.uint8)
-    words_of_char: list[list[int]] = [[] for _ in range(n)]
-    chars_of_word: list[list[int]] = []
-    for j, w in enumerate(words):
-        span = list(range(w.head, w.tail + 1))
-        chars_of_word.append(span)
-        for i in span:
-            words_of_char[i].append(j)
-    return LatticeGraph(n, m, list(words), char_mask, word_mask, words_of_char, chars_of_word)
+    heads = np.array([w.head for w in words], dtype=np.int64).reshape(1, m)
+    tails = np.array([w.tail for w in words], dtype=np.int64).reshape(1, m)
+    # spans overlap iff neither ends before the other starts
+    word_mask = ((heads.T <= tails) & (heads <= tails.T)).astype(np.uint8)
+    chars = np.arange(n).reshape(n, 1)
+    inter_mask = ((heads <= chars) & (chars <= tails)).astype(np.uint8)
+    return LatticeGraph(n, m, list(words), word_mask, inter_mask)
 
 
 def graph_variant(graph: LatticeGraph, variant: str) -> LatticeGraph:
@@ -79,18 +62,14 @@ def graph_variant(graph: LatticeGraph, variant: str) -> LatticeGraph:
         raise ValueError(f"unknown graph variant {variant!r}; expected one of {GRAPH_VARIANTS}")
     n, m = graph.n, graph.m
     word_mask = graph.word_mask.copy()
-    words_of_char = [list(ws) for ws in graph.words_of_char]
-    chars_of_word = [list(cs) for cs in graph.chars_of_word]
+    inter_mask = graph.inter_mask.copy()
     if variant == "wo_word_edge":
         word_mask = np.eye(m, dtype=np.uint8)
     elif variant == "fc_intra":
         word_mask = np.ones((m, m), dtype=np.uint8)
     elif variant == "fc_inter":
-        words_of_char = [list(range(m)) for _ in range(n)]
-        chars_of_word = [list(range(n)) for _ in range(m)]
-    return LatticeGraph(
-        n, m, list(graph.words), graph.char_mask.copy(), word_mask, words_of_char, chars_of_word
-    )
+        inter_mask = np.ones((n, m), dtype=np.uint8)
+    return LatticeGraph(n, m, list(graph.words), word_mask, inter_mask)
 
 
 def serialize_graph(graph: LatticeGraph) -> str:
@@ -102,6 +81,6 @@ def serialize_graph(graph: LatticeGraph) -> str:
         for k in range(j + 1, graph.m):
             if graph.word_mask[j, k]:
                 lines.append(f"word_edge {j} {k}")
-    for i, ws in enumerate(graph.words_of_char):
-        lines.append("char_words " + " ".join(str(x) for x in [i] + list(ws)))
+    for i, row in enumerate(graph.inter_mask):
+        lines.append("char_words " + " ".join(str(x) for x in [i, *np.flatnonzero(row)]))
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -27,12 +27,14 @@ CHECKPOINT_MAGIC = b"LEXNERCKPT1\n"
 
 @dataclass
 class ModelDims:
-    d_c: int = 300
+    d_c: int = 304
     d_w: int = 200
     d_ff: int = 0  # 0 means 4 * d_c
     heads: int = 8
     layers: int = 2
     max_sentence_len: int = 512
+    # multiply attention scores by the mask instead of excluding masked pairs
+    multiplicative_mask: bool = False
 
     def __post_init__(self) -> None:
         if self.d_ff == 0:
@@ -134,14 +136,7 @@ class ModelParams:
             {"name": name, "shape": list(t.data.shape)} for name, t in params.items()
         ]
         header = {
-            "dims": {
-                "d_c": self.dims.d_c,
-                "d_w": self.dims.d_w,
-                "d_ff": self.dims.d_ff,
-                "heads": self.dims.heads,
-                "layers": self.dims.layers,
-                "max_sentence_len": self.dims.max_sentence_len,
-            },
+            "dims": asdict(self.dims),
             "char_vocab": self.char_table.tokens,
             "word_vocab": self.word_table.tokens,
             "tagset": self.tagset,
@@ -183,6 +178,11 @@ class ModelParams:
                 shape = tuple(entry["shape"])
                 count = int(np.prod(shape)) if shape else 1
                 raw = fh.read(4 * count)
+                if len(raw) != 4 * count:
+                    raise ValueError(
+                        f"{path}: tensor {entry['name']} is truncated: "
+                        f"expected {4 * count} bytes, found {len(raw)}"
+                    )
                 arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
                 tensor = params[entry["name"]]
                 if tensor.data.shape != shape:
@@ -191,6 +191,9 @@ class ModelParams:
                         f"expected {tensor.data.shape}"
                     )
                 tensor.data = arr
+            trailing = len(fh.read())
+            if trailing:
+                raise ValueError(f"{path}: {trailing} trailing bytes after the last tensor")
         return model
 
 
@@ -252,7 +255,6 @@ def forward_states(
     embed_dropout: float = 0.0,
     fusion_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    multiplicative_mask: bool = False,
 ) -> tuple[Tensor, Tensor]:
     """Final node states (H_c, H_w) after the fusion stack."""
     h_c, h_w = initial_states(
@@ -264,7 +266,7 @@ def forward_states(
         h_w = dropout(h_w, embed_dropout, rng)
     return fusion.encode(
         sent.graph, h_c, h_w, model.layers, model.dims.heads,
-        fusion_dropout, rng, multiplicative_mask,
+        fusion_dropout, rng, model.dims.multiplicative_mask,
     )
 
 
@@ -286,14 +288,11 @@ def sentence_losses(
     embed_dropout: float = 0.0,
     fusion_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    multiplicative_mask: bool = False,
 ) -> tuple[Tensor, Tensor]:
     """(tagging NLL, word-property cross-entropy) for one gold-labeled sentence."""
     if sent.tags is None:
         raise ValueError("sentence has no gold tags")
-    h_c, h_w = forward_states(
-        model, sent, embed_dropout, fusion_dropout, rng, multiplicative_mask
-    )
+    h_c, h_w = forward_states(model, sent, embed_dropout, fusion_dropout, rng)
     emissions = crf.emission_scores(h_c, model.crf)
     l_ner = crf.nll_loss(emissions, model.crf.transitions, sent.tags)
     l_lec = lec_loss(h_w, model, sent.lec_labels)
@@ -304,20 +303,17 @@ def decode_tags(
     model: ModelParams,
     sent: EncodedSentence,
     allowed: np.ndarray | None = None,
-    multiplicative_mask: bool = False,
 ) -> list[str]:
     """Viterbi-decoded tag strings for one sentence (no dropout)."""
-    h_c, _ = forward_states(model, sent, multiplicative_mask=multiplicative_mask)
+    h_c, _ = forward_states(model, sent)
     emissions = crf.emission_scores(h_c, model.crf)
     ids = crf.viterbi_decode(emissions.data, model.crf.transitions.data, allowed)
     return [model.tagset[i] for i in ids]
 
 
-def predict_lec(
-    model: ModelParams, sent: EncodedSentence, multiplicative_mask: bool = False
-) -> np.ndarray:
+def predict_lec(model: ModelParams, sent: EncodedSentence) -> np.ndarray:
     """Most likely word-property label per matched word."""
-    _, h_w = forward_states(model, sent, multiplicative_mask=multiplicative_mask)
+    _, h_w = forward_states(model, sent)
     if h_w.data.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     logits = h_w.data @ model.lec_weight.data + model.lec_bias.data

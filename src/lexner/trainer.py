@@ -43,7 +43,7 @@ class TrainConfig:
     embed_dropout: float = 0.5
     fusion_dropout: float = 0.3
     # model shape
-    d_c: int = 300
+    d_c: int = 304
     d_w: int = 200
     d_ff: int = 0
     heads: int = 8
@@ -76,6 +76,7 @@ class TrainConfig:
             d_c=self.d_c, d_w=self.d_w, d_ff=self.d_ff,
             heads=self.heads, layers=self.layers,
             max_sentence_len=self.max_sentence_len,
+            multiplicative_mask=self.multiplicative_mask,
         )
 
     @classmethod
@@ -205,10 +206,7 @@ def train_step(
     lec_total = 0.0
     scale = 1.0 / len(batch)
     for pos, sent in enumerate(batch):
-        l_ner, l_lec = sentence_losses(
-            model, sent, cfg.embed_dropout, cfg.fusion_dropout, rng,
-            cfg.multiplicative_mask,
-        )
+        l_ner, l_lec = sentence_losses(model, sent, cfg.embed_dropout, cfg.fusion_dropout, rng)
         loss = total_loss(l_ner, l_lec, lam) * scale
         if not np.isfinite(loss.data):
             raise NumericError(
@@ -246,12 +244,9 @@ def evaluate_model(
     sentences: Sequence[EncodedSentence],
     corpus: Corpus,
     constrained: bool = False,
-    multiplicative_mask: bool = False,
 ):
     allowed = allowed_transitions(model.tagset, model.scheme) if constrained else None
-    pred = [
-        model_mod.decode_tags(model, s, allowed, multiplicative_mask) for s in sentences
-    ]
+    pred = [model_mod.decode_tags(model, s, allowed) for s in sentences]
     return evaluate(pred, corpus)
 
 
@@ -292,10 +287,7 @@ def train(
             batches += 1
         dev_p = dev_r = dev_f1 = 0.0
         if dev_sents is not None and dev_corpus is not None:
-            dev = evaluate_model(
-                model, dev_sents, dev_corpus, cfg.constrained_decode,
-                cfg.multiplicative_mask,
-            )
+            dev = evaluate_model(model, dev_sents, dev_corpus, cfg.constrained_decode)
             dev_p, dev_r, dev_f1 = dev.precision, dev.recall, dev.f1
         entry = EpochLog(
             epoch, lambda_schedule(epoch, cfg), ner_sum / batches, lec_sum / batches,

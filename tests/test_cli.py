@@ -164,6 +164,15 @@ class TestTrainPredictEval:
         tags = {l.split("\t")[1] for l in out.read_text().splitlines() if l}
         assert tags == {model.tagset[0]} == {"O"}
 
+    def test_sentence_longer_than_max_sentence_len_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        long_input = tmp_path / "long.txt"
+        long_input.write_text("a\n" * 65, encoding="utf-8")
+        assert run(["predict", "--checkpoint", str(workspace / "ckpt" / "best.ckpt"),
+                    "--input", str(long_input)]) == 2
+        assert "sentence of 65 characters exceeds max_sentence_len=64" in capsys.readouterr().err
+
     def test_empty_input_gives_empty_output(self, workspace, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")

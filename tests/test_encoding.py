@@ -9,9 +9,7 @@ from lexner.encoding import (
     PositionCodec,
     WordProjection,
     char_states,
-    encode_char,
     encode_position,
-    encode_word,
     relative_position_features,
     word_states,
 )
@@ -118,14 +116,14 @@ def zero_projection(d_w, d_c):
 class TestEncodeChar:
     def test_zero_embeddings_give_pure_position(self):
         codec = PositionCodec(8, 4)
-        out = encode_char("a", 0, zero_table(["a"], 4), codec)
-        np.testing.assert_array_equal(out.data, [0.0, 1.0, 0.0, 1.0])
+        out = char_states(["a"], zero_table(["a"], 4), codec)
+        np.testing.assert_array_equal(out.data, [[0.0, 1.0, 0.0, 1.0]])
 
     def test_embedding_plus_position(self):
         table = EmbeddingTable(["a"], np.vstack([np.full(4, 2.0), np.zeros(4)]))
         codec = PositionCodec(8, 4)
-        out = encode_char("a", 0, table, codec)
-        np.testing.assert_allclose(out.data, [2.0, 3.0, 2.0, 3.0])
+        out = char_states(["a"], table, codec)
+        np.testing.assert_allclose(out.data, [[2.0, 3.0, 2.0, 3.0]])
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(2)
@@ -141,7 +139,12 @@ class TestEncodeChar:
                 ]
             )
             np.testing.assert_allclose(batch.data[i], expect, atol=1e-12)
-            np.testing.assert_allclose(encode_char(c, i, table, codec).data, expect, atol=1e-12)
+
+    def test_sentence_longer_than_codec_rejected(self):
+        table = zero_table(["a"], 4)
+        assert char_states(["a"] * 8, table, PositionCodec(8, 4)).data.shape == (8, 4)
+        with pytest.raises(ValueError, match="9 characters exceeds max_sentence_len=8"):
+            char_states(["a"] * 9, table, PositionCodec(8, 4))
 
 
 class TestEncodeWord:
@@ -152,13 +155,13 @@ class TestEncodeWord:
         table = EmbeddingTable.random(["ab"], 4, rng)
         proj = zero_projection(4, 4)
         # w_r = 0 makes the relative mix vanish; zero w2/b2 then zeroes output
-        out = encode_word(self.WORD, table, proj, PositionCodec(16, 4))
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = word_states([self.WORD], table, proj, PositionCodec(16, 4))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_all_zero_parameters_give_zero(self):
         table = zero_table(["ab"], 4)
-        out = encode_word(self.WORD, table, zero_projection(4, 6), PositionCodec(16, 4))
-        np.testing.assert_array_equal(out.data, np.zeros(6))
+        out = word_states([self.WORD], table, zero_projection(4, 6), PositionCodec(16, 4))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 6)))
 
     def test_matches_scalar_reference(self):
         """Independent elementwise evaluation of the word encoding chain."""
@@ -187,11 +190,13 @@ class TestEncodeWord:
         table = EmbeddingTable.random(["ab"], 4, rng)
         proj = WordProjection.init(4, 4, rng)
         codec = PositionCodec(16, 4)
-        a = encode_word(MatchedWord(0, "ab", 0, 1), table, proj, codec)
-        b = encode_word(MatchedWord(1, "ab", 3, 4), table, proj, codec)
-        c = encode_word(MatchedWord(2, "ab", 0, 1), table, proj, codec)
-        assert not np.allclose(a.data, b.data)
-        np.testing.assert_array_equal(a.data, c.data)
+        spans = [(0, 1), (3, 4), (0, 1)]
+        a, b, c = (
+            word_states([MatchedWord(j, "ab", h, t)], table, proj, codec).data[0]
+            for j, (h, t) in enumerate(spans)
+        )
+        assert not np.allclose(a, b)
+        np.testing.assert_array_equal(a, c)
 
     def test_relative_features_layout(self):
         codec = PositionCodec(16, 4)
@@ -205,5 +210,5 @@ class TestEncodeWord:
         rng = np.random.default_rng(6)
         table = EmbeddingTable.random(["ab"], 4, rng)
         proj = WordProjection.init(4, 10, rng)
-        out = encode_word(self.WORD, table, proj, PositionCodec(16, 4))
-        assert out.data.shape == (10,)
+        out = word_states([self.WORD], table, proj, PositionCodec(16, 4))
+        assert out.data.shape == (1, 10)

@@ -6,7 +6,6 @@ import pytest
 from lexner.autograd import Tensor
 from lexner.fusion import (
     FusionLayerParams,
-    NodeStates,
     encode,
     fusion_layer,
     inter_source_fusion,
@@ -55,18 +54,17 @@ def ref_attention(h, mask, p, heads, scale_dim):
     return ref_layer_norm(h + o, p.ln_gain.data, p.ln_bias.data)
 
 
-def ref_gating(t_c, t_w, graph, p):
+def ref_gating(t_c, t_w, words, p):
+    """Gated aggregation over the lattice edges, read off the word spans."""
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
     s_c = t_c.copy()
-    for i in range(graph.n):
-        for j in graph.words_of_char[i]:
+    s_w = t_w.copy()
+    for j, w in enumerate(words):
+        for i in range(w.head, w.tail + 1):
             alpha = sigmoid(t_c[i] @ p.w_c1.data + t_w[j] @ p.w_c2.data)
             s_c[i] = s_c[i] + alpha * t_w[j]
-    s_w = t_w.copy()
-    for j in range(graph.m):
-        for i in graph.chars_of_word[j]:
             beta = sigmoid(t_w[j] @ p.w_w1.data + t_c[i] @ p.w_w2.data)
             s_w[j] = s_w[j] + beta * t_c[i]
     return s_c, s_w
@@ -121,6 +119,12 @@ class TestIntraSourceAttention:
         np.testing.assert_allclose(
             got.data, ref_attention(h, np.ones((n, n)), p.char_att, 2, d), atol=1e-10
         )
+        # mask=None admits every pair, with or without the multiplicative form
+        for multiplicative in (False, True):
+            unmasked = intra_source_attention(
+                Tensor(h), None, p.char_att, 2, d, multiplicative_mask=multiplicative
+            )
+            np.testing.assert_array_equal(unmasked.data, got.data)
 
     def test_matches_scalar_reference_sparse_mask(self):
         d, n = 8, 6
@@ -216,7 +220,7 @@ class TestInterSourceFusion:
         # sigmoid(0) = 1/2, so each character adds half the sum of its words
         for i in range(3):
             expect = t_c.data[i] + 0.5 * sum(
-                t_w.data[j] for j in graph.words_of_char[i]
+                t_w.data[j] for j, w in enumerate(graph.words) if w.head <= i <= w.tail
             )
             np.testing.assert_allclose(s_c.data[i], expect, atol=1e-12)
 
@@ -227,7 +231,7 @@ class TestInterSourceFusion:
         t_c = Tensor(rng.standard_normal((7, 6)))
         t_w = Tensor(rng.standard_normal((3, 6)))
         s_c, s_w = inter_source_fusion(t_c, t_w, graph, p)
-        expect_c, expect_w = ref_gating(t_c.data, t_w.data, graph, p)
+        expect_c, expect_w = ref_gating(t_c.data, t_w.data, HALL_WORDS, p)
         np.testing.assert_allclose(s_c.data, expect_c, atol=1e-10)
         np.testing.assert_allclose(s_w.data, expect_w, atol=1e-10)
 
@@ -245,14 +249,11 @@ class TestFusionLayer:
         p = make_params(8, 16, 2, seed=23)
         rng = np.random.default_rng(24)
         h_c = rng.standard_normal((4, 8))
-        states = fusion_layer(
-            NodeStates(Tensor(h_c), Tensor(np.zeros((0, 8)))), graph, p, heads=2
-        )
+        out_c, out_w = fusion_layer(Tensor(h_c), Tensor(np.zeros((0, 8))), graph, p, heads=2)
         t_c = ref_attention(h_c, np.ones((4, 4)), p.char_att, 2, 8)
         expect = ref_ffn(t_c, p.char_ffn)
-        np.testing.assert_allclose(states.h_c.data, expect, atol=1e-10)
-        assert states.h_w.data.shape == (0, 8)
-        assert states.layer == 1
+        np.testing.assert_allclose(out_c.data, expect, atol=1e-10)
+        assert out_w.data.shape == (0, 8)
 
     def test_full_layer_matches_scalar_reference(self):
         graph = build_graph(7, HALL_WORDS)
@@ -260,12 +261,12 @@ class TestFusionLayer:
         rng = np.random.default_rng(26)
         h_c = rng.standard_normal((7, 8))
         h_w = rng.standard_normal((3, 8))
-        states = fusion_layer(NodeStates(Tensor(h_c), Tensor(h_w)), graph, p, heads=2)
-        t_c = ref_attention(h_c, graph.char_mask, p.char_att, 2, 8)
+        out_c, out_w = fusion_layer(Tensor(h_c), Tensor(h_w), graph, p, heads=2)
+        t_c = ref_attention(h_c, np.ones((7, 7)), p.char_att, 2, 8)
         t_w = ref_attention(h_w, graph.word_mask, p.word_att, 2, 8)
-        s_c, s_w = ref_gating(t_c, t_w, graph, p)
-        np.testing.assert_allclose(states.h_c.data, ref_ffn(s_c, p.char_ffn), atol=1e-9)
-        np.testing.assert_allclose(states.h_w.data, ref_ffn(s_w, p.word_ffn), atol=1e-9)
+        s_c, s_w = ref_gating(t_c, t_w, HALL_WORDS, p)
+        np.testing.assert_allclose(out_c.data, ref_ffn(s_c, p.char_ffn), atol=1e-9)
+        np.testing.assert_allclose(out_w.data, ref_ffn(s_w, p.word_ffn), atol=1e-9)
 
     def test_stacking_composes(self):
         graph = build_graph(7, HALL_WORDS)
@@ -273,11 +274,11 @@ class TestFusionLayer:
         rng = np.random.default_rng(29)
         h_c = Tensor(rng.standard_normal((7, 8)))
         h_w = Tensor(rng.standard_normal((3, 8)))
-        once = fusion_layer(NodeStates(h_c, h_w), graph, layers[0], heads=2)
-        twice = fusion_layer(once, graph, layers[1], heads=2)
+        once = fusion_layer(h_c, h_w, graph, layers[0], heads=2)
+        twice_c, twice_w = fusion_layer(*once, graph, layers[1], heads=2)
         enc_c, enc_w = encode(graph, h_c, h_w, layers, heads=2)
-        np.testing.assert_array_equal(enc_c.data, twice.h_c.data)
-        np.testing.assert_array_equal(enc_w.data, twice.h_w.data)
+        np.testing.assert_array_equal(enc_c.data, twice_c.data)
+        np.testing.assert_array_equal(enc_w.data, twice_w.data)
 
     def test_four_layer_stack_stays_finite(self):
         rng = np.random.default_rng(30)
@@ -296,23 +297,23 @@ class TestFusionLayer:
         h_c = rng.standard_normal((7, 8))
         h_w = rng.standard_normal((3, 8))
         graph = build_graph(7, HALL_WORDS)
-        base = fusion_layer(NodeStates(Tensor(h_c), Tensor(h_w)), graph, p, heads=2)
+        base_c, base_w = fusion_layer(Tensor(h_c), Tensor(h_w), graph, p, heads=2)
         perm = [2, 0, 1]
         permuted_words = [HALL_WORDS[j] for j in perm]
         graph_p = build_graph(7, permuted_words)
-        shuffled = fusion_layer(
-            NodeStates(Tensor(h_c), Tensor(h_w[perm])), graph_p, p, heads=2
+        shuffled_c, shuffled_w = fusion_layer(
+            Tensor(h_c), Tensor(h_w[perm]), graph_p, p, heads=2
         )
-        np.testing.assert_allclose(shuffled.h_c.data, base.h_c.data, atol=1e-10)
-        np.testing.assert_allclose(shuffled.h_w.data, base.h_w.data[perm], atol=1e-10)
+        np.testing.assert_allclose(shuffled_c.data, base_c.data, atol=1e-10)
+        np.testing.assert_allclose(shuffled_w.data, base_w.data[perm], atol=1e-10)
 
     def test_char_branch_independent_of_word_attention_params(self):
         graph = build_graph(7, HALL_WORDS)
         p = make_params(8, 16, 2, seed=42)
         rng = np.random.default_rng(43)
         h_c = Tensor(rng.standard_normal((7, 8)))
-        t_before = intra_source_attention(h_c, graph.char_mask, p.char_att, 2, 8).data
+        t_before = intra_source_attention(h_c, None, p.char_att, 2, 8).data
         p.word_att.wq.data += 5.0
         p.word_att.wv.data += 5.0
-        t_after = intra_source_attention(h_c, graph.char_mask, p.char_att, 2, 8).data
+        t_after = intra_source_attention(h_c, None, p.char_att, 2, 8).data
         np.testing.assert_array_equal(t_before, t_after)

@@ -25,8 +25,8 @@ class TestBuildGraph:
     def test_no_words(self):
         g = build_graph(3, [])
         assert g.m == 0
-        assert np.array_equal(g.char_mask, np.ones((3, 3), dtype=np.uint8))
-        assert all(ws == [] for ws in g.words_of_char)
+        assert g.word_mask.shape == (0, 0)
+        assert g.inter_mask.shape == (3, 0)
 
     def test_all_pairwise_overlapping(self):
         g = build_graph(7, HALL_WORDS)
@@ -53,18 +53,14 @@ class TestBuildGraph:
             assert np.array_equal(g.word_mask, g.word_mask.T)
             assert np.all(np.diag(g.word_mask) == 1) or g.m == 0
 
-    def test_adjacency_directions_are_transposes(self):
+    def test_inter_mask_matches_span_oracle(self):
         g = build_graph(7, HALL_WORDS)
-        for i, ws in enumerate(g.words_of_char):
-            for j in ws:
-                assert i in g.chars_of_word[j]
-        for j, cs in enumerate(g.chars_of_word):
-            for i in cs:
-                assert j in g.words_of_char[i]
-                assert HALL_WORDS[j].head <= i <= HALL_WORDS[j].tail
-        inter = g.inter_matrix()
-        assert inter.shape == (7, 3)
-        assert inter.sum() == sum(w.length for w in HALL_WORDS)
+        assert g.inter_mask.shape == (7, 3)
+        assert g.inter_mask.dtype == np.uint8
+        for i in range(7):
+            for j, w in enumerate(HALL_WORDS):
+                assert g.inter_mask[i, j] == (w.head <= i <= w.tail)
+        assert g.inter_mask.sum() == sum(w.length for w in HALL_WORDS)
 
     def test_out_of_range_span_rejected(self):
         with pytest.raises(ValueError):
@@ -76,7 +72,7 @@ class TestBuildGraph:
         a = build_graph(7, HALL_WORDS)
         b = build_graph(7, HALL_WORDS)
         assert np.array_equal(a.word_mask, b.word_mask)
-        assert a.words_of_char == b.words_of_char
+        assert np.array_equal(a.inter_mask, b.inter_mask)
 
 
 class TestGraphVariant:
@@ -85,9 +81,8 @@ class TestGraphVariant:
         v = graph_variant(g, "standard")
         assert v is not g
         assert np.array_equal(v.word_mask, g.word_mask)
-        assert np.array_equal(v.char_mask, g.char_mask)
-        assert v.words_of_char == g.words_of_char
-        assert v.chars_of_word == g.chars_of_word
+        assert np.array_equal(v.inter_mask, g.inter_mask)
+        assert v.inter_mask is not g.inter_mask
 
     def test_wo_word_edge_gives_identity_mask(self):
         v = graph_variant(build_graph(7, HALL_WORDS), "wo_word_edge")
@@ -101,8 +96,7 @@ class TestGraphVariant:
     def test_fc_inter_connects_every_pair(self):
         g = build_graph(3, words_from_spans([(0, 1), (1, 2)]))
         v = graph_variant(g, "fc_inter")
-        assert all(len(ws) == 2 for ws in v.words_of_char)
-        assert all(len(cs) == 3 for cs in v.chars_of_word)
+        assert np.array_equal(v.inter_mask, np.ones((3, 2), dtype=np.uint8))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -111,9 +105,11 @@ class TestGraphVariant:
     def test_variant_does_not_mutate_base(self):
         g = build_graph(7, HALL_WORDS)
         before = g.word_mask.copy()
+        inter_before = g.inter_mask.copy()
         for variant in GRAPH_VARIANTS:
             graph_variant(g, variant)
         assert np.array_equal(g.word_mask, before)
+        assert np.array_equal(g.inter_mask, inter_before)
 
 
 def test_serialize_graph_lists_nodes_and_edges():

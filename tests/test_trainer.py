@@ -1,11 +1,21 @@
 """Schedule, combined loss, Adam updates, training-step guarantees, gradient
 checking, config parsing, and checkpoint round trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from lexner.matching import build_trie
-from lexner.model import ModelDims, ModelParams, prepare_corpus, prepare_sentence
+from lexner.model import (
+    CHECKPOINT_MAGIC,
+    ModelDims,
+    ModelParams,
+    forward_states,
+    prepare_corpus,
+    prepare_sentence,
+)
 from lexner.synthetic import make_overfit_corpus
 from lexner.trainer import (
     Adam,
@@ -316,3 +326,62 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError, match="not a model checkpoint"):
             ModelParams.load(path)
+
+    def test_multiplicative_mask_survives_round_trip(self, setup, tmp_path):
+        corpus, trie, chars = setup
+        dims = tiny_config(multiplicative_mask=True).dims()
+        model = ModelParams.build(
+            dims, chars, trie.words, corpus.entity_types(), np.random.default_rng(3)
+        )
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        loaded = ModelParams.load(path)
+        assert loaded.dims == dims and loaded.dims.multiplicative_mask is True
+        s = corpus.sentences[0]
+        sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
+        h_c, h_w = forward_states(model, sent)
+        l_c, l_w = forward_states(loaded, sent)
+        np.testing.assert_array_equal(h_c.data, l_c.data)
+        np.testing.assert_array_equal(h_w.data, l_w.data)
+        loaded.dims.multiplicative_mask = False
+        assert not np.allclose(forward_states(loaded, sent)[0].data, h_c.data)
+
+    def test_checkpoint_without_multiplicative_mask_loads_false(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        raw = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+        header = json.loads(raw[start + 8 : start + 8 + hlen])
+        del header["dims"]["multiplicative_mask"]
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + hlen :]
+        )
+        assert ModelParams.load(path).dims.multiplicative_mask is False
+
+    def test_trailing_bytes_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match=r"m\.ckpt: 4 trailing bytes"):
+            ModelParams.load(path)
+
+    def test_truncated_tensor_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(ValueError, match=r"m\.ckpt: tensor lec\.bias is truncated"):
+            ModelParams.load(path)
+
+
+class TestDefaultDims:
+    def test_default_dims_build_a_model(self, setup):
+        corpus, trie, chars = setup
+        model = ModelParams.build(
+            ModelDims(), chars, trie.words, corpus.entity_types(), np.random.default_rng(0)
+        )
+        assert model.dims.d_c == 304 and model.dims.heads == 8
+
+    def test_train_config_defaults_match_model_defaults(self):
+        assert TrainConfig().dims() == ModelDims()
