@@ -7,7 +7,9 @@ into every reachable tensor. Grad arrays are never mutated in place, so
 closures may alias their upstream gradient safely.
 
 Only the operations the model needs are implemented. Non-Tensor operands of
-binary ops are treated as constants and do not enter the graph.
+binary ops are treated as constants and do not enter the graph. Inside a
+:func:`no_grad` block nothing is recorded, so intermediates are freed as soon
+as the next op has used them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ __all__ = [
     "layer_norm",
     "logsumexp",
     "masked_softmax",
+    "no_grad",
     "watch_relu_kinks",
     "zero_grads",
 ]
@@ -43,6 +46,22 @@ def watch_relu_kinks():
         yield margins
     finally:
         _relu_margins = prev
+
+
+# False inside no_grad(): new tensors then record no parents and no VJPs.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build tensors without a tape, for forward passes that never call backward()."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -75,6 +94,8 @@ class Tensor:
     def __init__(self, data, parents=(), vjps=(), dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
+        if not _grad_enabled:
+            parents, vjps = (), ()
         self._parents: tuple[Tensor, ...] = parents
         self._vjps = vjps
 
@@ -281,11 +302,18 @@ class Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, branch-free.
+
+    exp(-|x|) lies in [0, 1], so it never overflows; the numerator is 1 or
+    that same exp. Works in place and allocates two arrays the size of x.
+    """
+    e = np.empty_like(x)
+    np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1
+    out /= e
     return out
 
 

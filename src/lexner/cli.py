@@ -16,6 +16,7 @@ import numpy as np
 from . import model as model_mod
 from . import trainer as trainer_mod
 from .data import (
+    SCHEMES,
     CorpusError,
     allowed_transitions,
     corpus_stats,
@@ -66,6 +67,7 @@ def _build_parser() -> _Parser:
                        help="strict span+type evaluation of predictions")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
+    p.add_argument("--scheme", default="bio", choices=SCHEMES)
 
     p = sub.add_parser("predict",
                        help="tag an input file with a trained checkpoint")
@@ -165,8 +167,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    gold = load_corpus(args.gold)
-    pred = load_corpus(args.pred)
+    gold = load_corpus(args.gold, args.scheme)
+    pred = load_corpus(args.pred, args.scheme)
     report = evaluate([s.tags for s in pred.sentences], gold)
     print(report.format())
     return 0

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf, fusion
-from .autograd import Tensor, dropout, logsumexp
+from .autograd import Tensor, dropout, logsumexp, no_grad
 from .data import Corpus, make_tagset, tags_to_spans
 from .encoding import EmbeddingTable, PositionCodec, WordProjection, initial_states
 from .graph import LatticeGraph, build_graph, graph_variant
@@ -157,8 +157,18 @@ class ModelParams:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a model checkpoint")
-            (hlen,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
+            raw = fh.read(8)
+            if len(raw) != 8:
+                raise ValueError(
+                    f"{path}: header length is truncated: expected 8 bytes, found {len(raw)}"
+                )
+            (hlen,) = struct.unpack("<Q", raw)
+            blob = fh.read(hlen)
+            if len(blob) != hlen:
+                raise ValueError(
+                    f"{path}: header is truncated: expected {hlen} bytes, found {len(blob)}"
+                )
+            header = json.loads(blob.decode("utf-8"))
             dims = ModelDims(**header["dims"])
             entity_types = sorted(
                 {t.partition("-")[2] for t in header["tagset"] if t != "O"}
@@ -304,16 +314,18 @@ def decode_tags(
     sent: EncodedSentence,
     allowed: np.ndarray | None = None,
 ) -> list[str]:
-    """Viterbi-decoded tag strings for one sentence (no dropout)."""
-    h_c, _ = forward_states(model, sent)
-    emissions = crf.emission_scores(h_c, model.crf)
+    """Viterbi-decoded tag strings for one sentence (no dropout, no tape)."""
+    with no_grad():
+        h_c, _ = forward_states(model, sent)
+        emissions = crf.emission_scores(h_c, model.crf)
     ids = crf.viterbi_decode(emissions.data, model.crf.transitions.data, allowed)
     return [model.tagset[i] for i in ids]
 
 
 def predict_lec(model: ModelParams, sent: EncodedSentence) -> np.ndarray:
-    """Most likely word-property label per matched word."""
-    _, h_w = forward_states(model, sent)
+    """Most likely word-property label per matched word (no tape)."""
+    with no_grad():
+        _, h_w = forward_states(model, sent)
     if h_w.data.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     logits = h_w.data @ model.lec_weight.data + model.lec_bias.data

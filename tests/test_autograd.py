@@ -5,11 +5,13 @@ import pytest
 
 from lexner.autograd import (
     Tensor,
+    _sigmoid,
     concat,
     dropout,
     layer_norm,
     logsumexp,
     masked_softmax,
+    no_grad,
     zero_grads,
 )
 
@@ -153,6 +155,90 @@ class TestNonlinearities:
     def test_sigmoid_is_stable(self):
         x = Tensor(np.array([-1000.0, 0.0, 1000.0]))
         np.testing.assert_allclose(x.sigmoid().data, [0.0, 0.5, 1.0])
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Reference: split by sign so neither exp can overflow."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid_grid(dtype) -> np.ndarray:
+    """Random inputs over many scales, with the special values at the front."""
+    tiny = np.finfo(dtype).tiny
+    special = [0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan, -np.nan,
+               tiny, -tiny, 1.0, -1.0, 17.0, -17.0, 37.0, -37.0,
+               # exp underflows to subnormals, then to zero, in float32 and float64
+               -88.0, -95.0, -104.0, -120.0, -708.0, -720.0, -745.0, -760.0]
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((37, 41, 5)) * rng.choice([1e-3, 1.0, 10.0, 100.0], (37, 41, 5))
+    x.flat[: len(special)] = special
+    return x.astype(dtype)
+
+
+class TestSigmoidOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_two_branch_formula(self, dtype):
+        x = sigmoid_grid(dtype)
+        for view in (x, x.transpose(2, 0, 1), x[:, ::3], x[0, 0, 0]):
+            got = _sigmoid(view)
+            want = two_branch_sigmoid(view)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            # NaN in gives NaN out; IEEE leaves its sign bit to exp, so only
+            # the non-NaN entries are compared bit for bit
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            bits = f"u{got.itemsize}"
+            np.testing.assert_array_equal(
+                np.ascontiguousarray(got[~nan]).view(bits),
+                np.ascontiguousarray(want[~nan]).view(bits),
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_overflow_or_invalid_on_finite_inputs(self, dtype):
+        x = sigmoid_grid(dtype)
+        finite = x[np.isfinite(x)]
+        with np.errstate(over="raise", invalid="raise"):
+            y = _sigmoid(finite)
+        assert ((y >= 0) & (y <= 1)).all()
+
+    def test_does_not_modify_its_input(self):
+        x = sigmoid_grid(np.float64)
+        before = x.copy()
+        _sigmoid(x)
+        np.testing.assert_array_equal(x, before)
+
+
+class TestNoGrad:
+    def test_tensors_made_inside_have_no_parents(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        with no_grad():
+            y = (x * 2.0 + x).sigmoid().sum(axis=1)
+            z = masked_softmax(x @ x.T, None)
+        for t in (y, z):
+            assert t._parents == () and t._vjps == ()
+        np.testing.assert_array_equal(y.data, (x * 2.0 + x).sigmoid().sum(axis=1).data)
+
+    def test_recording_resumes_after_nesting(self):
+        x = Tensor(np.ones(3))
+        with no_grad():
+            with no_grad():
+                assert (x + 1.0)._parents == ()
+            assert (x + 1.0)._parents == ()
+        assert (x + 1.0)._parents == (x,)
+
+    def test_recording_resumes_after_an_exception(self):
+        x = Tensor(np.ones(3))
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        y = (x * 3.0).sum()
+        y.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
 
 
 class TestMaskedSoftmax:

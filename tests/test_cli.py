@@ -173,6 +173,24 @@ class TestTrainPredictEval:
                     "--input", str(long_input)]) == 2
         assert "sentence of 65 characters exceeds max_sentence_len=64" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_header_is_data_error(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes((workspace / "ckpt" / "best.ckpt").read_bytes()[:15])
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv")]) == 2
+        assert "cut.ckpt: header length is truncated" in capsys.readouterr().err
+
+    def test_eval_bmes_files(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold.write_text("北\tB-LOC\n京\tE-LOC\n很\tO\n大\tS-LOC\n\n", encoding="utf-8")
+        pred.write_text("北\tB-LOC\n京\tE-LOC\n很\tO\n大\tO\n\n", encoding="utf-8")
+        args = ["eval", "--gold", str(gold), "--pred", str(pred)]
+        assert run(args + ["--scheme", "bmes"]) == 0
+        assert "precision=1.0000 recall=0.5000" in capsys.readouterr().out
+        assert run(args) == 2
+        assert "unknown tag 'E-LOC' for scheme bio" in capsys.readouterr().err
+        assert run(args + ["--scheme", "bmeo"]) == 1
+
     def test_empty_input_gives_empty_output(self, workspace, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")

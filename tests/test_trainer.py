@@ -1,5 +1,5 @@
 """Schedule, combined loss, Adam updates, training-step guarantees, gradient
-checking, config parsing, and checkpoint round trips."""
+checking, config parsing, checkpoint round trips, and tape-free inference."""
 
 import json
 import struct
@@ -7,14 +7,20 @@ import struct
 import numpy as np
 import pytest
 
+from lexner import crf
+from lexner import model as model_mod
+from lexner.autograd import no_grad
 from lexner.matching import build_trie
 from lexner.model import (
     CHECKPOINT_MAGIC,
     ModelDims,
     ModelParams,
+    decode_tags,
     forward_states,
+    predict_lec,
     prepare_corpus,
     prepare_sentence,
+    sentence_losses,
 )
 from lexner.synthetic import make_overfit_corpus
 from lexner.trainer import (
@@ -374,6 +380,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"m\.ckpt: tensor lec\.bias is truncated"):
             ModelParams.load(path)
 
+    def test_truncated_header_length_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x10\x00\x00")
+        with pytest.raises(
+            ValueError, match=r"m\.ckpt: header length is truncated: expected 8 bytes, found 3"
+        ):
+            ModelParams.load(path)
+
+    def test_header_shorter_than_declared_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        raw = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+        path.write_bytes(raw[: start + 8 + 10])
+        with pytest.raises(
+            ValueError, match=rf"m\.ckpt: header is truncated: expected {hlen} bytes, found 10"
+        ):
+            ModelParams.load(path)
+
 
 class TestDefaultDims:
     def test_default_dims_build_a_model(self, setup):
@@ -385,3 +411,56 @@ class TestDefaultDims:
 
     def test_train_config_defaults_match_model_defaults(self):
         assert TrainConfig().dims() == ModelDims()
+
+
+class TestTapeFreeInference:
+    @pytest.fixture
+    def model_and_sentence(self, setup):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=4, dtype=np.float64)
+        s = max(corpus.sentences, key=len)
+        return model, prepare_sentence(s.chars, trie, model.tagset, s.tags)
+
+    def test_decode_and_predict_lec_record_no_tape(self, model_and_sentence, monkeypatch):
+        model, sent = model_and_sentence
+        seen = []
+
+        def recording_forward(*args, **kwargs):
+            out = forward_states(*args, **kwargs)
+            seen.extend(out)
+            return out
+
+        monkeypatch.setattr(model_mod, "forward_states", recording_forward)
+        decode_tags(model, sent)
+        predict_lec(model, sent)
+        assert len(seen) == 4 and sent.words
+        assert all(t._parents == () for t in seen)
+
+    def test_outputs_equal_a_taped_forward(self, model_and_sentence):
+        model, sent = model_and_sentence
+        h_c, h_w = forward_states(model, sent)
+        assert h_c._parents
+        emissions = crf.emission_scores(h_c, model.crf).data
+        ids = crf.viterbi_decode(emissions, model.crf.transitions.data)
+        assert decode_tags(model, sent) == [model.tagset[i] for i in ids]
+        logits = h_w.data @ model.lec_weight.data + model.lec_bias.data
+        np.testing.assert_array_equal(predict_lec(model, sent), logits.argmax(axis=1))
+
+    def test_backward_after_no_grad_gives_the_same_gradients(self, model_and_sentence):
+        model, sent = model_and_sentence
+
+        def gradients():
+            model.zero_grads()
+            l_ner, l_lec = sentence_losses(model, sent)
+            (l_ner + l_lec).backward()
+            return {name: t.grad.copy() for name, t in model.parameters().items()}
+
+        before = gradients()
+        with no_grad():
+            forward_states(model, sent)
+        decode_tags(model, sent)
+        predict_lec(model, sent)
+        after = gradients()
+        assert before.keys() == after.keys()
+        for name in before:
+            np.testing.assert_array_equal(before[name], after[name], err_msg=name)
