@@ -18,7 +18,7 @@ print(f"synthetic corpus: {len(corpus.sentences)} sentences, "
 
 trie = build_trie(lexicon)
 cfg = TrainConfig(
-    d_c=16, d_w=16, d_ff=64, heads=2, layers=2, max_sentence_len=64,
+    d_c=16, d_w=16, d_ff=64, heads=2, layers=2,
     lr=5e-3, weight_decay=0.0, embed_dropout=0.0, fusion_dropout=0.0,
     epochs=60, batch_size=10, seed=1,
 )

@@ -12,7 +12,7 @@ corpus, lexicon = make_overfit_corpus()
 trie = build_trie(lexicon)
 chars = sorted({c for s in corpus.sentences for c in s.chars})
 
-dims = ModelDims(d_c=8, d_w=8, d_ff=32, heads=2, layers=2, max_sentence_len=64)
+dims = ModelDims(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
 model = ModelParams.build(
     dims, chars, trie.words, corpus.entity_types(),
     np.random.default_rng(0), dtype=np.float64,  # double precision for the probe

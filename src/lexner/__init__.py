@@ -18,7 +18,7 @@ from .data import (
     spans_to_tags,
     tags_to_spans,
 )
-from .encoding import EmbeddingTable, PositionCodec, WordProjection, encode_position
+from .encoding import EmbeddingTable, WordProjection, encode_position
 from .fusion import FusionLayerParams, fusion_layer, intra_source_attention
 from .graph import GRAPH_VARIANTS, LatticeGraph, build_graph, graph_variant
 from .matching import (

@@ -13,47 +13,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .autograd import Tensor, concat
+from .autograd import Tensor
 from .matching import MatchedWord
 
 
-def encode_position(pos: int, dim: int) -> np.ndarray:
-    """Sinusoidal position vector: sin at even slots, cos at odd slots.
+def encode_position(positions, dim: int) -> np.ndarray:
+    """Sinusoidal encodings, shape ``positions.shape + (dim,)``, in float64.
 
-    Slots 2k and 2k+1 share the frequency 1/10000^(2k/dim).
+    Slots 2k (sin) and 2k+1 (cos) share the frequency 1/10000^(2k/dim).
+    ``positions`` is an int or an integer array; rows are computed on demand,
+    so there is no length cap.
     """
-    if pos < 0:
+    pos = np.asarray(positions)
+    if np.any(pos < 0):
         raise ValueError("position must be non-negative")
     if dim <= 0 or dim % 2 != 0:
         raise ValueError("encoding dimension must be a positive even number")
-    out = np.empty(dim, dtype=np.float64)
-    for k in range(dim // 2):
-        angle = pos / (10000.0 ** (2 * k / dim))
-        out[2 * k] = np.sin(angle)
-        out[2 * k + 1] = np.cos(angle)
+    angle = pos[..., None].astype(np.float64) / np.power(
+        10000.0, np.arange(0, dim, 2, dtype=np.float64) / dim
+    )
+    out = np.empty(pos.shape + (dim,), dtype=np.float64)
+    out[..., 0::2] = np.sin(angle)
+    out[..., 1::2] = np.cos(angle)
     return out
-
-
-class PositionCodec:
-    """Precomputed sinusoidal encodings for positions 0..max_position."""
-
-    def __init__(self, max_position: int, dim: int, dtype=np.float64):
-        if dim <= 0 or dim % 2 != 0:
-            raise ValueError("encoding dimension must be a positive even number")
-        self.max_position = max_position
-        self.dim = dim
-        pos = np.arange(max_position + 1, dtype=np.float64).reshape(-1, 1)
-        k2 = np.arange(0, dim, 2, dtype=np.float64)
-        div = np.power(10000.0, k2 / dim)
-        table = np.empty((max_position + 1, dim), dtype=np.float64)
-        table[:, 0::2] = np.sin(pos / div)
-        table[:, 1::2] = np.cos(pos / div)
-        self.table = table.astype(dtype)
-
-    def encode(self, pos: int) -> np.ndarray:
-        if not 0 <= pos <= self.max_position:
-            raise ValueError(f"position {pos} outside codec range 0..{self.max_position}")
-        return self.table[pos]
 
 
 class EmbeddingTable:
@@ -119,7 +101,10 @@ class EmbeddingTable:
                     raise ValueError(f"{path}:{lineno}: malformed embedding line")
                 continue
             token, values = parts[0], parts[1:]
-            vec = np.array([float(v) for v in values], dtype=dtype)
+            try:
+                vec = np.array([float(v) for v in values], dtype=dtype)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
@@ -180,53 +165,27 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
-def relative_position_features(
-    words: Sequence[MatchedWord], codec: PositionCodec
-) -> np.ndarray:
-    """Constant (m, 4*d_w) matrix of stacked head/tail/tail-head/tail+head encodings."""
-    m = len(words)
-    out = np.empty((m, 4 * codec.dim), dtype=codec.table.dtype)
-    d = codec.dim
-    for j, w in enumerate(words):
-        out[j, 0:d] = codec.encode(w.head)
-        out[j, d : 2 * d] = codec.encode(w.tail)
-        out[j, 2 * d : 3 * d] = codec.encode(w.tail - w.head)
-        out[j, 3 * d :] = codec.encode(w.tail + w.head)
-    return out
-
-
-def char_states(
-    chars: Sequence[str], table: EmbeddingTable, codec: PositionCodec
-) -> Tensor:
-    """Initial character node states: embedding + absolute position encoding.
-
-    The codec's range is the model's max_sentence_len; longer sentences are
-    rejected.
-    """
-    if len(chars) > codec.max_position:
-        raise ValueError(
-            f"sentence of {len(chars)} characters exceeds max_sentence_len={codec.max_position}"
-        )
-    idx = table.indices(chars)
-    positions = codec.table[: len(chars)]
-    return table.rows[idx] + positions
+def char_states(chars: Sequence[str], table: EmbeddingTable) -> Tensor:
+    """Initial character node states: embedding + absolute position encoding."""
+    positions = encode_position(np.arange(len(chars)), table.dim)
+    return table.rows[table.indices(chars)] + positions.astype(table.rows.data.dtype)
 
 
 def word_states(
-    words: Sequence[MatchedWord],
-    table: EmbeddingTable,
-    proj: WordProjection,
-    codec: PositionCodec,
+    words: Sequence[MatchedWord], table: EmbeddingTable, proj: WordProjection
 ) -> Tensor:
     """Initial word node states, projected to the character dimension.
 
-    Two occurrences of one surface encode differently unless their spans
-    coincide: the relative-position mix depends on (head, tail) only.
+    Each word's relative-position input stacks the encodings of its head,
+    tail, tail-head and tail+head, so two occurrences of one surface encode
+    differently unless their spans coincide.
     """
-    idx = table.indices([w.surface for w in words])
-    p4 = relative_position_features(words, codec)
-    rel = (p4 @ proj.w_r).relu()
-    v = table.rows[idx] + rel
+    spans = np.array(
+        [(w.head, w.tail, w.tail - w.head, w.tail + w.head) for w in words], dtype=np.int64
+    )
+    p4 = encode_position(spans, table.dim).reshape(len(words), 4 * table.dim)
+    rel = (p4.astype(table.rows.data.dtype) @ proj.w_r).relu()
+    v = table.rows[table.indices([w.surface for w in words])] + rel
     return (v @ proj.w1 + proj.b1).tanh() @ proj.w2 + proj.b2
 
 
@@ -236,13 +195,11 @@ def initial_states(
     char_table: EmbeddingTable,
     word_table: EmbeddingTable,
     proj: WordProjection,
-    char_codec: PositionCodec,
-    word_codec: PositionCodec,
 ) -> tuple[Tensor, Tensor]:
     """Initial (H_c, H_w) node state matrices for one sentence."""
-    h_c = char_states(chars, char_table, char_codec)
+    h_c = char_states(chars, char_table)
     if words:
-        h_w = word_states(words, word_table, proj, word_codec)
+        h_w = word_states(words, word_table, proj)
     else:
         h_w = Tensor(np.zeros((0, char_table.dim), dtype=char_table.rows.data.dtype))
     return h_c, h_w

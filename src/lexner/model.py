@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -18,11 +19,12 @@ import numpy as np
 from . import crf, fusion
 from .autograd import Tensor, dropout, logsumexp, no_grad
 from .data import Corpus, make_tagset, tags_to_spans
-from .encoding import EmbeddingTable, PositionCodec, WordProjection, initial_states
+from .encoding import EmbeddingTable, WordProjection, initial_states
 from .graph import LatticeGraph, build_graph, graph_variant
 from .matching import LexiconTrie, MatchedWord, label_lec, match_sentence
 
 CHECKPOINT_MAGIC = b"LEXNERCKPT1\n"
+HEADER_KEYS = ("dims", "char_vocab", "word_vocab", "tagset", "scheme", "tensors")
 
 
 @dataclass
@@ -32,7 +34,6 @@ class ModelDims:
     d_ff: int = 0  # 0 means 4 * d_c
     heads: int = 8
     layers: int = 2
-    max_sentence_len: int = 512
     # multiply attention scores by the mask instead of excluding masked pairs
     multiplicative_mask: bool = False
 
@@ -71,9 +72,6 @@ class ModelParams:
         self.lec_bias = lec_bias
         self.tagset = tagset
         self.scheme = scheme
-        # position tables are fixed, not learned
-        self.char_codec = PositionCodec(dims.max_sentence_len, dims.d_c, dtype=self.dtype)
-        self.word_codec = PositionCodec(2 * dims.max_sentence_len, dims.d_w, dtype=self.dtype)
 
     @property
     def dtype(self):
@@ -169,7 +167,15 @@ class ModelParams:
                     f"{path}: header is truncated: expected {hlen} bytes, found {len(blob)}"
                 )
             header = json.loads(blob.decode("utf-8"))
-            dims = ModelDims(**header["dims"])
+            missing = [key for key in HEADER_KEYS if key not in header]
+            if missing:
+                raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+            saved = dict(header["dims"])
+            saved.pop("max_sentence_len", None)  # legacy: positions have no cap
+            unknown = sorted(set(saved) - {f.name for f in fields(ModelDims)})
+            if unknown:
+                raise ValueError(f"{path}: unknown dims field(s) {', '.join(unknown)}")
+            dims = ModelDims(**saved)
             entity_types = sorted(
                 {t.partition("-")[2] for t in header["tagset"] if t != "O"}
             )
@@ -184,6 +190,15 @@ class ModelParams:
             )
             model.tagset = header["tagset"]
             params = model.parameters()
+            names = Counter(entry["name"] for entry in header["tensors"])
+            expected = Counter(params.keys())
+            absent = sorted((expected - names).elements())
+            extra = sorted((names - expected).elements())
+            if absent or extra:
+                raise ValueError(
+                    f"{path}: tensor list does not match the model: "
+                    f"missing {absent}, unexpected {extra}"
+                )
             for entry in header["tensors"]:
                 shape = tuple(entry["shape"])
                 count = int(np.prod(shape)) if shape else 1
@@ -268,8 +283,7 @@ def forward_states(
 ) -> tuple[Tensor, Tensor]:
     """Final node states (H_c, H_w) after the fusion stack."""
     h_c, h_w = initial_states(
-        sent.chars, sent.words, model.char_table, model.word_table,
-        model.projection, model.char_codec, model.word_codec,
+        sent.chars, sent.words, model.char_table, model.word_table, model.projection
     )
     h_c = dropout(h_c, embed_dropout, rng)
     if sent.words:

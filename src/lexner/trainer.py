@@ -48,7 +48,6 @@ class TrainConfig:
     d_ff: int = 0
     heads: int = 8
     layers: int = 2
-    max_sentence_len: int = 512
     # variants and decoding
     tag_scheme: str = "bio"
     variant: str = "standard"
@@ -75,7 +74,6 @@ class TrainConfig:
         return model_mod.ModelDims(
             d_c=self.d_c, d_w=self.d_w, d_ff=self.d_ff,
             heads=self.heads, layers=self.layers,
-            max_sentence_len=self.max_sentence_len,
             multiplicative_mask=self.multiplicative_mask,
         )
 
@@ -98,7 +96,10 @@ class TrainConfig:
         for key, value in values.items():
             if key not in known:
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            kwargs[key] = _convert(known[key], value)
+            try:
+                kwargs[key] = _convert(known[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
         return cls(**kwargs)
 
 
@@ -262,6 +263,9 @@ def train(
 ) -> list[EpochLog]:
     """Full training loop; returns one log entry per completed epoch.
 
+    With a checkpoint directory, `last.ckpt` is written every epoch and, when
+    a dev set is given, `best.ckpt` whenever dev F1 improves.
+
     Shuffling, dropout and parameter updates all draw from a generator seeded
     by cfg.seed, so runs with identical config and data are bit-identical.
     """
@@ -272,6 +276,7 @@ def train(
     order = np.arange(len(train_sents))
     history: list[EpochLog] = []
     best_f1 = -1.0
+    has_dev = dev_sents is not None and dev_corpus is not None
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else None
     if ckpt_dir:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -286,7 +291,7 @@ def train(
             lec_sum += report.lec_loss
             batches += 1
         dev_p = dev_r = dev_f1 = 0.0
-        if dev_sents is not None and dev_corpus is not None:
+        if has_dev:
             dev = evaluate_model(model, dev_sents, dev_corpus, cfg.constrained_decode)
             dev_p, dev_r, dev_f1 = dev.precision, dev.recall, dev.f1
         entry = EpochLog(
@@ -298,7 +303,7 @@ def train(
             log(entry.format())
         if ckpt_dir:
             model.save(ckpt_dir / "last.ckpt")
-            if dev_f1 > best_f1:
+            if has_dev and dev_f1 > best_f1:
                 best_f1 = dev_f1
                 model.save(ckpt_dir / "best.ckpt")
         if stop_when and stop_when(entry):

@@ -19,7 +19,7 @@ from lexner.model import ModelDims, ModelParams, predict_lec, prepare_corpus, pr
 from lexner.synthetic import make_ambiguous_corpus, make_overfit_corpus
 from lexner.trainer import TrainConfig, evaluate_model, grad_check, lambda_schedule, train
 
-TINY = dict(d_c=16, d_w=16, d_ff=64, heads=2, layers=2, max_sentence_len=64)
+TINY = dict(d_c=16, d_w=16, d_ff=64, heads=2, layers=2)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -93,7 +93,7 @@ def test_gradient_check():
     corpus, lexicon = make_overfit_corpus()
     trie = build_trie(lexicon)
     chars = sorted({c for s in corpus.sentences for c in s.chars})
-    dims = ModelDims(d_c=8, d_w=8, d_ff=32, heads=2, layers=2, max_sentence_len=64)
+    dims = ModelDims(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
     # 5 characters, 3 matched words (za, ad, xy), one PER entity
     sentence = list("zadxy")
     tags = ["O", "B-PER", "I-PER", "O", "O"]

@@ -1,12 +1,15 @@
 """The command-line surface: subcommands, formats, exit codes."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from lexner.cli import run
 from lexner.data import Corpus, load_corpus
 from lexner.matching import build_trie
-from lexner.model import ModelDims, ModelParams
+from lexner.model import CHECKPOINT_MAGIC, ModelDims, ModelParams
 from lexner.synthetic import make_overfit_corpus
 
 TINY_CFG = """
@@ -15,7 +18,6 @@ d_w = 8
 d_ff = 32
 heads = 2
 layers = 2
-max_sentence_len = 64
 lr = 0.01
 weight_decay = 0.0
 embed_dropout = 0.0
@@ -164,14 +166,28 @@ class TestTrainPredictEval:
         tags = {l.split("\t")[1] for l in out.read_text().splitlines() if l}
         assert tags == {model.tagset[0]} == {"O"}
 
-    def test_sentence_longer_than_max_sentence_len_is_data_error(
-        self, workspace, tmp_path, capsys
-    ):
+    def test_600_character_sentence_is_tagged(self, workspace, tmp_path, capsys):
         long_input = tmp_path / "long.txt"
-        long_input.write_text("a\n" * 65, encoding="utf-8")
+        long_input.write_text("a\n" * 600, encoding="utf-8")
         assert run(["predict", "--checkpoint", str(workspace / "ckpt" / "best.ckpt"),
-                    "--input", str(long_input)]) == 2
-        assert "sentence of 65 characters exceeds max_sentence_len=64" in capsys.readouterr().err
+                    "--input", str(long_input)]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l]
+        assert len(lines) == 600 and all(l.startswith("a\t") for l in lines)
+
+    def test_checkpoint_header_without_dims_is_data_error(self, workspace, tmp_path, capsys):
+        raw = (workspace / "ckpt" / "best.ckpt").read_bytes()
+        start = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+        header = json.loads(raw[start + 8 : start + 8 + hlen])
+        del header["dims"]
+        blob = json.dumps(header).encode("utf-8")
+        ckpt = tmp_path / "nodims.ckpt"
+        ckpt.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + hlen :]
+        )
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv")]) == 2
+        assert "nodims.ckpt: header lacks dims" in capsys.readouterr().err
 
     def test_truncated_checkpoint_header_is_data_error(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "cut.ckpt"

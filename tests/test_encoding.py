@@ -6,14 +6,23 @@ import pytest
 from lexner.autograd import Tensor
 from lexner.encoding import (
     EmbeddingTable,
-    PositionCodec,
     WordProjection,
     char_states,
     encode_position,
-    relative_position_features,
+    initial_states,
     word_states,
 )
 from lexner.matching import MatchedWord
+
+
+def ref_position(pos: int, dim: int) -> np.ndarray:
+    """Scalar reference: one slot at a time, sin at even slots, cos at odd."""
+    out = np.empty(dim, dtype=np.float64)
+    for k in range(dim // 2):
+        angle = pos / (10000.0 ** (2 * k / dim))
+        out[2 * k] = np.sin(angle)
+        out[2 * k + 1] = np.cos(angle)
+    return out
 
 
 class TestEncodePosition:
@@ -49,17 +58,34 @@ class TestEncodePosition:
         with pytest.raises(ValueError):
             encode_position(-1, 4)
 
-
-class TestPositionCodec:
-    def test_table_matches_per_position_encoding(self):
-        codec = PositionCodec(20, 6)
-        for pos in range(21):
-            np.testing.assert_allclose(codec.encode(pos), encode_position(pos, 6), atol=1e-12)
-
-    def test_out_of_range_rejected(self):
-        codec = PositionCodec(4, 4)
+    def test_rejects_a_negative_entry_in_an_array(self):
         with pytest.raises(ValueError):
-            codec.encode(5)
+            encode_position(np.array([0, 3, -2]), 4)
+
+    def test_scalar_matches_reference(self):
+        for pos in (0, 1, 7, 511, 4000):
+            got = encode_position(pos, 6)
+            assert got.shape == (6,) and got.dtype == np.float64
+            np.testing.assert_allclose(got, ref_position(pos, 6), atol=1e-12)
+
+    def test_vector_matches_reference(self):
+        got = encode_position(np.arange(600), 8)
+        assert got.shape == (600, 8) and got.dtype == np.float64
+        for pos in range(600):
+            np.testing.assert_allclose(got[pos], ref_position(pos, 8), atol=1e-12)
+
+    def test_matrix_matches_reference(self):
+        rng = np.random.default_rng(7)
+        heads = rng.integers(0, 300, size=50)
+        tails = heads + rng.integers(0, 6, size=50)
+        spans = np.stack([heads, tails, tails - heads, tails + heads], axis=1)
+        got = encode_position(spans, 6)
+        assert got.shape == (50, 4, 6)
+        for j in range(50):
+            for slot in range(4):
+                np.testing.assert_allclose(
+                    got[j, slot], ref_position(int(spans[j, slot]), 6), atol=1e-12
+                )
 
 
 class TestEmbeddingTable:
@@ -98,6 +124,12 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             EmbeddingTable.from_file(path)
 
+    def test_non_numeric_value_names_the_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("foo 1 2\na 1 x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.txt:2: could not convert string to float: 'x'"):
+            EmbeddingTable.from_file(path)
+
 
 def zero_table(tokens, dim):
     return EmbeddingTable(tokens, np.zeros((len(tokens) + 1, dim)))
@@ -115,36 +147,32 @@ def zero_projection(d_w, d_c):
 
 class TestEncodeChar:
     def test_zero_embeddings_give_pure_position(self):
-        codec = PositionCodec(8, 4)
-        out = char_states(["a"], zero_table(["a"], 4), codec)
+        out = char_states(["a"], zero_table(["a"], 4))
         np.testing.assert_array_equal(out.data, [[0.0, 1.0, 0.0, 1.0]])
 
     def test_embedding_plus_position(self):
         table = EmbeddingTable(["a"], np.vstack([np.full(4, 2.0), np.zeros(4)]))
-        codec = PositionCodec(8, 4)
-        out = char_states(["a"], table, codec)
+        out = char_states(["a"], table)
         np.testing.assert_allclose(out.data, [[2.0, 3.0, 2.0, 3.0]])
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(2)
         table = EmbeddingTable.random(list("abcd"), 6, rng)
-        codec = PositionCodec(16, 6)
         chars = list("dcba")
-        batch = char_states(chars, table, codec)
+        batch = char_states(chars, table)
         for i, c in enumerate(chars):
             expect = np.array(
                 [
-                    table.rows.data[table.lookup_index(c)][d] + codec.encode(i)[d]
+                    table.rows.data[table.lookup_index(c)][d] + ref_position(i, 6)[d]
                     for d in range(6)
                 ]
             )
             np.testing.assert_allclose(batch.data[i], expect, atol=1e-12)
 
-    def test_sentence_longer_than_codec_rejected(self):
-        table = zero_table(["a"], 4)
-        assert char_states(["a"] * 8, table, PositionCodec(8, 4)).data.shape == (8, 4)
-        with pytest.raises(ValueError, match="9 characters exceeds max_sentence_len=8"):
-            char_states(["a"] * 9, table, PositionCodec(8, 4))
+    def test_long_sentence_encodes_every_position(self):
+        out = char_states(["a"] * 600, zero_table(["a"], 4))
+        assert out.data.shape == (600, 4)
+        np.testing.assert_allclose(out.data[599], ref_position(599, 4), atol=1e-12)
 
 
 class TestEncodeWord:
@@ -155,12 +183,12 @@ class TestEncodeWord:
         table = EmbeddingTable.random(["ab"], 4, rng)
         proj = zero_projection(4, 4)
         # w_r = 0 makes the relative mix vanish; zero w2/b2 then zeroes output
-        out = word_states([self.WORD], table, proj, PositionCodec(16, 4))
+        out = word_states([self.WORD], table, proj)
         np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_all_zero_parameters_give_zero(self):
         table = zero_table(["ab"], 4)
-        out = word_states([self.WORD], table, zero_projection(4, 6), PositionCodec(16, 4))
+        out = word_states([self.WORD], table, zero_projection(4, 6))
         np.testing.assert_array_equal(out.data, np.zeros((1, 6)))
 
     def test_matches_scalar_reference(self):
@@ -169,14 +197,13 @@ class TestEncodeWord:
         d_w, d_c = 4, 6
         table = EmbeddingTable.random(["ab", "abc"], d_w, rng)
         proj = WordProjection.init(d_w, d_c, rng)
-        codec = PositionCodec(16, d_w)
         words = [MatchedWord(0, "ab", 1, 2), MatchedWord(1, "abc", 0, 2)]
-        got = word_states(words, table, proj, codec).data
+        got = word_states(words, table, proj).data
 
         def ref(word):
             h, t = word.head, word.tail
             p4 = np.concatenate(
-                [codec.encode(h), codec.encode(t), codec.encode(t - h), codec.encode(t + h)]
+                [ref_position(p, d_w) for p in (h, t, t - h, t + h)]
             )
             rel = np.maximum(p4 @ proj.w_r.data, 0.0)
             v = table.rows.data[table.lookup_index(word.surface)] + rel
@@ -189,26 +216,30 @@ class TestEncodeWord:
         rng = np.random.default_rng(5)
         table = EmbeddingTable.random(["ab"], 4, rng)
         proj = WordProjection.init(4, 4, rng)
-        codec = PositionCodec(16, 4)
         spans = [(0, 1), (3, 4), (0, 1)]
         a, b, c = (
-            word_states([MatchedWord(j, "ab", h, t)], table, proj, codec).data[0]
+            word_states([MatchedWord(j, "ab", h, t)], table, proj).data[0]
             for j, (h, t) in enumerate(spans)
         )
         assert not np.allclose(a, b)
         np.testing.assert_array_equal(a, c)
 
-    def test_relative_features_layout(self):
-        codec = PositionCodec(16, 4)
-        feats = relative_position_features([MatchedWord(0, "ab", 2, 3)], codec)
-        np.testing.assert_allclose(feats[0, :4], codec.encode(2))
-        np.testing.assert_allclose(feats[0, 4:8], codec.encode(3))
-        np.testing.assert_allclose(feats[0, 8:12], codec.encode(1))
-        np.testing.assert_allclose(feats[0, 12:], codec.encode(5))
-
     def test_output_dimension_is_char_dim(self):
         rng = np.random.default_rng(6)
         table = EmbeddingTable.random(["ab"], 4, rng)
         proj = WordProjection.init(4, 10, rng)
-        out = word_states([self.WORD], table, proj, PositionCodec(16, 4))
+        out = word_states([self.WORD], table, proj)
         assert out.data.shape == (1, 10)
+
+
+class TestInitialStates:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_states_keep_the_model_dtype(self, dtype):
+        rng = np.random.default_rng(8)
+        char_table = EmbeddingTable.random(list("abc"), 6, rng, dtype=dtype)
+        word_table = EmbeddingTable.random(["ab"], 4, rng, dtype=dtype)
+        proj = WordProjection.init(4, 6, rng, dtype=dtype)
+        words = [MatchedWord(0, "ab", 0, 1), MatchedWord(1, "ab", 1, 2)]
+        h_c, h_w = initial_states(list("abc"), words, char_table, word_table, proj)
+        assert h_c.data.dtype == dtype and h_w.data.dtype == dtype
+        assert h_c.data.shape == (3, 6) and h_w.data.shape == (2, 6)

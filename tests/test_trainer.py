@@ -34,7 +34,7 @@ from lexner.trainer import (
     train_step,
 )
 
-TINY = dict(d_c=8, d_w=8, d_ff=32, heads=2, layers=2, max_sentence_len=64)
+TINY = dict(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +261,15 @@ class TestTrainLoop:
         for field in ("ner_loss=", "lec_loss=", "dev_p=", "dev_r=", "dev_f1="):
             assert field in lines[0]
 
+    def test_no_best_checkpoint_without_a_dev_set(self, setup, tmp_path):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=2)
+        sents = prepare_corpus(corpus, trie, model.tagset)
+        train(model, sents[:8], tiny_config(epochs=2, batch_size=8),
+              dev_sents=None, checkpoint_dir=tmp_path)
+        assert (tmp_path / "last.ckpt").exists()
+        assert not (tmp_path / "best.ckpt").exists()
+
     def test_same_seed_same_losses(self, setup):
         corpus, trie, _ = setup
 
@@ -271,6 +280,26 @@ class TestTrainLoop:
             return [(e.ner_loss, e.lec_loss) for e in train(model, sents, cfg)]
 
         assert run() == run()
+
+
+def read_header(path):
+    """A saved checkpoint's JSON header and the tensor bytes after it."""
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+    return json.loads(raw[start + 8 : start + 8 + hlen]), raw[start + 8 + hlen :]
+
+
+def rewrite_header(path, edit, drop_data_bytes=0):
+    """Apply `edit` to a saved checkpoint's JSON header, optionally cutting the
+    last `drop_data_bytes` bytes of the tensor block."""
+    header, data = read_header(path)
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+        + data[: len(data) - drop_data_bytes]
+    )
 
 
 def _sub_corpus(corpus, lo, hi):
@@ -304,6 +333,12 @@ class TestTrainConfigFile:
         path = tmp_path / "t.cfg"
         path.write_text("no_such_option = 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no_such_option"):
+            TrainConfig.from_file(path)
+
+    def test_bad_value_names_the_file_and_key(self, tmp_path):
+        path = tmp_path / "t.cfg"
+        path.write_text("d_c = abc\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"t\.cfg: d_c: invalid literal for int\(\)"):
             TrainConfig.from_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -355,16 +390,47 @@ class TestCheckpoint:
     def test_checkpoint_without_multiplicative_mask_loads_false(self, setup, tmp_path):
         path = tmp_path / "m.ckpt"
         tiny_model(setup, seed=3).save(path)
-        raw = path.read_bytes()
-        start = len(CHECKPOINT_MAGIC)
-        (hlen,) = struct.unpack("<Q", raw[start : start + 8])
-        header = json.loads(raw[start + 8 : start + 8 + hlen])
-        del header["dims"]["multiplicative_mask"]
-        blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(
-            CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + hlen :]
-        )
+        rewrite_header(path, lambda h: h["dims"].pop("multiplicative_mask"))
         assert ModelParams.load(path).dims.multiplicative_mask is False
+
+    def test_legacy_max_sentence_len_is_ignored(self, setup, tmp_path):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=3)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        assert "max_sentence_len" not in read_header(path)[0]["dims"]
+        rewrite_header(path, lambda h: h["dims"].update(max_sentence_len=64))
+        loaded = ModelParams.load(path)
+        assert loaded.dims == model.dims
+        for s in corpus.sentences[:5]:
+            sent = prepare_sentence(s.chars, trie)
+            assert decode_tags(loaded, sent) == decode_tags(model, sent)
+
+    def test_missing_header_key_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h.pop("dims"))
+        with pytest.raises(ValueError, match=r"m\.ckpt: header lacks dims"):
+            ModelParams.load(path)
+
+    def test_unknown_dims_field_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h["dims"].update(depth=3))
+        with pytest.raises(ValueError, match=r"m\.ckpt: unknown dims field\(s\) depth"):
+            ModelParams.load(path)
+
+    def test_tensor_list_missing_a_parameter_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        # lec.bias is the last tensor: drop its entry and its 3 float32 values
+        rewrite_header(path, lambda h: h["tensors"].pop(), drop_data_bytes=12)
+        with pytest.raises(
+            ValueError,
+            match=r"m\.ckpt: tensor list does not match the model: "
+            r"missing \['lec\.bias'\], unexpected \[\]",
+        ):
+            ModelParams.load(path)
 
     def test_trailing_bytes_rejected(self, setup, tmp_path):
         path = tmp_path / "m.ckpt"
