@@ -27,6 +27,7 @@ __all__ = [
     "logsumexp",
     "masked_softmax",
     "no_grad",
+    "segment_sum",
     "watch_relu_kinks",
     "zero_grads",
 ]
@@ -334,6 +335,17 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         tuple(tensors),
         tuple(make_vjp(k) for k in range(len(tensors))),
     )
+
+
+def segment_sum(x: Tensor, segments: np.ndarray, n: int) -> Tensor:
+    """Add row k of x into output row segments[k]; the output has n rows.
+
+    Rows are added in their order in x, onto zeros, so a row that no segment
+    names stays zero. The VJP gathers the upstream gradient: g[segments].
+    """
+    out = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
+    np.add.at(out, segments, x.data)
+    return Tensor(out, (x,), (lambda g: g[segments],))
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:

@@ -6,15 +6,22 @@ position-wise feed-forward network. Attention and FFN sublayers are post-norm
 (sublayer output added to its input, then layer-normalized); the cross-source
 step carries its own additive residual. Character and word sources use the
 same architecture with disjoint parameters.
+
+The cross-source step gathers the gated neighbor states along the lattice's
+char-word edges, ``np.nonzero(graph.inter_mask)``, and sums them per node
+with :func:`segment_sum`; the gate itself is still evaluated for every
+(char, word) pair. Every constant is a Python float, so a float32 model
+computes in float32 throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat, dropout, layer_norm, masked_softmax
+from .autograd import Tensor, concat, dropout, layer_norm, masked_softmax, segment_sum
 from .graph import LatticeGraph
 
 
@@ -137,7 +144,8 @@ def intra_source_attention(
         if not np.array_equal(mask, mask.T) or not np.all(np.diag(mask)):
             raise ValueError("attention mask must be symmetric with ones on the diagonal")
     d_z = d // heads
-    scale = 1.0 / np.sqrt(scale_dim)
+    # a Python float: a numpy float64 scalar would promote float32 scores (NEP 50)
+    scale = 1.0 / math.sqrt(scale_dim)
     q = h @ params.wq
     k = h @ params.wk
     v = h @ params.wv
@@ -165,25 +173,27 @@ def inter_source_fusion(
     Each character adds the elementwise-gated states of its adjacent words,
     gate alpha_ij = sigmoid(T_ci @ W_c1 + T_wj @ W_c2); words aggregate their
     adjacent characters symmetrically. Nodes without cross-source neighbors
-    pass through unchanged.
+    pass through unchanged. The gated states are summed along the lattice
+    edges, each node's neighbors in index order, so the result equals a sum
+    over the dense (node, neighbor) grid bit for bit.
     """
     if graph.m == 0:
         return t_c, t_w
     n, d = t_c.data.shape
     m = t_w.data.shape[0]
-    adj = graph.inter_mask.astype(t_c.data.dtype)
+    ci, wj = np.nonzero(graph.inter_mask)
+    by_word = np.argsort(wj, kind="stable")
+    cw, ww = ci[by_word], wj[by_word]
 
     a = (t_c @ params.w_c1).reshape(n, 1, d)
     b = (t_w @ params.w_c2).reshape(1, m, d)
     alpha = (a + b).sigmoid()
-    gated = alpha * t_w.reshape(1, m, d) * adj.reshape(n, m, 1)
-    s_c = t_c + gated.sum(axis=1)
+    s_c = t_c + segment_sum(alpha[ci, wj] * t_w[wj], ci, n)
 
     aw = (t_w @ params.w_w1).reshape(m, 1, d)
     bw = (t_c @ params.w_w2).reshape(1, n, d)
     beta = (aw + bw).sigmoid()
-    gated_w = beta * t_c.reshape(1, n, d) * adj.T.reshape(m, n, 1)
-    s_w = t_w + gated_w.sum(axis=1)
+    s_w = t_w + segment_sum(beta[ww, cw] * t_c[cw], ww, m)
     return s_c, s_w
 
 

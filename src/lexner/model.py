@@ -172,10 +172,21 @@ class ModelParams:
                 raise ValueError(f"{path}: header lacks {', '.join(missing)}")
             saved = dict(header["dims"])
             saved.pop("max_sentence_len", None)  # legacy: positions have no cap
-            unknown = sorted(set(saved) - {f.name for f in fields(ModelDims)})
+            defaults = {f.name: f.default for f in fields(ModelDims)}
+            unknown = sorted(set(saved) - set(defaults))
             if unknown:
                 raise ValueError(f"{path}: unknown dims field(s) {', '.join(unknown)}")
+            for name, value in saved.items():
+                # exact types: bool is a subclass of int
+                if type(value) is not type(defaults[name]):
+                    raise ValueError(
+                        f"{path}: dims field {name} must be "
+                        f"{type(defaults[name]).__name__}, found {value!r}"
+                    )
             dims = ModelDims(**saved)
+            for k, entry in enumerate(header["tensors"]):
+                if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
+                    raise ValueError(f"{path}: tensor entry {k} needs a name and a shape")
             entity_types = sorted(
                 {t.partition("-")[2] for t in header["tagset"] if t != "O"}
             )
@@ -200,22 +211,20 @@ class ModelParams:
                     f"missing {absent}, unexpected {extra}"
                 )
             for entry in header["tensors"]:
-                shape = tuple(entry["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(4 * count)
-                if len(raw) != 4 * count:
+                tensor = params[entry["name"]]
+                shape = tensor.data.shape
+                if entry["shape"] != list(shape):
+                    raise ValueError(
+                        f"{path}: tensor {entry['name']} has shape {entry['shape']!r}, "
+                        f"expected {list(shape)}"
+                    )
+                raw = fh.read(4 * tensor.data.size)
+                if len(raw) != 4 * tensor.data.size:
                     raise ValueError(
                         f"{path}: tensor {entry['name']} is truncated: "
-                        f"expected {4 * count} bytes, found {len(raw)}"
+                        f"expected {4 * tensor.data.size} bytes, found {len(raw)}"
                     )
-                arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
-                tensor = params[entry["name"]]
-                if tensor.data.shape != shape:
-                    raise ValueError(
-                        f"{path}: tensor {entry['name']} has shape {shape}, "
-                        f"expected {tensor.data.shape}"
-                    )
-                tensor.data = arr
+                tensor.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
             trailing = len(fh.read())
             if trailing:
                 raise ValueError(f"{path}: {trailing} trailing bytes after the last tensor")

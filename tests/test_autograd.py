@@ -12,6 +12,7 @@ from lexner.autograd import (
     logsumexp,
     masked_softmax,
     no_grad,
+    segment_sum,
     zero_grads,
 )
 
@@ -109,6 +110,46 @@ class TestIndexingAndShape:
     def test_concat(self):
         check_op(lambda ts: concat([ts[0], ts[1]], axis=1), [(3, 2), (3, 4)])
         check_op(lambda ts: concat([ts[0], ts[1], ts[0]], axis=0), [(2, 3), (1, 3)])
+
+
+def ref_segment_sum(x, segments, n):
+    """Row k of x added into row segments[k], one row at a time, onto zeros."""
+    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    for k, s in enumerate(segments):
+        out[s] = out[s] + x[k]
+    return out
+
+
+class TestSegmentSum:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_a_row_loop(self, dtype):
+        rng = np.random.default_rng(50)
+        # rows 1 and 4 of the output receive nothing; 3 receives four rows
+        segments = np.array([3, 0, 3, 2, 3, 0, 3, 5])
+        x = rng.standard_normal((8, 5)).astype(dtype)
+        got = segment_sum(Tensor(x), segments, 6)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.data, ref_segment_sum(x, segments, 6))
+        assert not got.data[[1, 4]].any()
+
+    def test_keeps_trailing_dimensions_and_empty_input(self):
+        x = np.random.default_rng(51).standard_normal((3, 2, 4))
+        got = segment_sum(Tensor(x), np.array([1, 1, 0]), 2)
+        np.testing.assert_array_equal(got.data, ref_segment_sum(x, [1, 1, 0], 2))
+        empty = segment_sum(Tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64), 3)
+        np.testing.assert_array_equal(empty.data, np.zeros((3, 4)))
+
+    def test_gradient(self):
+        segments = np.array([2, 0, 2, 2, 0])
+        check_op(lambda ts: segment_sum(ts[0], segments, 4), [(5, 3)])
+
+    def test_vjp_gathers_the_upstream_gradient(self):
+        x = Tensor(np.ones((4, 2), dtype=np.float32))
+        segments = np.array([1, 0, 1, 1])
+        g = np.arange(6, dtype=np.float32).reshape(3, 2)
+        (segment_sum(x, segments, 3) * g).sum().backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, g[segments])
 
 
 class TestReductions:

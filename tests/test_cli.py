@@ -36,6 +36,20 @@ def write_corpus_file(path, corpus: Corpus):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def edited_checkpoint(workspace, path, edit):
+    """Write to `path` the trained checkpoint with `edit` applied to its JSON header."""
+    raw = (workspace / "ckpt" / "best.ckpt").read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+    header = json.loads(raw[start + 8 : start + 8 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + hlen :]
+    )
+    return path
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -175,19 +189,29 @@ class TestTrainPredictEval:
         assert len(lines) == 600 and all(l.startswith("a\t") for l in lines)
 
     def test_checkpoint_header_without_dims_is_data_error(self, workspace, tmp_path, capsys):
-        raw = (workspace / "ckpt" / "best.ckpt").read_bytes()
-        start = len(CHECKPOINT_MAGIC)
-        (hlen,) = struct.unpack("<Q", raw[start : start + 8])
-        header = json.loads(raw[start + 8 : start + 8 + hlen])
-        del header["dims"]
-        blob = json.dumps(header).encode("utf-8")
-        ckpt = tmp_path / "nodims.ckpt"
-        ckpt.write_bytes(
-            CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + hlen :]
-        )
+        ckpt = edited_checkpoint(workspace, tmp_path / "nodims.ckpt", lambda h: h.pop("dims"))
         assert run(["predict", "--checkpoint", str(ckpt),
                     "--input", str(workspace / "dev.tsv")]) == 2
         assert "nodims.ckpt: header lacks dims" in capsys.readouterr().err
+
+    def test_checkpoint_dims_of_the_wrong_type_is_data_error(self, workspace, tmp_path, capsys):
+        ckpt = edited_checkpoint(
+            workspace, tmp_path / "strdims.ckpt", lambda h: h["dims"].update(d_c="abc")
+        )
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv")]) == 2
+        assert "strdims.ckpt: dims field d_c must be int, found 'abc'" in capsys.readouterr().err
+
+    def test_checkpoint_tensor_entry_without_shape_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        ckpt = edited_checkpoint(
+            workspace, tmp_path / "noshape.ckpt", lambda h: h["tensors"][0].pop("shape")
+        )
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert "noshape.ckpt: tensor entry 0 needs a name and a shape" in err
 
     def test_truncated_checkpoint_header_is_data_error(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "cut.ckpt"

@@ -11,7 +11,7 @@ from lexner.fusion import (
     inter_source_fusion,
     intra_source_attention,
 )
-from lexner.graph import build_graph
+from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
 
 
@@ -67,6 +67,19 @@ def ref_gating(t_c, t_w, words, p):
             s_c[i] = s_c[i] + alpha * t_w[j]
             beta = sigmoid(t_w[j] @ p.w_w1.data + t_c[i] @ p.w_w2.data)
             s_w[j] = s_w[j] + beta * t_c[i]
+    return s_c, s_w
+
+
+def ref_dense_gating(t_c, t_w, graph, p):
+    """The gate as dense tape ops over every (char, word) pair, masked by the
+    lattice adjacency and summed over the neighbor axis."""
+    n, d = t_c.data.shape
+    m = t_w.data.shape[0]
+    adj = graph.inter_mask.astype(t_c.data.dtype)
+    alpha = ((t_c @ p.w_c1).reshape(n, 1, d) + (t_w @ p.w_c2).reshape(1, m, d)).sigmoid()
+    s_c = t_c + (alpha * t_w.reshape(1, m, d) * adj.reshape(n, m, 1)).sum(axis=1)
+    beta = ((t_w @ p.w_w1).reshape(m, 1, d) + (t_c @ p.w_w2).reshape(1, n, d)).sigmoid()
+    s_w = t_w + (beta * t_c.reshape(1, n, d) * adj.T.reshape(m, n, 1)).sum(axis=1)
     return s_c, s_w
 
 
@@ -207,6 +220,8 @@ class TestInterSourceFusion:
         t_w = Tensor(np.zeros((0, 6)))
         s_c, s_w = inter_source_fusion(t_c, t_w, graph, p)
         assert s_c is t_c and s_w is t_w
+        dense_c, dense_w = ref_dense_gating(t_c, t_w, graph, p)
+        assert dense_c.data.tobytes() == t_c.data.tobytes() and dense_w.data.shape == (0, 6)
 
     def test_zero_gates_give_half_weight(self):
         graph = build_graph(3, [MatchedWord(0, "ab", 0, 1), MatchedWord(1, "bc", 1, 2)])
@@ -234,6 +249,38 @@ class TestInterSourceFusion:
         expect_c, expect_w = ref_gating(t_c.data, t_w.data, HALL_WORDS, p)
         np.testing.assert_allclose(s_c.data, expect_c, atol=1e-10)
         np.testing.assert_allclose(s_w.data, expect_w, atol=1e-10)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["standard", "wo_word_edge", "fc_inter"])
+    def test_bit_equal_to_the_dense_gate(self, dtype, variant):
+        """Outputs and every input gradient equal the dense formula's bytes."""
+        rng = np.random.default_rng(60)
+        n, d = 30, 8
+        heads = rng.integers(0, n - 8, 12)
+        # characters n-5.. lie in no word, so standard rows there have no edges
+        words = [
+            MatchedWord(j, "w", int(h), int(h + rng.integers(0, 4))) for j, h in enumerate(heads)
+        ]
+        graph = graph_variant(build_graph(n, words), variant)
+        c = rng.standard_normal((n, d)).astype(dtype)
+        w = rng.standard_normal((len(words), d)).astype(dtype)
+        weights = [rng.standard_normal(shape).astype(dtype) for shape in (c.shape, w.shape)]
+
+        def run(gate):
+            p = make_params(d, 16, 2, seed=61, dtype=dtype)
+            t_c, t_w = Tensor(c.copy()), Tensor(w.copy())
+            s_c, s_w = gate(t_c, t_w, graph, p)
+            ((s_c * weights[0]).sum() + (s_w * weights[1]).sum()).backward()
+            gate_params = (p.w_c1, p.w_c2, p.w_w1, p.w_w2)
+            return [s_c.data, s_w.data, t_c.grad, t_w.grad] + [t.grad for t in gate_params]
+
+        got, want = run(inter_source_fusion), run(ref_dense_gating)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype == dtype, k
+            assert a.tobytes() == b.tobytes(), k
+        if variant == "standard":
+            np.testing.assert_array_equal(got[0][n - 5 :], c[n - 5 :])
 
 
 class TestFusionLayer:

@@ -2,14 +2,16 @@
 checking, config parsing, checkpoint round trips, and tape-free inference."""
 
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from lexner import crf
+from lexner import crf, fusion
 from lexner import model as model_mod
-from lexner.autograd import no_grad
+from lexner.autograd import Tensor, no_grad
+from lexner.encoding import initial_states
 from lexner.matching import build_trie
 from lexner.model import (
     CHECKPOINT_MAGIC,
@@ -420,6 +422,45 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"m\.ckpt: unknown dims field\(s\) depth"):
             ModelParams.load(path)
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("d_c", "abc", "int"), ("heads", 2.0, "int"), ("multiplicative_mask", 1, "bool")],
+    )
+    def test_wrong_typed_dims_value_rejected(self, setup, tmp_path, field, value, kind):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h["dims"].update({field: value}))
+        with pytest.raises(
+            ValueError, match=rf"m\.ckpt: dims field {field} must be {kind}, found {value!r}"
+        ):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda t: t[2].pop("name"), lambda t: t[2].pop("shape"), lambda t: t.insert(2, "x")],
+        ids=["no-name", "no-shape", "not-an-object"],
+    )
+    def test_malformed_tensor_entry_rejected(self, setup, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: edit(h["tensors"]))
+        with pytest.raises(
+            ValueError, match=r"m\.ckpt: tensor entry 2 needs a name and a shape"
+        ):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize("shape", ["ab", 5, [3, 8]])
+    def test_tensor_entry_with_a_wrong_shape_rejected(self, setup, tmp_path, shape):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h["tensors"][0].update(shape=shape))
+        with pytest.raises(
+            ValueError,
+            match=rf"m\.ckpt: tensor char_embeddings has shape "
+            rf"{re.escape(repr(shape))}, expected \[",
+        ):
+            ModelParams.load(path)
+
     def test_tensor_list_missing_a_parameter_rejected(self, setup, tmp_path):
         path = tmp_path / "m.ckpt"
         tiny_model(setup, seed=3).save(path)
@@ -530,3 +571,44 @@ class TestTapeFreeInference:
         assert before.keys() == after.keys()
         for name in before:
             np.testing.assert_array_equal(before[name], after[name], err_msg=name)
+
+
+class TestModelDtype:
+    """A model computes in its own dtype: no constant may promote float32 to
+    float64 (under NumPy 2, a numpy float64 scalar does)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_tensor_and_gradient_keeps_the_model_dtype(self, setup, monkeypatch, dtype):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=5, dtype=dtype)
+        sents = prepare_corpus(corpus, trie, model.tagset)[:3]
+        sent = max(sents, key=lambda s: len(s.words))
+        built = set()
+        init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.add(self.data.dtype)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        h_c, h_w = initial_states(
+            sent.chars, sent.words, model.char_table, model.word_table, model.projection
+        )
+        fusion.fusion_layer(h_c, h_w, sent.graph, model.layers[0], model.dims.heads)
+        forward_states(model, sent)
+        rng = np.random.default_rng(6)
+        l_ner, l_lec = sentence_losses(model, sent, 0.1, 0.1, rng)
+        decode_tags(model, sent)
+        assert built == {np.dtype(dtype)}
+
+        model.zero_grads()
+        (l_ner + l_lec).backward()
+        params = model.parameters()
+        assert {t.grad.dtype for t in params.values()} == {np.dtype(dtype)}
+
+        optimizer = Adam(params, lr=1e-3)
+        train_step(sents, model, optimizer, 0, tiny_config(embed_dropout=0.1), rng)
+        assert built == {np.dtype(dtype)}
+        assert {t.grad.dtype for t in params.values()} == {np.dtype(dtype)}
+        assert {a.dtype for a in optimizer.m.values()} == {np.dtype(dtype)}
+        assert {t.data.dtype for t in params.values()} == {np.dtype(dtype)}
