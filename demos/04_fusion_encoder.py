@@ -1,5 +1,5 @@
-"""One fusion layer step by step: masked self-attention per source,
-cross-source gating, and the feed-forward update."""
+"""One fusion layer step by step: self-attention per source (graph attention
+along the word-word edges), cross-source gating, and the feed-forward update."""
 
 import numpy as np
 
@@ -28,17 +28,19 @@ params = FusionLayerParams.init(d_c, d_ff=32, heads=heads, rng=rng)
 h_c = Tensor(rng.standard_normal((graph.n, d_c)))
 h_w = Tensor(rng.standard_normal((graph.m, d_c)))
 
-# intra-source attention honors the word mask exactly: pairs
-# with no shared character get weight 0, not merely a small weight
+# words attend along their edges only: a softmax over each word's incoming
+# edges, so a pair with no shared character has no weight at all
 weights = []
 t_w = intra_source_attention(
-    h_w, graph.word_mask, params.word_att, heads, d_c, weights_out=weights
+    h_w, graph.word_word, params.word_att, heads, d_c, weights_out=weights
 )
-print("word-word attention of head 0 (rows sum to 1):")
-print(np.round(weights[0], 3))
-print("masked entries exactly zero:", bool(np.all(weights[0][graph.word_mask == 0] == 0)))
+print("word-word attention of head 0, one weight per edge:")
+for (dst, src), weight in zip(graph.word_word.T, weights[0]):
+    print(f"  {words[dst].surface} <- {words[src].surface}: {weight:.3f}")
+sums = np.bincount(graph.word_word[0], weights=weights[0])
+print("weights into each word sum to 1:", np.allclose(sums, 1.0))
 
-# characters are fully connected: mask=None admits every pair
+# characters are fully connected: edges=None attends every pair densely
 t_c = intra_source_attention(h_c, None, params.char_att, heads, d_c)
 
 # cross-source gating: each character absorbs its words through learned

@@ -233,6 +233,8 @@ class Tensor:
         src_dtype = self.data.dtype
 
         def vjp(g):
+            if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu":
+                return _scatter_rows(g, idx, src_shape[0])
             out = np.zeros(src_shape, dtype=src_dtype)
             np.add.at(out, idx, g)
             return out
@@ -337,15 +339,39 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     )
 
 
+def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Zeros of n rows with rows[k] added into row idx[k]: np.add.at, exactly.
+
+    Rows are added level by level: one vectorised pass adds the first
+    occurrence of every index, the next pass the second, and so on. Each row
+    of the output thus receives its rows in their order in ``rows``, as
+    np.add.at adds them, so the two agree byte for byte.
+    """
+    out = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
+    if not len(idx):
+        return out
+    idx = np.where(idx < 0, idx + n, idx)
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    pos = np.arange(len(idx))
+    # rank of each occurrence among equal indices: its distance from the run start
+    starts = np.r_[True, ranked[1:] != ranked[:-1]]
+    rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
+    by_level = order[np.argsort(rank, kind="stable")]
+    sizes = np.bincount(rank)
+    for hi, size in zip(np.cumsum(sizes), sizes):
+        level = by_level[hi - size : hi]
+        out[idx[level]] += rows[level]
+    return out
+
+
 def segment_sum(x: Tensor, segments: np.ndarray, n: int) -> Tensor:
     """Add row k of x into output row segments[k]; the output has n rows.
 
     Rows are added in their order in x, onto zeros, so a row that no segment
     names stays zero. The VJP gathers the upstream gradient: g[segments].
     """
-    out = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
-    np.add.at(out, segments, x.data)
-    return Tensor(out, (x,), (lambda g: g[segments],))
+    return Tensor(_scatter_rows(x.data, segments, n), (x,), (lambda g: g[segments],))
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:

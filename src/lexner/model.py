@@ -24,7 +24,11 @@ from .graph import LatticeGraph, build_graph, graph_variant
 from .matching import LexiconTrie, MatchedWord, label_lec, match_sentence
 
 CHECKPOINT_MAGIC = b"LEXNERCKPT1\n"
-HEADER_KEYS = ("dims", "char_vocab", "word_vocab", "tagset", "scheme", "tensors")
+# every header key with the type its JSON value must have
+HEADER_TYPES = {
+    "dims": dict, "char_vocab": list, "word_vocab": list, "tagset": list, "scheme": str,
+    "tensors": list,
+}
 
 
 @dataclass
@@ -34,10 +38,11 @@ class ModelDims:
     d_ff: int = 0  # 0 means 4 * d_c
     heads: int = 8
     layers: int = 2
-    # multiply attention scores by the mask instead of excluding masked pairs
-    multiplicative_mask: bool = False
 
     def __post_init__(self) -> None:
+        for name, least in (("d_c", 1), ("d_w", 1), ("heads", 1), ("d_ff", 0), ("layers", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, found {getattr(self, name)}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_c
         if self.d_c % 2 or self.d_w % 2:
@@ -167,12 +172,24 @@ class ModelParams:
                     f"{path}: header is truncated: expected {hlen} bytes, found {len(blob)}"
                 )
             header = json.loads(blob.decode("utf-8"))
-            missing = [key for key in HEADER_KEYS if key not in header]
+            if not isinstance(header, dict):
+                raise ValueError(f"{path}: header is not a JSON object")
+            missing = [key for key in HEADER_TYPES if key not in header]
             if missing:
                 raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+            for key, kind in HEADER_TYPES.items():
+                if not isinstance(header[key], kind):
+                    raise ValueError(
+                        f"{path}: header field {key} must be {kind.__name__}, "
+                        f"found {type(header[key]).__name__}"
+                    )
+            for key in ("char_vocab", "word_vocab", "tagset"):
+                if not all(isinstance(token, str) for token in header[key]):
+                    raise ValueError(f"{path}: header field {key} must hold strings only")
             saved = dict(header["dims"])
             saved.pop("max_sentence_len", None)  # legacy: positions have no cap
             defaults = {f.name: f.default for f in fields(ModelDims)}
+            defaults["multiplicative_mask"] = False  # legacy: only false loads
             unknown = sorted(set(saved) - set(defaults))
             if unknown:
                 raise ValueError(f"{path}: unknown dims field(s) {', '.join(unknown)}")
@@ -183,7 +200,12 @@ class ModelParams:
                         f"{path}: dims field {name} must be "
                         f"{type(defaults[name]).__name__}, found {value!r}"
                     )
-            dims = ModelDims(**saved)
+            if saved.pop("multiplicative_mask", False):
+                raise ValueError(f"{path}: multiplicative_mask is true; that ablation was removed")
+            try:
+                dims = ModelDims(**saved)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             for k, entry in enumerate(header["tensors"]):
                 if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
                     raise ValueError(f"{path}: tensor entry {k} needs a name and a shape")
@@ -298,8 +320,7 @@ def forward_states(
     if sent.words:
         h_w = dropout(h_w, embed_dropout, rng)
     return fusion.encode(
-        sent.graph, h_c, h_w, model.layers, model.dims.heads,
-        fusion_dropout, rng, model.dims.multiplicative_mask,
+        sent.graph, h_c, h_w, model.layers, model.dims.heads, fusion_dropout, rng
     )
 
 

@@ -51,7 +51,6 @@ class TrainConfig:
     # variants and decoding
     tag_scheme: str = "bio"
     variant: str = "standard"
-    multiplicative_mask: bool = False
     constrained_decode: bool = False
     max_word_len: int = 0  # 0 means longest lexicon word
     # paths (optional; CLI fills them from the config file)
@@ -74,7 +73,6 @@ class TrainConfig:
         return model_mod.ModelDims(
             d_c=self.d_c, d_w=self.d_w, d_ff=self.d_ff,
             heads=self.heads, layers=self.layers,
-            multiplicative_mask=self.multiplicative_mask,
         )
 
     @classmethod

@@ -123,7 +123,7 @@ def test_gradient_check():
 
 
 def test_mask_property():
-    """Masked word pairs get exactly zero attention; rows sum to one."""
+    """Word pairs off the lattice get exactly zero attention; rows sum to one."""
     rng = np.random.default_rng(5)
     checked_pairs = 0
     for trial in range(25):
@@ -139,12 +139,20 @@ def test_mask_property():
         h_w = Tensor(rng.standard_normal((len(words), 8)))
         weights: list = []
         intra_source_attention(
-            h_w, graph.word_mask, params.word_att, 2, 8, weights_out=weights
+            h_w, graph.word_word, params.word_att, 2, 8, weights_out=weights
         )
-        for att in weights:
-            assert np.all(att[graph.word_mask == 0] == 0.0)
+        overlap = np.array(
+            [[a.head <= b.tail and b.head <= a.tail for b in words] for a in words]
+        )
+        dst, src = graph.word_word
+        for per_edge in weights:
+            # one weight per edge; every other pair's weight is exactly zero
+            att = np.zeros((len(words), len(words)))
+            att[dst, src] = per_edge
+            assert per_edge.shape == dst.shape and np.all(overlap[dst, src])
+            assert np.all(att[~overlap] == 0.0)
             np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-6)
-            checked_pairs += int((graph.word_mask == 0).sum())
+            checked_pairs += int((~overlap).sum())
     report("mask-property", True, f"({checked_pairs} masked pairs exactly zero, rows sum to 1)")
 
 

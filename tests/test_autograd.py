@@ -5,6 +5,7 @@ import pytest
 
 from lexner.autograd import (
     Tensor,
+    _scatter_rows,
     _sigmoid,
     concat,
     dropout,
@@ -150,6 +151,44 @@ class TestSegmentSum:
         (segment_sum(x, segments, 3) * g).sum().backward()
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, g[segments])
+
+
+def add_at(rows, idx, n):
+    out = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
+    np.add.at(out, idx, rows)
+    return out
+
+
+class TestScatterRows:
+    """The level-by-level row scatter behind segment_sum and row-gather VJPs
+    is byte-equal to np.add.at."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trailing", [(), (5,), (3, 4)])
+    def test_byte_equal_to_add_at(self, dtype, trailing):
+        rng = np.random.default_rng(52)
+        for n, e in ((6, 40), (50, 30), (1, 9), (4, 0)):
+            idx = rng.integers(0, n, e)
+            rows = (rng.standard_normal((e,) + trailing) * 1e3).astype(dtype)
+            rows[::4] = -0.0  # 0.0 + -0.0 is +0.0; so must the helper's first level be
+            got = _scatter_rows(rows, idx, n)
+            assert got.dtype == dtype and got.shape == (n,) + trailing
+            assert got.tobytes() == add_at(rows, idx, n).tobytes()
+
+    def test_negative_indices_and_heavy_repeats(self):
+        rng = np.random.default_rng(53)
+        idx = np.array([2, -1, 3, 2, 2, -4, 0, 3])
+        rows = rng.standard_normal((8, 3))
+        assert _scatter_rows(rows, idx, 4).tobytes() == add_at(rows, idx, 4).tobytes()
+
+    def test_row_gather_vjp_is_the_same_scatter(self):
+        rng = np.random.default_rng(54)
+        x = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
+        idx = np.array([4, 0, 4, 4, 1, 0])
+        g = rng.standard_normal((6, 3)).astype(np.float32)
+        (x[idx] * g).sum().backward()
+        assert x.grad.dtype == np.float32
+        assert x.grad.tobytes() == add_at(g, idx, 5).tobytes()
 
 
 class TestReductions:

@@ -213,6 +213,43 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert "noshape.ckpt: tensor entry 0 needs a name and a shape" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda h: h["dims"].update(heads=0), "heads must be at least 1, found 0"),
+         (lambda h: h["dims"].update(d_c=0), "d_c must be at least 1, found 0"),
+         (lambda h: h.update(tensors=5), "header field tensors must be list, found int"),
+         (lambda h: h.update(dims=[]), "header field dims must be dict, found list"),
+         (lambda h: h["dims"].update(multiplicative_mask=True),
+          "multiplicative_mask is true; that ablation was removed")],
+        ids=["zero-heads", "zero-d_c", "tensors", "dims", "multiplicative-mask"],
+    )
+    def test_checkpoint_header_out_of_range_is_data_error(
+        self, workspace, tmp_path, capsys, edit, message
+    ):
+        ckpt = edited_checkpoint(workspace, tmp_path / "bad.ckpt", edit)
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv")]) == 2
+        assert f"bad.ckpt: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("heads = 0", "heads must be at least 1, found 0"),
+        ("heads = -2", "heads must be at least 1, found -2"),
+        ("d_w = 0", "d_w must be at least 1, found 0"),
+        ("multiplicative_mask = false", "unknown config key 'multiplicative_mask'"),
+    ])
+    def test_train_config_out_of_range_is_data_error(
+        self, workspace, tmp_path, capsys, line, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(
+            (workspace / "tiny.cfg").read_text(encoding="utf-8")
+            + f"checkpoint_dir = {tmp_path / 'ckpt'}\n{line}\n",
+            encoding="utf-8",
+        )
+        assert run(["train", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_truncated_checkpoint_header_is_data_error(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "cut.ckpt"
         ckpt.write_bytes((workspace / "ckpt" / "best.ckpt").read_bytes()[:15])

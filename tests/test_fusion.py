@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lexner.autograd import Tensor
+from lexner.autograd import Tensor, concat, layer_norm, masked_softmax
 from lexner.fusion import (
     FusionLayerParams,
     encode,
@@ -13,6 +13,7 @@ from lexner.fusion import (
 )
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
+from test_autograd import check_op
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):
@@ -54,6 +55,34 @@ def ref_attention(h, mask, p, heads, scale_dim):
     return ref_layer_norm(h + o, p.ln_gain.data, p.ln_bias.data)
 
 
+def edges_of(mask):
+    """A 0/1 matrix as a (2, E) edge list of (destination, source) columns, by destination."""
+    return np.stack(np.nonzero(mask))
+
+
+def overlap_mask(words):
+    """1 where two word spans share a character, read off the spans."""
+    return np.array(
+        [[int(a.head <= b.tail and b.head <= a.tail) for b in words] for a in words]
+    ).reshape(len(words), len(words))
+
+
+def ref_dense_attention(h, mask, p, heads, scale_dim, weights_out=None):
+    """The dense m x m masked-softmax kernel word attention ran before the edge
+    softmax: tape ops, one masked_softmax per head."""
+    d = h.data.shape[1]
+    d_z = d // heads
+    q, k, v = h @ p.wq, h @ p.wk, h @ p.wv
+    outputs = []
+    for i in range(heads):
+        cols = slice(i * d_z, (i + 1) * d_z)
+        att = masked_softmax((q[:, cols] @ k[:, cols].T) * scale_dim**-0.5, mask)
+        if weights_out is not None:
+            weights_out.append(att.data)
+        outputs.append(att @ v[:, cols])
+    return layer_norm(h + concat(outputs, axis=1) @ p.wt, p.ln_gain, p.ln_bias)
+
+
 def ref_gating(t_c, t_w, words, p):
     """Gated aggregation over the lattice edges, read off the word spans."""
     def sigmoid(x):
@@ -75,7 +104,8 @@ def ref_dense_gating(t_c, t_w, graph, p):
     lattice adjacency and summed over the neighbor axis."""
     n, d = t_c.data.shape
     m = t_w.data.shape[0]
-    adj = graph.inter_mask.astype(t_c.data.dtype)
+    adj = np.zeros((n, m), dtype=t_c.data.dtype)
+    adj[tuple(graph.char_word)] = 1
     alpha = ((t_c @ p.w_c1).reshape(n, 1, d) + (t_w @ p.w_c2).reshape(1, m, d)).sigmoid()
     s_c = t_c + (alpha * t_w.reshape(1, m, d) * adj.reshape(n, m, 1)).sum(axis=1)
     beta = ((t_w @ p.w_w1).reshape(m, 1, d) + (t_c @ p.w_w2).reshape(1, n, d)).sigmoid()
@@ -101,7 +131,7 @@ class TestIntraSourceAttention:
         p = make_params(d, 8, 2, seed=1)
         rng = np.random.default_rng(2)
         h = rng.standard_normal((1, d))
-        got = intra_source_attention(Tensor(h), np.ones((1, 1), np.uint8), p.char_att, 2, d)
+        got = intra_source_attention(Tensor(h), edges_of(np.ones((1, 1))), p.char_att, 2, d)
         # one-element softmax weight is 1, so output is LN(h + (h V) W_t)
         expect = ref_layer_norm(
             h + (h @ p.char_att.wv.data) @ p.char_att.wt.data,
@@ -115,7 +145,7 @@ class TestIntraSourceAttention:
         p = make_params(d, 8, 2, seed=3)
         rng = np.random.default_rng(4)
         h = rng.standard_normal((n, d))
-        got = intra_source_attention(Tensor(h), np.eye(n, dtype=np.uint8), p.char_att, 2, d)
+        got = intra_source_attention(Tensor(h), edges_of(np.eye(n)), p.char_att, 2, d)
         expect = ref_layer_norm(
             h + (h @ p.char_att.wv.data) @ p.char_att.wt.data,
             p.char_att.ln_gain.data,
@@ -128,16 +158,11 @@ class TestIntraSourceAttention:
         p = make_params(d, 8, 2, seed=5)
         rng = np.random.default_rng(6)
         h = rng.standard_normal((n, d))
-        got = intra_source_attention(Tensor(h), np.ones((n, n), np.uint8), p.char_att, 2, d)
-        np.testing.assert_allclose(
-            got.data, ref_attention(h, np.ones((n, n)), p.char_att, 2, d), atol=1e-10
-        )
-        # mask=None admits every pair, with or without the multiplicative form
-        for multiplicative in (False, True):
-            unmasked = intra_source_attention(
-                Tensor(h), None, p.char_att, 2, d, multiplicative_mask=multiplicative
-            )
-            np.testing.assert_array_equal(unmasked.data, got.data)
+        expect = ref_attention(h, np.ones((n, n)), p.char_att, 2, d)
+        # edges=None admits every pair with the dense kernel, as all n^2 edges do
+        for edges in (None, edges_of(np.ones((n, n)))):
+            got = intra_source_attention(Tensor(h), edges, p.char_att, 2, d)
+            np.testing.assert_allclose(got.data, expect, atol=1e-10)
 
     def test_matches_scalar_reference_sparse_mask(self):
         d, n = 8, 6
@@ -147,7 +172,7 @@ class TestIntraSourceAttention:
         mask = (rng.random((n, n)) < 0.5).astype(np.uint8)
         mask = np.maximum(mask, mask.T)
         np.fill_diagonal(mask, 1)
-        got = intra_source_attention(Tensor(h), mask, p.char_att, 4, d)
+        got = intra_source_attention(Tensor(h), edges_of(mask), p.char_att, 4, d)
         np.testing.assert_allclose(got.data, ref_attention(h, mask, p.char_att, 4, d), atol=1e-10)
 
     def test_masked_pairs_get_exactly_zero_weight(self):
@@ -157,11 +182,19 @@ class TestIntraSourceAttention:
         h = rng.standard_normal((n, d))
         mask = np.eye(n, dtype=np.uint8)
         mask[0, 1] = mask[1, 0] = 1
-        weights = []
-        intra_source_attention(Tensor(h), mask, p.char_att, 2, d, weights_out=weights)
-        for att in weights:
-            assert np.all(att[mask == 0] == 0.0)
-            np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-12)
+        edges = edges_of(mask)
+        weights, dense = [], []
+        intra_source_attention(Tensor(h), edges, p.char_att, 2, d, weights_out=weights)
+        ref_dense_attention(Tensor(h), mask, p.char_att, 2, d, weights_out=dense)
+        assert len(weights) == 2
+        for att, ref in zip(weights, dense):
+            # one weight per edge: a pair without an edge has no weight to give
+            assert att.shape == (edges.shape[1],)
+            grid = np.zeros((n, n))
+            grid[tuple(edges)] = att
+            assert np.all(ref[mask == 0] == 0.0)
+            np.testing.assert_allclose(grid, ref, atol=1e-12)
+            np.testing.assert_allclose(np.bincount(edges[0], att), 1.0, atol=1e-12)
 
     def test_output_independent_of_masked_neighbors(self):
         """Perturbing node k leaves row j bit-identical when mask[j,k] == 0."""
@@ -171,10 +204,10 @@ class TestIntraSourceAttention:
         h = rng.standard_normal((n, d))
         mask = np.eye(n, dtype=np.uint8)
         mask[0, 1] = mask[1, 0] = 1
-        base = intra_source_attention(Tensor(h), mask, p.char_att, 2, d).data
+        base = intra_source_attention(Tensor(h), edges_of(mask), p.char_att, 2, d).data
         h2 = h.copy()
         h2[4] += 10.0
-        bumped = intra_source_attention(Tensor(h2), mask, p.char_att, 2, d).data
+        bumped = intra_source_attention(Tensor(h2), edges_of(mask), p.char_att, 2, d).data
         for j in range(n):
             if mask[j, 4] == 0:
                 np.testing.assert_array_equal(base[j], bumped[j])
@@ -183,23 +216,63 @@ class TestIntraSourceAttention:
         d = 4
         p = make_params(d, 8, 2)
         h = Tensor(np.zeros((3, d)))
-        with pytest.raises(ValueError):
-            intra_source_attention(h, np.zeros((3, 3), np.uint8), p.char_att, 2, d)
-        with pytest.raises(ValueError):
-            intra_source_attention(h, np.ones((2, 2), np.uint8), p.char_att, 2, d)
+        # no edges at all; node 2 unreached; destinations out of order
+        bad = [np.zeros((2, 0), np.int64), edges_of(np.ones((2, 2))), edges_of(np.eye(3))[:, ::-1]]
+        for edges in bad:
+            with pytest.raises(ValueError, match="edges must be sorted by destination and reach each of 3 nodes"):
+                intra_source_attention(h, edges, p.char_att, 2, d)
 
-    def test_multiplicative_mask_differs_from_exclusion(self):
-        d, n = 4, 3
-        p = make_params(d, 8, 2, seed=13)
-        rng = np.random.default_rng(14)
-        h = rng.standard_normal((n, d))
-        mask = np.eye(n, dtype=np.uint8)
-        mask[0, 1] = mask[1, 0] = 1
-        hard = intra_source_attention(Tensor(h), mask, p.char_att, 2, d)
-        soft = intra_source_attention(
-            Tensor(h), mask, p.char_att, 2, d, multiplicative_mask=True
+
+class TestEdgeAttention:
+    """Word attention over graph.word_word against the old dense masked softmax."""
+
+    @pytest.mark.parametrize("variant", ["standard", "wo_word_edge", "fc_intra"])
+    def test_equals_the_dense_masked_softmax(self, variant):
+        rng = np.random.default_rng(70)
+        n, d = 24, 8
+        words = [
+            MatchedWord(j, "w", int(h), min(n - 1, int(h + rng.integers(1, 4))))
+            for j, h in enumerate(rng.integers(0, n - 1, 10))
+        ]
+        graph = graph_variant(build_graph(n, words), variant)
+        mask = {
+            "standard": overlap_mask(words),
+            "wo_word_edge": np.eye(len(words)),
+            "fc_intra": np.ones((len(words), len(words))),
+        }[variant]
+        h = rng.standard_normal((len(words), d))
+        weights = rng.standard_normal((len(words), d))
+
+        def run(attend):
+            p = make_params(d, 16, 2, seed=71)
+            x = Tensor(h.copy())
+            out = attend(x, p.word_att)
+            (out * weights).sum().backward()
+            att = p.word_att
+            return [out.data, x.grad] + [t.grad for t in (att.wq, att.wk, att.wv, att.wt)]
+
+        got = run(lambda x, p: intra_source_attention(x, graph.word_word, p, 2, d))
+        want = run(lambda x, p: ref_dense_attention(x, mask, p, 2, d))
+        for k, (a, b) in enumerate(zip(got, want)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=str(k))
+
+    def test_gradient(self):
+        graph = build_graph(7, HALL_WORDS + [MatchedWord(3, "d", 5, 6)])
+        p = make_params(8, 16, 4, seed=72)
+        check_op(lambda ts: intra_source_attention(ts[0], graph.word_word, p.word_att, 4, 8), [(4, 8)])
+
+        def through_params(ts):
+            p.word_att.wq, p.word_att.wk = ts[1], ts[2]
+            return intra_source_attention(ts[0], graph.word_word, p.word_att, 4, 8)
+
+        check_op(through_params, [(4, 8), (8, 8), (8, 8)], seed=73)
+
+    def test_empty_word_set(self):
+        p = make_params(8, 16, 2, seed=74)
+        out = intra_source_attention(
+            Tensor(np.zeros((0, 8))), build_graph(3, []).word_word, p.word_att, 2, 8
         )
-        assert not np.allclose(hard.data, soft.data)
+        assert out.data.shape == (0, 8)
 
 
 class TestInterSourceFusion:
@@ -310,7 +383,7 @@ class TestFusionLayer:
         h_w = rng.standard_normal((3, 8))
         out_c, out_w = fusion_layer(Tensor(h_c), Tensor(h_w), graph, p, heads=2)
         t_c = ref_attention(h_c, np.ones((7, 7)), p.char_att, 2, 8)
-        t_w = ref_attention(h_w, graph.word_mask, p.word_att, 2, 8)
+        t_w = ref_attention(h_w, overlap_mask(HALL_WORDS), p.word_att, 2, 8)
         s_c, s_w = ref_gating(t_c, t_w, HALL_WORDS, p)
         np.testing.assert_allclose(out_c.data, ref_ffn(s_c, p.char_ffn), atol=1e-9)
         np.testing.assert_allclose(out_w.data, ref_ffn(s_w, p.word_ffn), atol=1e-9)

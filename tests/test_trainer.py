@@ -318,14 +318,14 @@ class TestTrainConfigFile:
             "lr = 0.01\n"
             "epochs = 7  # trailing comment\n"
             "lambda0 = 0.4\n"
-            "multiplicative_mask = true\n"
+            "constrained_decode = true\n"
             "tag_scheme = bmes\n"
             "train_file = data/train.tsv\n",
             encoding="utf-8",
         )
         cfg = TrainConfig.from_file(path)
         assert cfg.lr == 0.01 and cfg.epochs == 7 and cfg.lambda0 == 0.4
-        assert cfg.multiplicative_mask is True
+        assert cfg.constrained_decode is True
         assert cfg.tag_scheme == "bmes"
         assert cfg.train_file == "data/train.tsv"
         cfg2 = TrainConfig.from_file(path, overrides={"seed": 42, "variant": None})
@@ -370,30 +370,75 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="not a model checkpoint"):
             ModelParams.load(path)
 
-    def test_multiplicative_mask_survives_round_trip(self, setup, tmp_path):
-        corpus, trie, chars = setup
-        dims = tiny_config(multiplicative_mask=True).dims()
-        model = ModelParams.build(
-            dims, chars, trie.words, corpus.entity_types(), np.random.default_rng(3)
-        )
+    def test_legacy_multiplicative_mask_false_is_dropped(self, setup, tmp_path):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=3)
         path = tmp_path / "m.ckpt"
         model.save(path)
+        assert "multiplicative_mask" not in read_header(path)[0]["dims"]
+        rewrite_header(path, lambda h: h["dims"].update(multiplicative_mask=False))
         loaded = ModelParams.load(path)
-        assert loaded.dims == dims and loaded.dims.multiplicative_mask is True
-        s = corpus.sentences[0]
-        sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
-        h_c, h_w = forward_states(model, sent)
-        l_c, l_w = forward_states(loaded, sent)
-        np.testing.assert_array_equal(h_c.data, l_c.data)
-        np.testing.assert_array_equal(h_w.data, l_w.data)
-        loaded.dims.multiplicative_mask = False
-        assert not np.allclose(forward_states(loaded, sent)[0].data, h_c.data)
+        assert loaded.dims == model.dims
+        for s in corpus.sentences[:5]:
+            sent = prepare_sentence(s.chars, trie)
+            assert decode_tags(loaded, sent) == decode_tags(model, sent)
 
-    def test_checkpoint_without_multiplicative_mask_loads_false(self, setup, tmp_path):
+    def test_legacy_multiplicative_mask_true_rejected(self, setup, tmp_path):
         path = tmp_path / "m.ckpt"
         tiny_model(setup, seed=3).save(path)
-        rewrite_header(path, lambda h: h["dims"].pop("multiplicative_mask"))
-        assert ModelParams.load(path).dims.multiplicative_mask is False
+        rewrite_header(path, lambda h: h["dims"].update(multiplicative_mask=True))
+        with pytest.raises(
+            ValueError, match=r"m\.ckpt: multiplicative_mask is true; that ablation"
+        ):
+            ModelParams.load(path)
+
+    def test_multiplicative_mask_config_key_is_unknown(self, tmp_path):
+        path = tmp_path / "t.cfg"
+        path.write_text("multiplicative_mask = false\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown config key 'multiplicative_mask'"):
+            TrainConfig.from_file(path)
+
+    def test_header_that_is_not_an_object_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        header, data = read_header(path)
+        blob = json.dumps([header]).encode("utf-8")
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + data)
+        with pytest.raises(ValueError, match=r"m\.ckpt: header is not a JSON object"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dims", [["d_c", 8]], "dims must be dict, found list"),
+            ("tensors", 5, "tensors must be list, found int"),
+            ("tagset", "O", "tagset must be list, found str"),
+            ("char_vocab", {}, "char_vocab must be list, found dict"),
+            ("word_vocab", None, "word_vocab must be list, found NoneType"),
+            ("tagset", ["O", 3], "tagset must hold strings only"),
+            ("scheme", 1, "scheme must be str, found int"),
+        ],
+    )
+    def test_header_field_of_the_wrong_kind_rejected(self, setup, tmp_path, key, value, message):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h.update({key: value}))
+        with pytest.raises(ValueError, match=rf"m\.ckpt: header field {message}"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("heads", 0, "heads must be at least 1, found 0"),
+         ("heads", -2, "heads must be at least 1, found -2"),
+         ("d_c", 0, "d_c must be at least 1"), ("d_w", 0, "d_w must be at least 1"),
+         ("d_ff", -1, "d_ff must be at least 0"), ("layers", -1, "layers must be at least 0")],
+    )
+    def test_checkpoint_dims_out_of_range_rejected(self, setup, tmp_path, field, value, message):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h["dims"].update({field: value}))
+        with pytest.raises(ValueError, match=rf"m\.ckpt: {message}"):
+            ModelParams.load(path)
 
     def test_legacy_max_sentence_len_is_ignored(self, setup, tmp_path):
         corpus, trie, _ = setup
@@ -518,6 +563,25 @@ class TestDefaultDims:
 
     def test_train_config_defaults_match_model_defaults(self):
         assert TrainConfig().dims() == ModelDims()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("heads", 0, "heads must be at least 1, found 0"),
+         ("heads", -2, "heads must be at least 1, found -2"),
+         ("d_c", 0, "d_c must be at least 1, found 0"),
+         ("d_w", -4, "d_w must be at least 1, found -4"),
+         ("d_ff", -8, "d_ff must be at least 0, found -8"),
+         ("layers", -1, "layers must be at least 0, found -1")],
+    )
+    def test_out_of_range_dims_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ModelDims(**dict(TINY, **{field: value}))
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**{field: value}).dims()
+
+    def test_zero_layers_and_default_ffn_width_are_allowed(self):
+        dims = ModelDims(**dict(TINY, d_ff=0, layers=0))
+        assert dims.d_ff == 4 * TINY["d_c"] and dims.layers == 0
 
 
 class TestTapeFreeInference:
