@@ -31,9 +31,7 @@ h_w = Tensor(rng.standard_normal((graph.m, d_c)))
 # words attend along their edges only: a softmax over each word's incoming
 # edges, so a pair with no shared character has no weight at all
 weights = []
-t_w = intra_source_attention(
-    h_w, graph.word_word, params.word_att, heads, d_c, weights_out=weights
-)
+t_w = intra_source_attention(h_w, graph.word_word, params.word_att, heads, weights_out=weights)
 print("word-word attention of head 0, one weight per edge:")
 for (dst, src), weight in zip(graph.word_word.T, weights[0]):
     print(f"  {words[dst].surface} <- {words[src].surface}: {weight:.3f}")
@@ -41,7 +39,7 @@ sums = np.bincount(graph.word_word[0], weights=weights[0])
 print("weights into each word sum to 1:", np.allclose(sums, 1.0))
 
 # characters are fully connected: edges=None attends every pair densely
-t_c = intra_source_attention(h_c, None, params.char_att, heads, d_c)
+t_c = intra_source_attention(h_c, None, params.char_att, heads)
 
 # cross-source gating: each character absorbs its words through learned
 # elementwise gates; characters without words pass through untouched

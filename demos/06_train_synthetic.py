@@ -49,9 +49,8 @@ print(f"\ntrain-set strict match: P={report.precision:.3f} R={report.recall:.3f}
 # word-property predictions learned by the auxiliary head
 good = total = 0
 for s in sents:
-    if s.words:
-        good += int((predict_lec(model, s) == s.lec_labels).sum())
-        total += len(s.words)
+    good += int((predict_lec(model, s) == s.lec_labels).sum())
+    total += s.graph.m
 print(f"word-property accuracy: {good / total:.3f} over {total} matched words")
 
 sent = sents[0]

@@ -22,7 +22,7 @@ sentence = list("zadxy")  # 5 characters, 3 matched words
 tags = ["O", "B-PER", "I-PER", "O", "O"]
 enc = prepare_sentence(sentence, trie, model.tagset, tags)
 print(f"probe sentence {''.join(sentence)!r}: "
-      f"{[w.surface for w in enc.words]} matched")
+      f"{[w.surface for w in enc.graph.words]} matched")
 
 report = grad_check(model, enc, lam=0.3, h=1e-5, max_entries_per_tensor=8)
 print(report.format())

@@ -23,13 +23,13 @@ __all__ = [
     "Tensor",
     "concat",
     "dropout",
+    "glorot",
     "layer_norm",
     "logsumexp",
     "masked_softmax",
     "no_grad",
     "segment_sum",
     "watch_relu_kinks",
-    "zero_grads",
 ]
 
 # Optional instrumentation: when a watch list is installed, relu() records the
@@ -117,7 +117,7 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into .grad of every reachable tensor.
 
         self must be scalar-shaped. Grads add up across repeated backward
-        calls; clear them with :func:`zero_grads` between steps.
+        calls; set them to None between steps.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -162,9 +162,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor(-self.data, (self,), (lambda g: -g,))
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             sa, sb = self.data.shape, other.data.shape
@@ -175,10 +172,6 @@ class Tensor:
             )
         sa = self.data.shape
         return Tensor(self.data - other, (self,), (lambda g: _unbroadcast(g, sa),))
-
-    def __rsub__(self, other):
-        sa = self.data.shape
-        return Tensor(other - self.data, (self,), (lambda g: _unbroadcast(-g, sa),))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -291,10 +284,6 @@ class Tensor:
     def exp(self):
         y = np.exp(self.data)
         return Tensor(y, (self,), (lambda g: g * y,))
-
-    def log(self):
-        a = self.data
-        return Tensor(np.log(a), (self,), (lambda g: g / a,))
 
     def sqrt(self):
         y = np.sqrt(self.data)
@@ -426,6 +415,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered / (var + eps).sqrt() * gain + bias
 
 
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float64) -> Tensor:
+    """A (fan_in, fan_out) weight drawn uniformly from +-sqrt(6 / (fan_in + fan_out))."""
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))

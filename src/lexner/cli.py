@@ -14,11 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import model as model_mod
-from . import trainer as trainer_mod
 from .data import (
     SCHEMES,
     CorpusError,
-    allowed_transitions,
     corpus_stats,
     evaluate,
     load_corpus,
@@ -155,8 +153,9 @@ def _cmd_train(args) -> int:
         scheme=cfg.tag_scheme, dtype=np.float32,
         char_table=char_table, word_table=word_table,
     )
-    train_sents = prepare_corpus(corpus, trie, model.tagset, cfg.variant)
-    dev_sents = prepare_corpus(dev, trie, model.tagset, cfg.variant) if dev else None
+    variant = model.dims.variant
+    train_sents = prepare_corpus(corpus, trie, model.tagset, variant)
+    dev_sents = prepare_corpus(dev, trie, model.tagset, variant) if dev else None
     train(
         model, train_sents, cfg,
         dev_sents=dev_sents, dev_corpus=dev,
@@ -198,7 +197,7 @@ def _cmd_predict(args) -> int:
     out = _open_out(args.out)
     try:
         for chars in sentences:
-            sent = prepare_sentence(chars, trie)
+            sent = prepare_sentence(chars, trie, variant=model.dims.variant)
             tags = model_mod.decode_tags(model, sent)
             for c, t in zip(chars, tags):
                 out.write(f"{c}\t{t}\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, logsumexp
+from .autograd import Tensor, glorot, logsumexp
 
 
 class CrfParams:
@@ -35,12 +35,11 @@ class CrfParams:
     def init(
         cls, d_c: int, num_labels: int, rng: np.random.Generator, dtype=np.float64
     ) -> "CrfParams":
-        limit = np.sqrt(6.0 / (d_c + num_labels))
-        weight = rng.uniform(-limit, limit, size=(d_c, num_labels)).astype(dtype)
+        weight = glorot(rng, d_c, num_labels, dtype)
         trans = np.zeros((num_labels + 2, num_labels + 2), dtype=dtype)
         trans[:, num_labels] = -np.inf      # nothing may enter START
         trans[num_labels + 1, :] = -np.inf  # nothing may leave STOP
-        return cls(Tensor(weight), Tensor(np.zeros(num_labels, dtype=dtype)), Tensor(trans))
+        return cls(weight, Tensor(np.zeros(num_labels, dtype=dtype)), Tensor(trans))
 
     def named(self, prefix: str = "crf") -> dict[str, Tensor]:
         return {
@@ -77,9 +76,7 @@ def path_score(emissions: Tensor, transitions: Tensor, tags: np.ndarray) -> Tens
     start, stop = k, k + 1
     score = emissions[np.arange(n), tags].sum()
     score = score + transitions[start, tags[0]] + transitions[tags[-1], stop]
-    if n > 1:
-        score = score + transitions[tags[:-1], tags[1:]].sum()
-    return score
+    return score + transitions[tags[:-1], tags[1:]].sum()
 
 
 def nll_loss(emissions: Tensor, transitions: Tensor, tags: np.ndarray) -> Tensor:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, glorot
 from .matching import MatchedWord
 
 
@@ -143,10 +143,10 @@ class WordProjection:
         cls, d_w: int, d_c: int, rng: np.random.Generator, dtype=np.float64
     ) -> "WordProjection":
         return cls(
-            Tensor(_glorot(rng, 4 * d_w, d_w, dtype)),
-            Tensor(_glorot(rng, d_w, d_c, dtype)),
+            glorot(rng, 4 * d_w, d_w, dtype),
+            glorot(rng, d_w, d_c, dtype),
             Tensor(np.zeros(d_c, dtype=dtype)),
-            Tensor(_glorot(rng, d_c, d_c, dtype)),
+            glorot(rng, d_c, d_c, dtype),
             Tensor(np.zeros(d_c, dtype=dtype)),
         )
 
@@ -158,11 +158,6 @@ class WordProjection:
             f"{prefix}.w2": self.w2,
             f"{prefix}.b2": self.b2,
         }
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
 
 
 def char_states(chars: Sequence[str], table: EmbeddingTable) -> Tensor:
@@ -182,7 +177,7 @@ def word_states(
     """
     spans = np.array(
         [(w.head, w.tail, w.tail - w.head, w.tail + w.head) for w in words], dtype=np.int64
-    )
+    ).reshape(len(words), 4)
     p4 = encode_position(spans, table.dim).reshape(len(words), 4 * table.dim)
     rel = (p4.astype(table.rows.data.dtype) @ proj.w_r).relu()
     v = table.rows[table.indices([w.surface for w in words])] + rel
@@ -196,10 +191,6 @@ def initial_states(
     word_table: EmbeddingTable,
     proj: WordProjection,
 ) -> tuple[Tensor, Tensor]:
-    """Initial (H_c, H_w) node state matrices for one sentence."""
-    h_c = char_states(chars, char_table)
-    if words:
-        h_w = word_states(words, word_table, proj)
-    else:
-        h_w = Tensor(np.zeros((0, char_table.dim), dtype=char_table.rows.data.dtype))
-    return h_c, h_w
+    """Initial (H_c, H_w) node state matrices for one sentence; H_w has a
+    row per word, so none for a sentence without words."""
+    return char_states(chars, char_table), word_states(words, word_table, proj)

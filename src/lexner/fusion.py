@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat, dropout, layer_norm, masked_softmax, segment_sum
+from .autograd import Tensor, concat, dropout, glorot, layer_norm, masked_softmax, segment_sum
 from .graph import LatticeGraph
 
 
@@ -66,32 +66,28 @@ class FusionLayerParams:
         if d_c % heads != 0:
             raise ValueError(f"model dimension {d_c} not divisible by {heads} heads")
 
-        def glorot(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
-
         def att():
             return AttentionParams(
-                wq=glorot(d_c, d_c),
-                wk=glorot(d_c, d_c),
-                wv=glorot(d_c, d_c),
-                wt=glorot(d_c, d_c),
+                wq=glorot(rng, d_c, d_c, dtype),
+                wk=glorot(rng, d_c, d_c, dtype),
+                wv=glorot(rng, d_c, d_c, dtype),
+                wt=glorot(rng, d_c, d_c, dtype),
                 ln_gain=Tensor(np.ones(d_c, dtype=dtype)),
                 ln_bias=Tensor(np.zeros(d_c, dtype=dtype)),
             )
 
         def ffn():
             return FfnParams(
-                w1=glorot(d_c, d_ff),
+                w1=glorot(rng, d_c, d_ff, dtype),
                 b1=Tensor(np.zeros(d_ff, dtype=dtype)),
-                w2=glorot(d_ff, d_c),
+                w2=glorot(rng, d_ff, d_c, dtype),
                 b2=Tensor(np.zeros(d_c, dtype=dtype)),
                 ln_gain=Tensor(np.ones(d_c, dtype=dtype)),
                 ln_bias=Tensor(np.zeros(d_c, dtype=dtype)),
             )
 
-        return cls(att(), att(), glorot(d_c, d_c), glorot(d_c, d_c), glorot(d_c, d_c),
-                   glorot(d_c, d_c), ffn(), ffn())
+        # arguments draw in order: attention, the four gate weights, then FFN
+        return cls(att(), att(), *[glorot(rng, d_c, d_c, dtype) for _ in range(4)], ffn(), ffn())
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -121,7 +117,6 @@ def intra_source_attention(
     edges: np.ndarray | None,
     params: AttentionParams,
     heads: int,
-    scale_dim: int,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
     weights_out: list | None = None,
@@ -133,14 +128,14 @@ def intra_source_attention(
     sorted by destination, that reaches every node (the words, through their
     self-loops): each node's softmax then runs over its incoming edges only,
     graph attention, so a pair without an edge gets no weight at all.
-    Scores are scaled by 1/sqrt(scale_dim) with scale_dim the full model
+    Scores are scaled by 1/sqrt(d) with d the width of ``h``, the full model
     dimension, not the per-head width. When ``weights_out`` is a list, each
     head's weights are appended: an (n, n) matrix, or one weight per edge.
     """
     n, d = h.data.shape
     d_z = d // heads
     # a Python float: a numpy float64 scalar would promote float32 scores (NEP 50)
-    scale = 1.0 / math.sqrt(scale_dim)
+    scale = 1.0 / math.sqrt(d)
     q = h @ params.wq
     k = h @ params.wk
     v = h @ params.wv
@@ -186,13 +181,12 @@ def inter_source_fusion(
 
     Each character adds the elementwise-gated states of its adjacent words,
     gate alpha_ij = sigmoid(T_ci @ W_c1 + T_wj @ W_c2); words aggregate their
-    adjacent characters symmetrically with W_w1, W_w2. Nodes without
-    cross-source neighbors pass through unchanged. The gated states are
-    summed along the lattice edges, each node's neighbors in index order, so
-    the result equals a sum over the dense (node, neighbor) grid bit for bit.
+    adjacent characters symmetrically with W_w1, W_w2. A node without
+    cross-source neighbors, such as every character of a sentence without
+    words, adds the empty sum. The gated states are summed along the lattice
+    edges, each node's neighbors in index order, so the result equals a sum
+    over the dense (node, neighbor) grid bit for bit.
     """
-    if graph.m == 0:
-        return t_c, t_w
     n, d = t_c.data.shape
     m = t_w.data.shape[0]
     # alpha is held while beta is made: releasing it first measured ~10% slower on
@@ -223,11 +217,8 @@ def fusion_layer(
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
     """One full fusion layer: intra-source attention, gating, FFN per source."""
-    d_c = h_c.data.shape[1]
-    t_c = intra_source_attention(h_c, None, params.char_att, heads, d_c, dropout_rate, rng)
-    t_w = intra_source_attention(
-        h_w, graph.word_word, params.word_att, heads, d_c, dropout_rate, rng
-    )
+    t_c = intra_source_attention(h_c, None, params.char_att, heads, dropout_rate, rng)
+    t_w = intra_source_attention(h_w, graph.word_word, params.word_att, heads, dropout_rate, rng)
     s_c, s_w = inter_source_fusion(t_c, t_w, graph, params)
     h_c = _ffn_block(s_c, params.char_ffn, dropout_rate, rng)
     h_w = _ffn_block(s_w, params.word_ffn, dropout_rate, rng)

@@ -10,18 +10,18 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import crf, fusion
-from .autograd import Tensor, dropout, logsumexp, no_grad
+from .autograd import Tensor, dropout, glorot, logsumexp, no_grad
 from .data import Corpus, make_tagset, tags_to_spans
 from .encoding import EmbeddingTable, WordProjection, initial_states
-from .graph import LatticeGraph, build_graph, graph_variant
-from .matching import LexiconTrie, MatchedWord, label_lec, match_sentence
+from .graph import GRAPH_VARIANTS, LatticeGraph, build_graph, graph_variant
+from .matching import LexiconTrie, label_lec, match_sentence
 
 CHECKPOINT_MAGIC = b"LEXNERCKPT1\n"
 # every header key with the type its JSON value must have
@@ -38,6 +38,7 @@ class ModelDims:
     d_ff: int = 0  # 0 means 4 * d_c
     heads: int = 8
     layers: int = 2
+    variant: str = "standard"  # the lattice edges the model is trained and decoded on
 
     def __post_init__(self) -> None:
         for name, least in (("d_c", 1), ("d_w", 1), ("heads", 1), ("d_ff", 0), ("layers", 0)):
@@ -49,6 +50,10 @@ class ModelDims:
             raise ValueError("embedding dimensions must be even for position encodings")
         if self.d_c % self.heads:
             raise ValueError(f"d_c={self.d_c} not divisible by heads={self.heads}")
+        if self.variant not in GRAPH_VARIANTS:
+            raise ValueError(
+                f"unknown graph variant {self.variant!r}; expected one of {GRAPH_VARIANTS}"
+            )
 
 
 class ModelParams:
@@ -106,8 +111,7 @@ class ModelParams:
             for _ in range(dims.layers)
         ]
         crf_params = crf.CrfParams.init(dims.d_c, len(tagset), rng, dtype=dtype)
-        limit = np.sqrt(6.0 / (dims.d_c + 3))
-        lec_weight = Tensor(rng.uniform(-limit, limit, size=(dims.d_c, 3)).astype(dtype))
+        lec_weight = glorot(rng, dims.d_c, 3, dtype)
         lec_bias = Tensor(np.zeros(3, dtype=dtype))
         return cls(
             dims, char_table, word_table, projection, layers, crf_params,
@@ -258,11 +262,9 @@ class EncodedSentence:
     """A sentence with everything the forward pass needs precomputed."""
 
     chars: list[str]
-    words: list[MatchedWord]
-    graph: LatticeGraph
+    graph: LatticeGraph                      # its matched words are graph.words
     tags: np.ndarray | None = None           # gold label ids, length n
     lec_labels: np.ndarray | None = None      # gold word properties, length m
-    gold_spans: list[tuple[int, int, str]] = field(default_factory=list)
 
 
 def prepare_sentence(
@@ -279,7 +281,6 @@ def prepare_sentence(
         graph = graph_variant(graph, variant)
     tags = None
     lec = None
-    spans: list[tuple[int, int, str]] = []
     if gold_tags is not None:
         if tagset is None:
             raise ValueError("tagset required when gold tags are given")
@@ -288,9 +289,8 @@ def prepare_sentence(
             tags = np.array([tag_ids[t] for t in gold_tags], dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"tag {exc.args[0]!r} not in tagset") from None
-        spans = tags_to_spans(gold_tags, scheme)
-        lec = np.array(label_lec(words, spans), dtype=np.int64)
-    return EncodedSentence(list(chars), words, graph, tags, lec, spans)
+        lec = np.array(label_lec(words, tags_to_spans(gold_tags, scheme)), dtype=np.int64)
+    return EncodedSentence(list(chars), graph, tags, lec)
 
 
 def prepare_corpus(
@@ -314,11 +314,10 @@ def forward_states(
 ) -> tuple[Tensor, Tensor]:
     """Final node states (H_c, H_w) after the fusion stack."""
     h_c, h_w = initial_states(
-        sent.chars, sent.words, model.char_table, model.word_table, model.projection
+        sent.chars, sent.graph.words, model.char_table, model.word_table, model.projection
     )
     h_c = dropout(h_c, embed_dropout, rng)
-    if sent.words:
-        h_w = dropout(h_w, embed_dropout, rng)
+    h_w = dropout(h_w, embed_dropout, rng)
     return fusion.encode(
         sent.graph, h_c, h_w, model.layers, model.dims.heads, fusion_dropout, rng
     )
@@ -370,7 +369,5 @@ def predict_lec(model: ModelParams, sent: EncodedSentence) -> np.ndarray:
     """Most likely word-property label per matched word (no tape)."""
     with no_grad():
         _, h_w = forward_states(model, sent)
-    if h_w.data.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
     logits = h_w.data @ model.lec_weight.data + model.lec_bias.data
     return logits.argmax(axis=1)

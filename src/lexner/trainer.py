@@ -9,8 +9,7 @@ decays geometrically and never drops below the floor tau.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -19,7 +18,6 @@ import numpy as np
 from . import model as model_mod
 from .autograd import Tensor, watch_relu_kinks
 from .data import Corpus, allowed_transitions, evaluate
-from .matching import LexiconTrie
 from .model import EncodedSentence, ModelParams, sentence_losses
 
 
@@ -66,13 +64,24 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        for name in ("embed_dropout", "fusion_dropout"):
+            v = getattr(self, name)
+            if not 0.0 <= v < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {v}")
+        for name, least in (("batch_size", 1), ("epochs", 0), ("max_word_len", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.tag_scheme not in ("bio", "bmes"):
             raise ValueError(f"unknown tag scheme {self.tag_scheme!r}")
 
     def dims(self) -> model_mod.ModelDims:
         return model_mod.ModelDims(
             d_c=self.d_c, d_w=self.d_w, d_ff=self.d_ff,
-            heads=self.heads, layers=self.layers,
+            heads=self.heads, layers=self.layers, variant=self.variant,
         )
 
     @classmethod

@@ -14,7 +14,6 @@ from lexner.autograd import (
     masked_softmax,
     no_grad,
     segment_sum,
-    zero_grads,
 )
 
 
@@ -66,7 +65,6 @@ class TestArithmetic:
         check_op(lambda ts: ts[0] - ts[1], [(3, 4), (3, 4)])
         check_op(lambda ts: ts[0] * ts[1], [(3, 4), (3, 4)])
         check_op(lambda ts: ts[0] / (ts[1] * ts[1] + 1.0), [(3, 4), (3, 4)])
-        check_op(lambda ts: -ts[0], [(5,)])
 
     def test_broadcasting(self):
         check_op(lambda ts: ts[0] + ts[1], [(3, 4), (4,)])
@@ -223,7 +221,6 @@ class TestNonlinearities:
         check_op(lambda ts: ts[0].tanh(), [(3, 4)])
         check_op(lambda ts: ts[0].sigmoid(), [(3, 4)])
         check_op(lambda ts: ts[0].exp(), [(3, 4)])
-        check_op(lambda ts: (ts[0] * ts[0] + 1.0).log(), [(3, 4)])
         check_op(lambda ts: (ts[0] * ts[0] + 0.5).sqrt(), [(3, 4)])
         # keep relu inputs away from the kink
         check_op(lambda ts: (ts[0] + 5.0).relu() + (ts[0] - 5.0).relu(), [(3, 4)])
@@ -400,8 +397,6 @@ class TestBackward:
         (x * 2.0).sum().backward()
         (x * 3.0).sum().backward()
         np.testing.assert_allclose(x.grad, [5.0, 5.0])
-        zero_grads([x])
-        assert x.grad is None
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):

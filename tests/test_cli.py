@@ -9,7 +9,12 @@ import pytest
 from lexner.cli import run
 from lexner.data import Corpus, load_corpus
 from lexner.matching import build_trie
-from lexner.model import CHECKPOINT_MAGIC, ModelDims, ModelParams
+from lexner.model import (
+    CHECKPOINT_MAGIC,
+    ModelParams,
+    decode_tags,
+    prepare_sentence,
+)
 from lexner.synthetic import make_overfit_corpus
 
 TINY_CFG = """
@@ -36,9 +41,9 @@ def write_corpus_file(path, corpus: Corpus):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def edited_checkpoint(workspace, path, edit):
+def edited_checkpoint(checkpoint, path, edit):
     """Write to `path` the trained checkpoint with `edit` applied to its JSON header."""
-    raw = (workspace / "ckpt" / "best.ckpt").read_bytes()
+    raw = checkpoint.read_bytes()
     start = len(CHECKPOINT_MAGIC)
     (hlen,) = struct.unpack("<Q", raw[start : start + 8])
     header = json.loads(raw[start + 8 : start + 8 + hlen])
@@ -71,6 +76,19 @@ def workspace(tmp_path_factory):
     )
     (root / "tiny.cfg").write_text(cfg, encoding="utf-8")
     return root
+
+
+@pytest.fixture(scope="module")
+def checkpoint(workspace):
+    """`best.ckpt` of a model that `lexner train` trains on the workspace corpus."""
+    cfg = workspace / "fixture.cfg"
+    cfg.write_text(
+        (workspace / "tiny.cfg").read_text(encoding="utf-8")
+        + f"checkpoint_dir = {workspace / 'fixture_ckpt'}\n",
+        encoding="utf-8",
+    )
+    assert run(["train", "--config", str(cfg)]) == 0
+    return workspace / "fixture_ckpt" / "best.ckpt"
 
 
 class TestUsage:
@@ -161,15 +179,17 @@ class TestTrainPredictEval:
         out = capsys.readouterr().out
         assert "precision=" in out and "f1=" in out
 
-    def test_predict_is_deterministic(self, workspace, tmp_path):
+    def test_predict_is_deterministic(self, workspace, checkpoint, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         for out in (a, b):
-            assert run(["predict", "--checkpoint", str(workspace / "ckpt" / "best.ckpt"),
+            assert run(["predict", "--checkpoint", str(checkpoint),
                         "--input", str(workspace / "dev.tsv"), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_initialized_model_predicts_first_label(self, workspace, tmp_path, capsys):
-        model = ModelParams.load(workspace / "ckpt" / "best.ckpt")
+    def test_zero_initialized_model_predicts_first_label(
+        self, workspace, checkpoint, tmp_path, capsys
+    ):
+        model = ModelParams.load(checkpoint)
         for t in model.parameters().values():
             t.data[np.isfinite(t.data)] = 0.0
         zero_ckpt = tmp_path / "zero.ckpt"
@@ -180,33 +200,37 @@ class TestTrainPredictEval:
         tags = {l.split("\t")[1] for l in out.read_text().splitlines() if l}
         assert tags == {model.tagset[0]} == {"O"}
 
-    def test_600_character_sentence_is_tagged(self, workspace, tmp_path, capsys):
+    def test_600_character_sentence_is_tagged(self, workspace, checkpoint, tmp_path, capsys):
         long_input = tmp_path / "long.txt"
         long_input.write_text("a\n" * 600, encoding="utf-8")
-        assert run(["predict", "--checkpoint", str(workspace / "ckpt" / "best.ckpt"),
+        assert run(["predict", "--checkpoint", str(checkpoint),
                     "--input", str(long_input)]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert len(lines) == 600 and all(l.startswith("a\t") for l in lines)
 
-    def test_checkpoint_header_without_dims_is_data_error(self, workspace, tmp_path, capsys):
-        ckpt = edited_checkpoint(workspace, tmp_path / "nodims.ckpt", lambda h: h.pop("dims"))
+    def test_checkpoint_header_without_dims_is_data_error(
+        self, workspace, checkpoint, tmp_path, capsys
+    ):
+        ckpt = edited_checkpoint(checkpoint, tmp_path / "nodims.ckpt", lambda h: h.pop("dims"))
         assert run(["predict", "--checkpoint", str(ckpt),
                     "--input", str(workspace / "dev.tsv")]) == 2
         assert "nodims.ckpt: header lacks dims" in capsys.readouterr().err
 
-    def test_checkpoint_dims_of_the_wrong_type_is_data_error(self, workspace, tmp_path, capsys):
+    def test_checkpoint_dims_of_the_wrong_type_is_data_error(
+        self, workspace, checkpoint, tmp_path, capsys
+    ):
         ckpt = edited_checkpoint(
-            workspace, tmp_path / "strdims.ckpt", lambda h: h["dims"].update(d_c="abc")
+            checkpoint, tmp_path / "strdims.ckpt", lambda h: h["dims"].update(d_c="abc")
         )
         assert run(["predict", "--checkpoint", str(ckpt),
                     "--input", str(workspace / "dev.tsv")]) == 2
         assert "strdims.ckpt: dims field d_c must be int, found 'abc'" in capsys.readouterr().err
 
     def test_checkpoint_tensor_entry_without_shape_is_data_error(
-        self, workspace, tmp_path, capsys
+        self, workspace, checkpoint, tmp_path, capsys
     ):
         ckpt = edited_checkpoint(
-            workspace, tmp_path / "noshape.ckpt", lambda h: h["tensors"][0].pop("shape")
+            checkpoint, tmp_path / "noshape.ckpt", lambda h: h["tensors"][0].pop("shape")
         )
         assert run(["predict", "--checkpoint", str(ckpt),
                     "--input", str(workspace / "dev.tsv")]) == 2
@@ -220,13 +244,14 @@ class TestTrainPredictEval:
          (lambda h: h.update(tensors=5), "header field tensors must be list, found int"),
          (lambda h: h.update(dims=[]), "header field dims must be dict, found list"),
          (lambda h: h["dims"].update(multiplicative_mask=True),
-          "multiplicative_mask is true; that ablation was removed")],
-        ids=["zero-heads", "zero-d_c", "tensors", "dims", "multiplicative-mask"],
+          "multiplicative_mask is true; that ablation was removed"),
+         (lambda h: h["dims"].update(variant="no_edges"), "unknown graph variant 'no_edges'")],
+        ids=["zero-heads", "zero-d_c", "tensors", "dims", "multiplicative-mask", "variant"],
     )
     def test_checkpoint_header_out_of_range_is_data_error(
-        self, workspace, tmp_path, capsys, edit, message
+        self, workspace, checkpoint, tmp_path, capsys, edit, message
     ):
-        ckpt = edited_checkpoint(workspace, tmp_path / "bad.ckpt", edit)
+        ckpt = edited_checkpoint(checkpoint, tmp_path / "bad.ckpt", edit)
         assert run(["predict", "--checkpoint", str(ckpt),
                     "--input", str(workspace / "dev.tsv")]) == 2
         assert f"bad.ckpt: {message}" in capsys.readouterr().err
@@ -236,6 +261,9 @@ class TestTrainPredictEval:
         ("heads = -2", "heads must be at least 1, found -2"),
         ("d_w = 0", "d_w must be at least 1, found 0"),
         ("multiplicative_mask = false", "unknown config key 'multiplicative_mask'"),
+        ("batch_size = 0", "batch_size must be at least 1, got 0"),
+        ("embed_dropout = 1.0", "embed_dropout must lie in [0, 1), got 1.0"),
+        ("max_word_len = -3", "max_word_len must be at least 0, got -3"),
     ])
     def test_train_config_out_of_range_is_data_error(
         self, workspace, tmp_path, capsys, line, message
@@ -250,9 +278,32 @@ class TestTrainPredictEval:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
-    def test_truncated_checkpoint_header_is_data_error(self, workspace, tmp_path, capsys):
+    def test_predict_decodes_on_the_trained_graph_variant(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "variant.cfg"
+        cfg.write_text(
+            (workspace / "tiny.cfg").read_text(encoding="utf-8")
+            + f"checkpoint_dir = {tmp_path / 'ckpt'}\n",
+            encoding="utf-8",
+        )
+        assert run(["train", "--config", str(cfg), "--variant", "wo_word_edge"]) == 0
+        model = ModelParams.load(tmp_path / "ckpt" / "best.ckpt")
+        assert model.dims.variant == "wo_word_edge"
+        out = tmp_path / "pred.tsv"
+        assert run(["predict", "--checkpoint", str(tmp_path / "ckpt" / "best.ckpt"),
+                    "--input", str(workspace / "dev.tsv"), "--out", str(out)]) == 0
+        trie = build_trie(model.word_table.tokens)
+        want = []
+        for s in load_corpus(workspace / "dev.tsv").sentences:
+            sent = prepare_sentence(s.chars, trie, variant="wo_word_edge")
+            want.extend(f"{c}\t{t}" for c, t in zip(s.chars, decode_tags(model, sent)))
+            want.append("")
+        assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_truncated_checkpoint_header_is_data_error(
+        self, workspace, checkpoint, tmp_path, capsys
+    ):
         ckpt = tmp_path / "cut.ckpt"
-        ckpt.write_bytes((workspace / "ckpt" / "best.ckpt").read_bytes()[:15])
+        ckpt.write_bytes(checkpoint.read_bytes()[:15])
         assert run(["predict", "--checkpoint", str(ckpt),
                     "--input", str(workspace / "dev.tsv")]) == 2
         assert "cut.ckpt: header length is truncated" in capsys.readouterr().err
@@ -268,11 +319,11 @@ class TestTrainPredictEval:
         assert "unknown tag 'E-LOC' for scheme bio" in capsys.readouterr().err
         assert run(args + ["--scheme", "bmeo"]) == 1
 
-    def test_empty_input_gives_empty_output(self, workspace, tmp_path):
+    def test_empty_input_gives_empty_output(self, workspace, checkpoint, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
         out = tmp_path / "out.tsv"
-        assert run(["predict", "--checkpoint", str(workspace / "ckpt" / "best.ckpt"),
+        assert run(["predict", "--checkpoint", str(checkpoint),
                     "--input", str(empty), "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == ""
 

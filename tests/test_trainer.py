@@ -116,7 +116,7 @@ class TestAdam:
         opt = Adam(model.parameters(), lr=0.0, weight_decay=0.5)
         corpus, trie, _ = setup
         sents = prepare_corpus(corpus, trie, model.tagset)
-        train_step(sents[:2], model, opt, 0, tiny_config(lr=0.0), None)
+        train_step(sents[:2], model, opt, 0, tiny_config(), None)
         for k, v in model.parameters().items():
             np.testing.assert_array_equal(v.data, before[k])
 
@@ -349,6 +349,31 @@ class TestTrainConfigFile:
         with pytest.raises(ValueError):
             TrainConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("batch_size", 0, "batch_size must be at least 1, got 0"),
+         ("epochs", -1, "epochs must be at least 0, got -1"),
+         ("embed_dropout", 1.0, r"embed_dropout must lie in \[0, 1\), got 1.0"),
+         ("fusion_dropout", -0.5, r"fusion_dropout must lie in \[0, 1\), got -0.5"),
+         ("lr", -1.0, "lr must be positive, got -1.0"),
+         ("lr", 0.0, "lr must be positive, got 0.0"),
+         ("weight_decay", -0.1, "weight_decay must be non-negative, got -0.1"),
+         ("max_word_len", -3, "max_word_len must be at least 0, got -3")],
+    )
+    def test_out_of_range_value_names_key_and_value(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**{key: value})
+
+    def test_range_boundaries_are_allowed(self):
+        cfg = tiny_config(
+            batch_size=1, epochs=0, embed_dropout=0.0, fusion_dropout=0.0,
+            weight_decay=0.0, max_word_len=0,
+        )
+        assert cfg.batch_size == 1 and cfg.epochs == 0 and cfg.max_word_len == 0
+
+    def test_config_variant_reaches_the_model_dims(self):
+        assert tiny_config(variant="fc_inter").dims().variant == "fc_inter"
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, setup, tmp_path):
@@ -453,6 +478,30 @@ class TestCheckpoint:
             sent = prepare_sentence(s.chars, trie)
             assert decode_tags(loaded, sent) == decode_tags(model, sent)
 
+    def test_graph_variant_survives_save_and_load(self, setup, tmp_path):
+        corpus, trie, chars = setup
+        dims = ModelDims(**TINY, variant="wo_word_edge")
+        model = ModelParams.build(
+            dims, chars, trie.words, corpus.entity_types(), np.random.default_rng(3)
+        )
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        assert read_header(path)[0]["dims"]["variant"] == "wo_word_edge"
+        assert ModelParams.load(path).dims == dims
+
+    def test_legacy_header_without_variant_loads_as_standard(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h["dims"].pop("variant"))
+        assert ModelParams.load(path).dims.variant == "standard"
+
+    def test_unknown_variant_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h["dims"].update(variant="no_edges"))
+        with pytest.raises(ValueError, match=r"m\.ckpt: unknown graph variant 'no_edges'"):
+            ModelParams.load(path)
+
     def test_missing_header_key_rejected(self, setup, tmp_path):
         path = tmp_path / "m.ckpt"
         tiny_model(setup, seed=3).save(path)
@@ -469,7 +518,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "field, value, kind",
-        [("d_c", "abc", "int"), ("heads", 2.0, "int"), ("multiplicative_mask", 1, "bool")],
+        [("d_c", "abc", "int"), ("heads", 2.0, "int"), ("multiplicative_mask", 1, "bool"),
+         ("variant", 3, "str")],
     )
     def test_wrong_typed_dims_value_rejected(self, setup, tmp_path, field, value, kind):
         path = tmp_path / "m.ckpt"
@@ -604,7 +654,7 @@ class TestTapeFreeInference:
         monkeypatch.setattr(model_mod, "forward_states", recording_forward)
         decode_tags(model, sent)
         predict_lec(model, sent)
-        assert len(seen) == 4 and sent.words
+        assert len(seen) == 4 and sent.graph.words
         assert all(t._parents == () for t in seen)
 
     def test_outputs_equal_a_taped_forward(self, model_and_sentence):
@@ -646,7 +696,7 @@ class TestModelDtype:
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=5, dtype=dtype)
         sents = prepare_corpus(corpus, trie, model.tagset)[:3]
-        sent = max(sents, key=lambda s: len(s.words))
+        sent = max(sents, key=lambda s: s.graph.m)
         built = set()
         init = Tensor.__init__
 
@@ -656,7 +706,7 @@ class TestModelDtype:
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         h_c, h_w = initial_states(
-            sent.chars, sent.words, model.char_table, model.word_table, model.projection
+            sent.chars, sent.graph.words, model.char_table, model.word_table, model.projection
         )
         fusion.fusion_layer(h_c, h_w, sent.graph, model.layers[0], model.dims.heads)
         forward_states(model, sent)
@@ -676,3 +726,51 @@ class TestModelDtype:
         assert {t.grad.dtype for t in params.values()} == {np.dtype(dtype)}
         assert {a.dtype for a in optimizer.m.values()} == {np.dtype(dtype)}
         assert {t.data.dtype for t in params.values()} == {np.dtype(dtype)}
+
+
+class TestWordlessSentence:
+    """A sentence that matches no lexicon word has a lattice without word
+    nodes, and it takes the same path as every other sentence."""
+
+    @pytest.fixture(params=[("tzt", ["O", "B-PER", "O"]), ("t", ["O"])], ids=["n3", "n1"])
+    def model_and_sentence(self, setup, request):
+        _, trie, _ = setup
+        chars, tags = request.param
+        model = tiny_model(setup, seed=8, dtype=np.float64)
+        sent = prepare_sentence(list(chars), trie, model.tagset, tags)
+        assert sent.graph.m == 0 and sent.graph.char_word.shape == (2, 0)
+        return model, sent
+
+    def test_losses_backward_and_grad_check(self, model_and_sentence):
+        model, sent = model_and_sentence
+        l_ner, l_lec = sentence_losses(model, sent)
+        assert l_lec.item() == 0.0
+        assert np.isfinite(l_ner.item()) and l_ner.item() > 0.0
+        model.zero_grads()
+        total_loss(l_ner, l_lec, 0.3).backward()
+        assert np.isfinite(model.crf.weight.grad).all()
+        assert np.isfinite(model.char_table.rows.grad).all()
+        report = grad_check(model, sent, lam=0.3)
+        assert report.ok, report.format()
+
+    def test_train_step_in_a_batch_with_words(self, setup, model_and_sentence):
+        corpus, trie, _ = setup
+        model, sent = model_and_sentence
+        with_words = prepare_corpus(_sub_corpus(corpus, 0, 2), trie, model.tagset)
+        assert all(s.graph.m for s in with_words)
+        before = {k: t.data.copy() for k, t in model.parameters().items()}
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        cfg = tiny_config(embed_dropout=0.1, fusion_dropout=0.1)
+        batch = [with_words[0], sent, with_words[1]]
+        report = train_step(batch, model, optimizer, 0, cfg, np.random.default_rng(9))
+        assert np.isfinite(report.combined)
+        after = model.parameters()
+        assert all(np.isfinite(after[k].data[np.isfinite(v)]).all() for k, v in before.items())
+        assert not np.array_equal(after["crf.weight"].data, before["crf.weight"])
+
+    def test_decode_tags_and_predict_lec(self, model_and_sentence):
+        model, sent = model_and_sentence
+        tags = decode_tags(model, sent)
+        assert len(tags) == len(sent.chars) and set(tags) <= set(model.tagset)
+        lec = predict_lec(model, sent)
+        assert lec.shape == (0,) and lec.dtype == np.int64
