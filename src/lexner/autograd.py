@@ -6,8 +6,9 @@ recorded graph once in reverse topological order and accumulates gradients
 into every reachable tensor. Grad arrays are never mutated in place, so
 closures may alias their upstream gradient safely.
 
-Only the operations the model needs are implemented. Non-Tensor operands of
-binary ops are treated as constants and do not enter the graph. Inside a
+Only the operations the model needs are implemented. A non-Tensor operand of
+a binary op is a constant and does not enter the graph; matmul stacks over
+leading axes, so attention heads can be a batch axis. Inside a
 :func:`no_grad` block nothing is recorded, so intermediates are freed as soon
 as the next op has used them.
 """
@@ -76,6 +77,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _data(x):
+    """The array of a Tensor; any other operand is a constant and passes as it is."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _node(out: np.ndarray, operands: tuple, vjps: tuple) -> Tensor:
+    """The result of a binary op on two operands, each a Tensor or a constant.
+
+    Only Tensor operands become parents; a constant gets no gradient. Each VJP
+    result is summed down to the shape of its operand, undoing broadcasting.
+    """
+    parents, closures = [], []
+    for x, vjp in zip(operands, vjps):
+        if isinstance(x, Tensor):
+            parents.append(x)
+            closures.append(lambda g, vjp=vjp, shape=x.data.shape: _unbroadcast(vjp(g), shape))
+    return Tensor(out, tuple(parents), tuple(closures))
+
+
+def _matmul(a, b) -> Tensor:
+    """a @ b, stacked over any leading axes; the VJPs swap only the last two axes."""
+    x, y = _data(a), _data(b)
+    vjps = (lambda g: g @ np.swapaxes(y, -1, -2), lambda g: np.swapaxes(x, -1, -2) @ g)
+    return _node(x @ y, (a, b), vjps)
 
 
 def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
@@ -150,74 +177,31 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            sa, sb = self.data.shape, other.data.shape
-            return Tensor(
-                self.data + other.data,
-                (self, other),
-                (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb)),
-            )
-        sa = self.data.shape
-        return Tensor(self.data + other, (self,), (lambda g: _unbroadcast(g, sa),))
+        return _node(self.data + _data(other), (self, other), (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            sa, sb = self.data.shape, other.data.shape
-            return Tensor(
-                self.data - other.data,
-                (self, other),
-                (lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb)),
-            )
-        sa = self.data.shape
-        return Tensor(self.data - other, (self,), (lambda g: _unbroadcast(g, sa),))
+        return _node(self.data - _data(other), (self, other), (lambda g: g, np.negative))
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self.data, other.data
-            return Tensor(
-                a * b,
-                (self, other),
-                (
-                    lambda g: _unbroadcast(g * b, a.shape),
-                    lambda g: _unbroadcast(g * a, b.shape),
-                ),
-            )
-        a = self.data
-        return Tensor(a * other, (self,), (lambda g: _unbroadcast(g * other, a.shape),))
+        a, b = self.data, _data(other)
+        return _node(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self.data, other.data
-            return Tensor(
-                a / b,
-                (self, other),
-                (
-                    lambda g: _unbroadcast(g / b, a.shape),
-                    lambda g: _unbroadcast(-g * a / (b * b), b.shape),
-                ),
-            )
-        return self * (1.0 / other)
+        if not isinstance(other, Tensor):
+            # a / c and a * (1 / c) round differently; the model is built on the second
+            return self * (1.0 / other)
+        a, b = self.data, other.data
+        return _node(a / b, (self, other), (lambda g: g / b, lambda g: -g * a / (b * b)))
 
     def __matmul__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self.data, other.data
-            return Tensor(
-                a @ b,
-                (self, other),
-                (lambda g: g @ b.T, lambda g: a.T @ g),
-            )
-        a = self.data
-        c = np.asarray(other)
-        return Tensor(a @ c, (self,), (lambda g: g @ c.T,))
+        return _matmul(self, other)
 
     def __rmatmul__(self, other):
-        c = np.asarray(other)
-        b = self.data
-        return Tensor(c @ b, (self,), (lambda g: c.T @ g,))
+        return _matmul(other, self)
 
     # -- indexing and shape --------------------------------------------------
 
@@ -240,9 +224,16 @@ class Tensor:
         src = self.data.shape
         return Tensor(self.data.reshape(shape), (self,), (lambda g: g.reshape(src),))
 
+    def transpose(self, *axes):
+        """Permute the axes, reversing them when none are given."""
+        ndim = self.data.ndim
+        axes = tuple(a % ndim for a in axes) if axes else tuple(reversed(range(ndim)))
+        inverse = tuple(int(a) for a in np.argsort(axes))
+        return Tensor(self.data.transpose(axes), (self,), (lambda g: g.transpose(inverse),))
+
     @property
     def T(self):
-        return Tensor(self.data.T, (self,), (lambda g: g.T,))
+        return self.transpose()
 
     # -- reductions -----------------------------------------------------------
 
@@ -367,13 +358,14 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> T
     """Softmax with hard exclusion of masked entries.
 
     Entries where mask == 0 get weight exactly 0; each row must keep at least
-    one admissible entry. ``mask=None`` admits every entry. Backward uses the
+    one admissible entry. ``mask=None`` admits every entry. Non-finite scores
+    give non-finite weights, for the loss check to report. Backward uses the
     standard softmax Jacobian, which is exactly zero at excluded entries.
     """
+    if mask is not None and not (mask > 0).any(axis=axis).all():
+        raise ValueError("mask has a row with no admissible entries")
     s = scores.data if mask is None else np.where(mask > 0, scores.data, -np.inf)
     m = np.max(s, axis=axis, keepdims=True)
-    if not np.isfinite(m).all():
-        raise ValueError("mask has a row with no admissible entries")
     e = np.exp(s - m)
     y = e / e.sum(axis=axis, keepdims=True)
 

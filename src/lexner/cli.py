@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import model as model_mod
 from .data import (
     SCHEMES,
     CorpusError,
+    allowed_transitions,
     corpus_stats,
     evaluate,
     load_corpus,
@@ -87,30 +89,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_out(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
+def _output(path: str | None):
+    """A context manager for the file at ``path``, or for stdout, left open, without one."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
 def _cmd_match(args) -> int:
     trie = build_trie(load_lexicon(args.lexicon))
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for sid, line in enumerate(Path(args.input).read_text(encoding="utf-8").splitlines()):
             if not line:
                 continue
             words, _ = match_sentence(trie, line)
             for w in words:
                 out.write(f"{sid}\t{w.head}\t{w.tail}\t{w.surface}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def _cmd_graph(args) -> int:
     trie = build_trie(load_lexicon(args.lexicon))
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for sid, line in enumerate(Path(args.input).read_text(encoding="utf-8").splitlines()):
             if not line:
                 continue
@@ -118,9 +116,6 @@ def _cmd_graph(args) -> int:
             out.write(f"sentence {sid}\n")
             out.write(serialize_graph(sent.graph))
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -192,26 +187,26 @@ def _read_prediction_input(path: str) -> list[list[str]]:
 def _cmd_predict(args) -> int:
     model = ModelParams.load(args.checkpoint)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else model.word_table.tokens
-    trie = build_trie(lexicon)
+    # match and decode as the model was trained
+    trie = build_trie(lexicon, model.dims.max_word_len or None)
+    allowed = (
+        allowed_transitions(model.tagset, model.scheme) if model.dims.constrained_decode else None
+    )
     sentences = _read_prediction_input(args.input)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for chars in sentences:
             sent = prepare_sentence(chars, trie, variant=model.dims.variant)
-            tags = model_mod.decode_tags(model, sent)
+            tags = model_mod.decode_tags(model, sent, allowed)
             for c, t in zip(chars, tags):
                 out.write(f"{c}\t{t}\n")
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
     cfg = TrainConfig.from_file(args.config, overrides={"seed": args.seed})
     corpus, lexicon = make_overfit_corpus(seed=13)
-    trie = build_trie(lexicon)
+    trie = build_trie(lexicon, cfg.max_word_len or None)
     tagset = make_tagset(corpus.entity_types(), corpus.scheme)
     # pick a sentence with a healthy word set
     sent_src = max(corpus.sentences, key=lambda s: len(match_sentence(trie, s.chars)[0]))
@@ -226,7 +221,9 @@ def _cmd_gradcheck(args) -> int:
             rng,
             dtype=np.float64,
         )
-        sent = prepare_sentence(sent_src.chars, trie, tagset, sent_src.tags)
+        sent = prepare_sentence(
+            sent_src.chars, trie, tagset, sent_src.tags, variant=model.dims.variant
+        )
         try:
             report = grad_check(model, sent, lam=0.3)
             break

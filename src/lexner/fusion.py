@@ -9,10 +9,10 @@ same architecture with disjoint parameters.
 
 Every lattice step reads the edge lists :func:`graph.build_graph` made once
 per sentence: words attend by an edge softmax along ``graph.word_word``
-(characters, fully connected, use a dense kernel), and the gate, still
-evaluated for every (char, word) pair, is summed along ``graph.char_word``
-both ways with :func:`segment_sum`. Every constant is a Python float, so a
-float32 model computes in float32 throughout.
+(characters, fully connected, use a dense kernel with the heads as one batch
+axis), and the gate, still evaluated for every (char, word) pair, is summed
+along ``graph.char_word`` both ways with :func:`segment_sum`. Every constant
+is a Python float, so a float32 model computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, concat, dropout, glorot, layer_norm, masked_softmax, segment_sum
+from .autograd import Tensor, dropout, glorot, layer_norm, masked_softmax, segment_sum
 from .graph import LatticeGraph
 
 
@@ -140,14 +140,12 @@ def intra_source_attention(
     k = h @ params.wk
     v = h @ params.wv
     if edges is None:
-        outputs = []
-        for i in range(heads):
-            cols = slice(i * d_z, (i + 1) * d_z)
-            att = masked_softmax((q[:, cols] @ k[:, cols].T) * scale, None)
-            if weights_out is not None:
-                weights_out.append(att.data)
-            outputs.append(att @ v[:, cols])
-        o = concat(outputs, axis=1)
+        # heads as a batch axis: q and v as (heads, n, d_z), k as (heads, d_z, n)
+        q, v = (x.reshape(n, heads, d_z).transpose(1, 0, 2) for x in (q, v))
+        att = masked_softmax((q @ k.reshape(n, heads, d_z).transpose(1, 2, 0)) * scale, None)
+        if weights_out is not None:
+            weights_out.extend(att.data)
+        o = (att @ v).transpose(1, 0, 2).reshape(n, d)
     else:
         dst, src = edges
         fan_in = np.bincount(dst, minlength=n)

@@ -39,9 +39,13 @@ class ModelDims:
     heads: int = 8
     layers: int = 2
     variant: str = "standard"  # the lattice edges the model is trained and decoded on
+    max_word_len: int = 0  # longest lexicon word matched; 0 means no cap
+    constrained_decode: bool = False  # Viterbi admits only well-formed tag sequences
 
     def __post_init__(self) -> None:
-        for name, least in (("d_c", 1), ("d_w", 1), ("heads", 1), ("d_ff", 0), ("layers", 0)):
+        for name, least in (
+            ("d_c", 1), ("d_w", 1), ("heads", 1), ("d_ff", 0), ("layers", 0), ("max_word_len", 0)
+        ):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, found {getattr(self, name)}")
         if self.d_ff == 0:

@@ -80,8 +80,7 @@ class TrainConfig:
 
     def dims(self) -> model_mod.ModelDims:
         return model_mod.ModelDims(
-            d_c=self.d_c, d_w=self.d_w, d_ff=self.d_ff,
-            heads=self.heads, layers=self.layers, variant=self.variant,
+            **{f.name: getattr(self, f.name) for f in fields(model_mod.ModelDims)}
         )
 
     @classmethod
@@ -247,13 +246,11 @@ class EpochLog:
         )
 
 
-def evaluate_model(
-    model: ModelParams,
-    sentences: Sequence[EncodedSentence],
-    corpus: Corpus,
-    constrained: bool = False,
-):
-    allowed = allowed_transitions(model.tagset, model.scheme) if constrained else None
+def evaluate_model(model: ModelParams, sentences: Sequence[EncodedSentence], corpus: Corpus):
+    """Strict span evaluation of the model's decoding, constrained if the model says so."""
+    allowed = (
+        allowed_transitions(model.tagset, model.scheme) if model.dims.constrained_decode else None
+    )
     pred = [model_mod.decode_tags(model, s, allowed) for s in sentences]
     return evaluate(pred, corpus)
 
@@ -299,7 +296,7 @@ def train(
             batches += 1
         dev_p = dev_r = dev_f1 = 0.0
         if has_dev:
-            dev = evaluate_model(model, dev_sents, dev_corpus, cfg.constrained_decode)
+            dev = evaluate_model(model, dev_sents, dev_corpus)
             dev_p, dev_r, dev_f1 = dev.precision, dev.recall, dev.f1
         entry = EpochLog(
             epoch, lambda_schedule(epoch, cfg), ner_sum / batches, lec_sum / batches,

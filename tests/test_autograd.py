@@ -77,14 +77,34 @@ class TestArithmetic:
         assert prod._parents == (x,)
         (prod + 1.0).sum().backward()
         np.testing.assert_allclose(x.grad, [[2, 3], [4, 5]])
+        c = np.full((2, 2), 2.0)
+        for y in (x + c, c + x, x - c, x * 2.0, 2.0 * x, x / c, x @ c, c @ x):
+            assert y._parents == (x,)
+
+    def test_constant_operands_broadcast(self):
+        c = np.arange(1.0, 5.0)
+        check_op(lambda ts: ts[0] + c, [(3, 1)])
+        check_op(lambda ts: ts[0] - c, [(3, 1)])
+        check_op(lambda ts: ts[0] * c, [(3, 1)])
+        check_op(lambda ts: ts[0] / c, [(3, 1)])
 
     def test_matmul(self):
         check_op(lambda ts: ts[0] @ ts[1], [(3, 4), (4, 5)])
+
+    def test_stacked_matmul(self):
+        check_op(lambda ts: ts[0] @ ts[1], [(3, 2, 4), (3, 4, 5)])
+
+    def test_broadcast_matmul(self):
+        check_op(lambda ts: ts[0] @ ts[1], [(3, 2, 4), (4, 5)])
+        check_op(lambda ts: ts[0] @ ts[1], [(2, 4), (3, 4, 5)])
 
     def test_matmul_with_constant(self):
         c = np.arange(6.0).reshape(2, 3)
         check_op(lambda ts: c @ ts[0], [(3, 4)])
         check_op(lambda ts: ts[0] @ c, [(4, 2)])
+        stacked = np.arange(12.0).reshape(2, 2, 3)
+        check_op(lambda ts: stacked @ ts[0], [(3, 4)])
+        check_op(lambda ts: ts[0] @ stacked, [(4, 2)])
 
 
 class TestIndexingAndShape:
@@ -105,6 +125,16 @@ class TestIndexingAndShape:
         check_op(lambda ts: ts[0].reshape(6, 2), [(3, 4)])
         check_op(lambda ts: ts[0].reshape(3, 1, 4), [(3, 4)])
         check_op(lambda ts: ts[0].T, [(3, 4)])
+
+    def test_transpose(self):
+        check_op(lambda ts: ts[0].transpose(1, 0, 2), [(2, 3, 4)])
+        check_op(lambda ts: ts[0].transpose(2, 0, 1), [(2, 3, 4)])
+        check_op(lambda ts: ts[0].transpose(0, -1, 1), [(2, 3, 4)])
+        check_op(lambda ts: ts[0].transpose(), [(2, 3, 4)])
+        check_op(lambda ts: ts[0].T, [(2, 3, 4)])
+        x = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(Tensor(x).transpose(2, 0, 1).data, x.transpose(2, 0, 1))
+        np.testing.assert_array_equal(Tensor(x).T.data, x.T)
 
     def test_concat(self):
         check_op(lambda ts: concat([ts[0], ts[1]], axis=1), [(3, 2), (3, 4)])
@@ -336,6 +366,24 @@ class TestMaskedSoftmax:
         mask = np.array([[1, 0], [0, 0]], dtype=np.uint8)
         with pytest.raises(ValueError):
             masked_softmax(Tensor(np.zeros((2, 2))), mask)
+
+    def test_non_finite_scores_are_not_a_mask_error(self):
+        """A diverging model's NaN or infinite scores flow on; only the mask can be at fault."""
+        with np.errstate(invalid="ignore"):
+            for scores in ([[np.nan, 0.0], [1.0, 2.0]], [[np.inf, 0.0], [1.0, 2.0]]):
+                for mask in (None, np.ones((2, 2))):
+                    y = masked_softmax(Tensor(np.array(scores)), mask).data
+                    assert np.isnan(y[0]).all() and np.isfinite(y[1]).all()
+            y = masked_softmax(Tensor(np.array([[-np.inf, 0.0], [1.0, 2.0]])), None).data
+            np.testing.assert_array_equal(y[0], [0.0, 1.0])
+
+    def test_stacked_rows(self):
+        rng = np.random.default_rng(4)
+        check_op(lambda ts: masked_softmax(ts[0], None), [(3, 4, 4)], seed=4)
+        scores = rng.standard_normal((3, 4, 4))
+        stacked = masked_softmax(Tensor(scores), None).data
+        for i in range(3):
+            assert stacked[i].tobytes() == masked_softmax(Tensor(scores[i]), None).data.tobytes()
 
     def test_gradient(self):
         rng = np.random.default_rng(3)

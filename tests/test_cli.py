@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+from lexner import cli
 from lexner.cli import run
-from lexner.data import Corpus, load_corpus
+from lexner.data import Corpus, allowed_transitions, load_corpus, spans_to_tags, tags_to_spans
 from lexner.matching import build_trie
 from lexner.model import (
     CHECKPOINT_MAGIC,
@@ -39,6 +40,21 @@ def write_corpus_file(path, corpus: Corpus):
         lines.extend(f"{c}\t{t}" for c, t in zip(s.chars, s.tags))
         lines.append("")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def config_with(workspace, tmp_path, lines=""):
+    """The workspace config writing checkpoints under tmp_path, with `lines` appended."""
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text(
+        (workspace / "tiny.cfg").read_text(encoding="utf-8")
+        + f"checkpoint_dir = {tmp_path / 'ckpt'}\n{lines}",
+        encoding="utf-8",
+    )
+    return cfg
+
+
+def well_formed(tags):
+    return spans_to_tags(tags_to_spans(tags), len(tags)) == tags
 
 
 def edited_checkpoint(checkpoint, path, edit):
@@ -268,23 +284,13 @@ class TestTrainPredictEval:
     def test_train_config_out_of_range_is_data_error(
         self, workspace, tmp_path, capsys, line, message
     ):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(
-            (workspace / "tiny.cfg").read_text(encoding="utf-8")
-            + f"checkpoint_dir = {tmp_path / 'ckpt'}\n{line}\n",
-            encoding="utf-8",
-        )
+        cfg = config_with(workspace, tmp_path, f"{line}\n")
         assert run(["train", "--config", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
     def test_predict_decodes_on_the_trained_graph_variant(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "variant.cfg"
-        cfg.write_text(
-            (workspace / "tiny.cfg").read_text(encoding="utf-8")
-            + f"checkpoint_dir = {tmp_path / 'ckpt'}\n",
-            encoding="utf-8",
-        )
+        cfg = config_with(workspace, tmp_path)
         assert run(["train", "--config", str(cfg), "--variant", "wo_word_edge"]) == 0
         model = ModelParams.load(tmp_path / "ckpt" / "best.ckpt")
         assert model.dims.variant == "wo_word_edge"
@@ -298,6 +304,73 @@ class TestTrainPredictEval:
             want.extend(f"{c}\t{t}" for c, t in zip(s.chars, decode_tags(model, sent)))
             want.append("")
         assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_predict_decodes_with_the_trained_constraints(self, workspace, tmp_path):
+        cfg = config_with(workspace, tmp_path, "constrained_decode = true\n")
+        assert run(["train", "--config", str(cfg)]) == 0
+        model = ModelParams.load(tmp_path / "ckpt" / "best.ckpt")
+        assert model.dims.constrained_decode is True
+        # favour a tag that cannot open a span, so unconstrained decoding is ill-formed
+        inside = next(k for k, t in enumerate(model.tagset) if t.startswith("I-"))
+        model.crf.bias.data[inside] += 100.0
+        model.save(tmp_path / "inside.ckpt")
+        model = ModelParams.load(tmp_path / "inside.ckpt")
+        out = tmp_path / "pred.tsv"
+        assert run(["predict", "--checkpoint", str(tmp_path / "inside.ckpt"),
+                    "--input", str(workspace / "dev.tsv"), "--out", str(out)]) == 0
+        trie = build_trie(model.word_table.tokens)
+        allowed = allowed_transitions(model.tagset, model.scheme)
+        want = []
+        for s in load_corpus(workspace / "dev.tsv").sentences:
+            sent = prepare_sentence(s.chars, trie)
+            tags = decode_tags(model, sent, allowed)
+            assert well_formed(tags) and not well_formed(decode_tags(model, sent))
+            want.extend(f"{c}\t{t}" for c, t in zip(s.chars, tags))
+            want.append("")
+        assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_predict_lexicon_keeps_the_trained_word_length_cap(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        cfg = config_with(workspace, tmp_path, "max_word_len = 2\n")
+        assert run(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "ckpt" / "best.ckpt"
+        model = ModelParams.load(ckpt)
+        assert model.dims.max_word_len == 2
+        graphs = []
+
+        def spy(*args, **kwargs):
+            sent = prepare_sentence(*args, **kwargs)
+            graphs.append(sent.graph)
+            return sent
+
+        monkeypatch.setattr(cli, "prepare_sentence", spy)
+        lexicon = workspace / "lexicon.txt"
+        out = tmp_path / "pred.tsv"
+        assert run(["predict", "--checkpoint", str(ckpt), "--lexicon", str(lexicon),
+                    "--input", str(workspace / "dev.tsv"), "--out", str(out)]) == 0
+        lengths = [w.tail - w.head + 1 for g in graphs for w in g.words]
+        assert lengths and max(lengths) == 2
+        # the lexicon's 3-character words do occur in the input
+        uncapped = build_trie(lexicon.read_text(encoding="utf-8").split())
+        sentences = load_corpus(workspace / "dev.tsv").sentences
+        assert any(
+            w.tail - w.head == 2
+            for s in sentences for w in prepare_sentence(s.chars, uncapped).graph.words
+        )
+        capped = build_trie(lexicon.read_text(encoding="utf-8").split(), 2)
+        want = []
+        for s in sentences:
+            tags = decode_tags(model, prepare_sentence(s.chars, capped))
+            want.extend(f"{c}\t{t}" for c, t in zip(s.chars, tags))
+            want.append("")
+        assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_diverging_training_is_a_numeric_failure(self, workspace, tmp_path, capsys):
+        cfg = config_with(workspace, tmp_path, "lr = 1e30\n")
+        with np.errstate(all="ignore"):
+            assert run(["train", "--config", str(cfg)]) == 3
+        assert "numeric failure: non-finite loss" in capsys.readouterr().err
 
     def test_truncated_checkpoint_header_is_data_error(
         self, workspace, checkpoint, tmp_path, capsys
@@ -333,6 +406,21 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--config", str(workspace / "tiny.cfg")]) == 0
         out = capsys.readouterr().out
         assert "max_rel_error=" in out
+
+    def test_checks_the_configured_graph_variant(self, workspace, tmp_path, monkeypatch):
+        probed = []
+
+        def spy(model, sent, **kwargs):
+            probed.append(sent)
+            return cli_grad_check(model, sent, **kwargs)
+
+        cli_grad_check = cli.grad_check
+        monkeypatch.setattr(cli, "grad_check", spy)
+        cfg = config_with(workspace, tmp_path, "variant = fc_inter\n")
+        assert run(["gradcheck", "--config", str(cfg)]) == 0
+        sent = probed[-1]
+        n, m = len(sent.chars), sent.graph.m
+        assert m and sent.graph.char_word.shape == (2, n * m)
 
 
 class TestStats:

@@ -1,5 +1,7 @@
 """Fusion layers against independent scalar reference implementations."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,36 @@ class TestIntraSourceAttention:
         for j in range(n):
             if mask[j, 4] == 0:
                 np.testing.assert_array_equal(base[j], bumped[j])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, d, heads", [(7, 6, 2), (100, 304, 8)])
+    def test_batched_heads_bit_equal_to_the_per_head_kernel(self, dtype, n, d, heads):
+        """The dense kernel, all heads in one batched product, against the per-head loop."""
+        rng = np.random.default_rng(n)
+        h = rng.standard_normal((n, d)).astype(dtype)
+        upstream = rng.standard_normal((n, d)).astype(dtype)
+        # the oracle scales by scale_dim**-0.5; this scale_dim makes that factor
+        # the kernel's 1 / sqrt(d) to the last bit
+        scale_dim = math.sqrt(d) ** 2
+        assert scale_dim**-0.5 == 1.0 / math.sqrt(d)
+
+        def run(attend):
+            p = make_params(d, 8, heads, seed=n, dtype=dtype)
+            x = Tensor(h.copy())
+            weights = []
+            out = attend(x, p.char_att, weights)
+            (out * upstream).sum().backward()
+            att = p.char_att
+            grads = [x.grad] + [t.grad for t in (att.wq, att.wk, att.wv, att.wt)]
+            return [out.data] + weights + grads
+
+        got = run(lambda x, p, w: intra_source_attention(x, None, p, heads, weights_out=w))
+        want = run(lambda x, p, w: ref_dense_attention(
+            x, np.ones((n, n)), p, heads, scale_dim, weights_out=w))
+        assert len(got) == len(want) == 1 + heads + 5
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape, k
+            assert a.tobytes() == b.tobytes(), k
 
     def test_rejects_bad_masks(self):
         d = 4

@@ -1,4 +1,5 @@
-"""Every name a lexner module imports is used in that module."""
+"""Every name a lexner module imports, and every private helper it defines, is
+used in that module."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,17 @@ def used_names(tree: ast.AST) -> set[str]:
     return used
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level function or class named with one leading underscore."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -58,3 +70,23 @@ def test_no_unused_imports(path):
 def test_checker_sees_a_name_used_only_in_a_string_annotation():
     tree = ast.parse('from x import A, B\ndef f(a: "A") -> "list[int]":\n    pass\n')
     assert set(imported_names(tree)) - used_names(tree) == {"B"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unreferenced_private_helpers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    dead = [f"{name} (line {line})" for name, line in private_definitions(tree).items()
+            if name not in used]
+    assert not dead, f"{path.name} defines but never uses: {', '.join(dead)}"
+
+
+def test_checker_sees_an_unreferenced_private_helper():
+    tree = ast.parse(
+        "def _used():\n    pass\n"
+        "def _dead():\n    pass\n"
+        "class _Gone:\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+        "x = _used()\n"
+    )
+    assert set(private_definitions(tree)) - used_names(tree) == {"_dead", "_Gone"}

@@ -166,6 +166,14 @@ class TestTrainStep:
         with pytest.raises(NumericError, match="batch position 0"):
             train_step(sents[:1], model, opt, 0, tiny_config(), None)
 
+    def test_diverging_run_is_a_numeric_failure(self, setup):
+        """Huge steps drive the scores non-finite: a NumericError, not a mask error."""
+        corpus, trie, _ = setup
+        model = tiny_model(setup)
+        sents = prepare_corpus(corpus, trie, model.tagset)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite loss"):
+            train(model, sents[:16], tiny_config(lr=1e30, epochs=2, batch_size=8))
+
     def test_empty_batch_rejected(self, setup):
         model = tiny_model(setup)
         with pytest.raises(ValueError):
@@ -374,6 +382,10 @@ class TestTrainConfigFile:
     def test_config_variant_reaches_the_model_dims(self):
         assert tiny_config(variant="fc_inter").dims().variant == "fc_inter"
 
+    def test_config_decode_settings_reach_the_model_dims(self):
+        dims = tiny_config(max_word_len=4, constrained_decode=True).dims()
+        assert dims.max_word_len == 4 and dims.constrained_decode is True
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, setup, tmp_path):
@@ -489,6 +501,36 @@ class TestCheckpoint:
         assert read_header(path)[0]["dims"]["variant"] == "wo_word_edge"
         assert ModelParams.load(path).dims == dims
 
+    def test_decode_settings_survive_save_and_load(self, setup, tmp_path):
+        corpus, trie, chars = setup
+        dims = ModelDims(**TINY, max_word_len=3, constrained_decode=True)
+        model = ModelParams.build(
+            dims, chars, trie.words, corpus.entity_types(), np.random.default_rng(3)
+        )
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        saved = read_header(path)[0]["dims"]
+        assert saved["max_word_len"] == 3 and saved["constrained_decode"] is True
+        assert ModelParams.load(path).dims == dims
+
+    def test_legacy_header_without_decode_settings_loads_their_defaults(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+
+        def drop(header):
+            del header["dims"]["max_word_len"], header["dims"]["constrained_decode"]
+
+        rewrite_header(path, drop)
+        dims = ModelParams.load(path).dims
+        assert dims.max_word_len == 0 and dims.constrained_decode is False
+
+    def test_negative_max_word_len_rejected(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h["dims"].update(max_word_len=-1))
+        with pytest.raises(ValueError, match=r"m\.ckpt: max_word_len must be at least 0, found -1"):
+            ModelParams.load(path)
+
     def test_legacy_header_without_variant_loads_as_standard(self, setup, tmp_path):
         path = tmp_path / "m.ckpt"
         tiny_model(setup, seed=3).save(path)
@@ -519,7 +561,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "field, value, kind",
         [("d_c", "abc", "int"), ("heads", 2.0, "int"), ("multiplicative_mask", 1, "bool"),
-         ("variant", 3, "str")],
+         ("variant", 3, "str"), ("max_word_len", True, "int"), ("constrained_decode", 1, "bool")],
     )
     def test_wrong_typed_dims_value_rejected(self, setup, tmp_path, field, value, kind):
         path = tmp_path / "m.ckpt"
