@@ -2,9 +2,12 @@
 
 Each :class:`Tensor` wraps an ndarray and remembers its parent tensors plus
 one vector-Jacobian closure per parent. ``backward()`` on a scalar walks the
-recorded graph once in reverse topological order and accumulates gradients
-into every reachable tensor. Grad arrays are never mutated in place, so
-closures may alias their upstream gradient safely.
+recorded graph once in reverse topological order, accumulates gradients into
+the leaves (tensors with no parents) and uses the graph up as it goes, like
+PyTorch's default: once a node's VJPs have run, its grad, parents and
+closures are dropped, so a training step holds at most one sentence's tape.
+Grad arrays are never mutated in place, so closures may alias their upstream
+gradient safely.
 
 Only the operations the model needs are implemented. A non-Tensor operand of
 a binary op is a constant and does not enter the graph; matmul stacks over
@@ -141,10 +144,15 @@ class Tensor:
     # -- graph traversal ---------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad of every reachable tensor.
+        """Accumulate d(self)/d(leaf) into .grad of every leaf reachable from self.
 
-        self must be scalar-shaped. Grads add up across repeated backward
-        calls; set them to None between steps.
+        self must be scalar-shaped. The graph is used up, as PyTorch's
+        default ``retain_graph=False`` does: each non-leaf node, self
+        included, ends with ``.grad`` None and no parents or VJPs, so its
+        forward arrays and closures are freed as soon as the walk passes
+        it. Only leaves, the tensors with no parents, keep ``.grad``. Leaf
+        grads add up across repeated backward calls on fresh graphs; set
+        them to None between steps.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -166,13 +174,15 @@ class Tensor:
         self.grad = (
             np.ones_like(self.data) if self.grad is None else self.grad + np.ones_like(self.data)
         )
-        for node in reversed(order):
-            g = node.grad
-            if g is None or not node._parents:
+        while order:
+            node = order.pop()
+            if not node._parents:
                 continue
             for parent, vjp in zip(node._parents, node._vjps):
-                contrib = vjp(g)
+                contrib = vjp(node.grad)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
+            # every consumer of node has run: free its arrays, closures and grad
+            node.grad, node._parents, node._vjps = None, (), ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -365,9 +375,9 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> T
     if mask is not None and not (mask > 0).any(axis=axis).all():
         raise ValueError("mask has a row with no admissible entries")
     s = scores.data if mask is None else np.where(mask > 0, scores.data, -np.inf)
-    m = np.max(s, axis=axis, keepdims=True)
-    e = np.exp(s - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = s - np.max(s, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         dot = (g * y).sum(axis=axis, keepdims=True)

@@ -136,6 +136,9 @@ def _cmd_train(args) -> int:
         raise CorpusError("config must set train_file and lexicon_file")
     corpus = load_corpus(cfg.train_file, cfg.tag_scheme)
     dev = load_corpus(cfg.dev_file, cfg.tag_scheme) if cfg.dev_file else None
+    for name, loaded in (("train", corpus), ("dev", dev)):
+        if loaded is not None:
+            print(f"corpus={name} repaired_tags={loaded.repaired_tags}")
     lexicon = load_lexicon(cfg.lexicon_file)
     trie = build_trie(lexicon, cfg.max_word_len or None)
     char_vocab = sorted({c for s in corpus.sentences for c in s.chars})
@@ -265,7 +268,10 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # a diverging model overflows on the way to its non-finite loss; the
+        # loss check reports that once, as a numeric failure
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except UsageError as exc:

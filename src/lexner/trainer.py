@@ -173,15 +173,24 @@ class Adam:
                 g = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
+            # update = (lr/bc1) * m / (sqrt(v/bc2) + eps) + lr*wd * p, every
+            # operation in that order, in place in two scratch arrays
+            buf = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += buf
+            np.multiply(g, g, out=buf)
+            buf *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            v += buf
             finite = np.isfinite(p.data)
-            update = (self.lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            update = np.multiply(m, self.lr / bc1)
+            np.divide(v, bc2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            update /= buf
             if self.weight_decay:
-                decayed = np.where(finite, p.data, 0.0)
-                update = update + self.lr * self.weight_decay * decayed
+                np.multiply(p.data, self.lr * self.weight_decay, out=buf, where=finite)
+                np.add(update, buf, out=update, where=finite)
             np.subtract(p.data, update, out=p.data, where=finite)
 
 

@@ -1,5 +1,7 @@
 """The tape engine: every op's gradient against central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -464,6 +466,56 @@ class TestBackward:
         assert y.dtype == np.float32
         y.backward()
         assert x.grad.dtype == np.float32
+
+    def test_backward_uses_up_the_graph_and_leaves_keep_grads(self):
+        rng = np.random.default_rng(60)
+        x = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal(4))
+        h = (x * w).sigmoid()
+        loss = (h.sum(axis=1) * h.sum(axis=1)).sum()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        inner = [t for t in nodes.values() if t._parents]
+        assert len(inner) == 6
+        loss.backward()
+        for t in inner:
+            assert t.grad is None and t._parents == () and t._vjps == ()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+    def test_backward_frees_intermediate_arrays(self):
+        x = Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4))
+        y = x.sigmoid()
+        ref = weakref.ref(y.data)
+        loss = (y * y).sum()
+        del y
+        assert ref() is not None  # the tape holds it until backward
+        loss.backward()
+        assert ref() is None
+        assert x.grad is not None
+
+    def test_leaf_grads_are_the_byte_exact_chain_rule(self):
+        rng = np.random.default_rng(61)
+        # a shared subexpression: the add's grad reaches x before the product's two
+        xv = rng.standard_normal(5)
+        x = Tensor(xv.copy())
+        (x * x + x).sum().backward()
+        assert x.grad.tobytes() == ((1.0 + xv) + xv).tobytes()
+        # broadcasting: b's grad is summed down over the rows
+        xv, bv, c = rng.standard_normal((3, 4)), rng.standard_normal(4), rng.standard_normal((3, 4))
+        x, b = Tensor(xv.copy()), Tensor(bv.copy())
+        (x * b * c).sum().backward()
+        assert x.grad.tobytes() == (c * bv).tobytes()
+        assert b.grad.tobytes() == (c * xv).sum(axis=0).tobytes()
+        # a row gather into segment_sum: gather the grad by segment, scatter it by row
+        xv, c = rng.standard_normal((5, 3)), rng.standard_normal((3, 3))
+        idx, segments = np.array([0, 2, 2, 4, 0]), np.array([1, 0, 1, 1, 2])
+        x = Tensor(xv.copy())
+        (segment_sum(x[idx], segments, 3) * c).sum().backward()
+        assert x.grad.tobytes() == add_at(c[segments], idx, 5).tobytes()
 
     def test_numpy_left_operands_defer_to_tensor(self):
         x = Tensor(np.ones(3))

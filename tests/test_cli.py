@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,17 @@ class TestTrainPredictEval:
         out = capsys.readouterr().out
         assert "precision=" in out and "f1=" in out
 
+    def test_train_reports_repaired_tags(self, workspace, tmp_path, capsys):
+        text = (workspace / "train.tsv").read_text(encoding="utf-8")
+        etype = text.split("\tB-", 1)[1].split("\n", 1)[0]
+        train = tmp_path / "dangling.tsv"
+        train.write_text(f"x\tI-{etype}\n\n" + text, encoding="utf-8")
+        cfg = config_with(workspace, tmp_path, f"train_file = {train}\nepochs = 1\n")
+        assert run(["train", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["corpus=train repaired_tags=1", "corpus=dev repaired_tags=0"]
+        assert len(out) == 3 and out[2].startswith("epoch=0 ")
+
     def test_predict_is_deterministic(self, workspace, checkpoint, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         for out in (a, b):
@@ -368,8 +380,10 @@ class TestTrainPredictEval:
 
     def test_diverging_training_is_a_numeric_failure(self, workspace, tmp_path, capsys):
         cfg = config_with(workspace, tmp_path, "lr = 1e30\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run(["train", "--config", str(cfg)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "numeric failure: non-finite loss" in capsys.readouterr().err
 
     def test_truncated_checkpoint_header_is_data_error(
