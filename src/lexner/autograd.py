@@ -1,9 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Each :class:`Tensor` wraps an ndarray and remembers its parent tensors plus
-one vector-Jacobian closure per parent. ``backward()`` on a scalar walks the
-recorded graph once in reverse topological order, accumulates gradients into
-the leaves (tensors with no parents) and uses the graph up as it goes, like
+The tape is made of graph nodes, kept apart from the tensors, as PyTorch
+keeps ``grad_fn`` nodes apart from its tensors. Each :class:`Tensor` holds
+its ndarray and one :class:`_Node`; the node holds the parents' nodes, one
+vector-Jacobian closure per parent and the gradient flowing into it, but no
+forward array. The tape therefore keeps only the arrays a VJP closure
+captured: an array no VJP reads, such as a sigmoid's input, is freed as soon
+as the model code drops its Tensor. ``backward()`` on a scalar walks the
+nodes once in reverse topological order, accumulates gradients into the
+leaves (nodes with no parents) and uses the tape up as it goes, like
 PyTorch's default: once a node's VJPs have run, its grad, parents and
 closures are dropped, so a training step holds at most one sentence's tape.
 Grad arrays are never mutated in place, so closures may alias their upstream
@@ -87,7 +92,7 @@ def _data(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def _node(out: np.ndarray, operands: tuple, vjps: tuple) -> Tensor:
+def _binary(out: np.ndarray, operands: tuple, vjps: tuple) -> Tensor:
     """The result of a binary op on two operands, each a Tensor or a constant.
 
     Only Tensor operands become parents; a constant gets no gradient. Each VJP
@@ -105,7 +110,7 @@ def _matmul(a, b) -> Tensor:
     """a @ b, stacked over any leading axes; the VJPs swap only the last two axes."""
     x, y = _data(a), _data(b)
     vjps = (lambda g: g @ np.swapaxes(y, -1, -2), lambda g: np.swapaxes(x, -1, -2) @ g)
-    return _node(x @ y, (a, b), vjps)
+    return _binary(x @ y, (a, b), vjps)
 
 
 def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
@@ -116,19 +121,37 @@ def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
     return tuple(a % ndim for a in axis)
 
 
+class _Node:
+    """A Tensor's place on the tape: its parents' nodes, one VJP per parent and
+    the gradient flowing in. It holds no forward array, only what the VJPs captured."""
+
+    __slots__ = ("grad", "parents", "vjps")
+
+    def __init__(self, parents: tuple[_Node, ...], vjps: tuple):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.vjps = vjps
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_vjps")
+    __slots__ = ("data", "_node")
 
     # keep numpy from absorbing us into object arrays; reflected ops run instead
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), vjps=(), dtype=None):
         self.data = np.asarray(data, dtype=dtype)
-        self.grad: np.ndarray | None = None
         if not _grad_enabled:
             parents, vjps = (), ()
-        self._parents: tuple[Tensor, ...] = parents
-        self._vjps = vjps
+        self._node = _Node(tuple([p._node for p in parents]) if parents else (), vjps)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._node.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -146,19 +169,21 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every leaf reachable from self.
 
-        self must be scalar-shaped. The graph is used up, as PyTorch's
-        default ``retain_graph=False`` does: each non-leaf node, self
-        included, ends with ``.grad`` None and no parents or VJPs, so its
-        forward arrays and closures are freed as soon as the walk passes
-        it. Only leaves, the tensors with no parents, keep ``.grad``. Leaf
-        grads add up across repeated backward calls on fresh graphs; set
-        them to None between steps.
+        self must be scalar-shaped. The walk runs over nodes, not tensors,
+        so it reaches only the arrays the VJP closures captured. The tape
+        is used up, as PyTorch's default ``retain_graph=False`` does: each
+        non-leaf node, self's included, ends with grad None and no parents
+        or VJPs, so its closures and the arrays they hold are freed as soon
+        as the walk passes it. Only leaves, the tensors whose node has no
+        parents, keep ``.grad``. Leaf grads add up across repeated backward
+        calls on fresh graphs; set them to None between steps.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        order: list[Tensor] = []
+        root = self._node
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -168,35 +193,34 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = (
-            np.ones_like(self.data) if self.grad is None else self.grad + np.ones_like(self.data)
-        )
+        ones = np.ones_like(self.data)
+        root.grad = ones if root.grad is None else root.grad + ones
         while order:
             node = order.pop()
-            if not node._parents:
+            if not node.parents:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
+            for parent, vjp in zip(node.parents, node.vjps):
                 contrib = vjp(node.grad)
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
-            # every consumer of node has run: free its arrays, closures and grad
-            node.grad, node._parents, node._vjps = None, (), ()
+            # every consumer of node has run: free its closures and grad
+            node.grad, node.parents, node.vjps = None, (), ()
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return _node(self.data + _data(other), (self, other), (lambda g: g, lambda g: g))
+        return _binary(self.data + _data(other), (self, other), (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _node(self.data - _data(other), (self, other), (lambda g: g, np.negative))
+        return _binary(self.data - _data(other), (self, other), (lambda g: g, np.negative))
 
     def __mul__(self, other):
         a, b = self.data, _data(other)
-        return _node(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
+        return _binary(a * b, (self, other), (lambda g: g * b, lambda g: g * a))
 
     __rmul__ = __mul__
 
@@ -205,7 +229,7 @@ class Tensor:
             # a / c and a * (1 / c) round differently; the model is built on the second
             return self * (1.0 / other)
         a, b = self.data, other.data
-        return _node(a / b, (self, other), (lambda g: g / b, lambda g: -g * a / (b * b)))
+        return _binary(a / b, (self, other), (lambda g: g / b, lambda g: -g * a / (b * b)))
 
     def __matmul__(self, other):
         return _matmul(self, other)

@@ -240,6 +240,7 @@ class ModelParams:
                     f"{path}: tensor list does not match the model: "
                     f"missing {absent}, unexpected {extra}"
                 )
+            checked = []  # each tensor's raw bytes, for one finite check over all of them
             for entry in header["tensors"]:
                 tensor = params[entry["name"]]
                 shape = tensor.data.shape
@@ -254,10 +255,23 @@ class ModelParams:
                         f"{path}: tensor {entry['name']} is truncated: "
                         f"expected {4 * tensor.data.size} bytes, found {len(raw)}"
                     )
-                tensor.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
+                values = np.frombuffer(raw, dtype="<f4").reshape(shape)
+                if tensor is model.crf.transitions:
+                    # nothing enters START or leaves STOP: those entries are -inf by design
+                    start, stop = model.crf.start_id, model.crf.stop_id
+                    raw = np.delete(values[:stop], start, axis=1).tobytes()
+                checked.append(raw)
+                tensor.data = values.astype(dtype)
             trailing = len(fh.read())
             if trailing:
                 raise ValueError(f"{path}: {trailing} trailing bytes after the last tensor")
+        # one isfinite over every entry: a call per tensor made load() about a quarter slower
+        finite = np.isfinite(np.frombuffer(b"".join(checked), dtype="<f4"))
+        if not finite.all():
+            ends = np.cumsum([len(raw) // 4 for raw in checked])
+            first = int(ends.searchsorted(finite.argmin(), side="right"))
+            name = header["tensors"][first]["name"]
+            raise ValueError(f"{path}: tensor {name} has non-finite entries")
         return model
 
 

@@ -228,6 +228,18 @@ class TestTrainPredictEval:
         tags = {l.split("\t")[1] for l in out.read_text().splitlines() if l}
         assert tags == {model.tagset[0]} == {"O"}
 
+    def test_non_finite_checkpoint_is_data_error(self, workspace, checkpoint, tmp_path, capsys):
+        model = ModelParams.load(checkpoint)
+        model.char_table.rows.data[0] = np.nan
+        nan_ckpt = tmp_path / "nan.ckpt"
+        model.save(nan_ckpt)
+        capsys.readouterr()
+        assert run(["predict", "--checkpoint", str(nan_ckpt),
+                    "--input", str(workspace / "sentences.txt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "nan.ckpt: tensor char_embeddings has non-finite entries" in err
+
     def test_600_character_sentence_is_tagged(self, workspace, checkpoint, tmp_path, capsys):
         long_input = tmp_path / "long.txt"
         long_input.write_text("a\n" * 600, encoding="utf-8")

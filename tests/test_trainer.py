@@ -1,9 +1,11 @@
 """Schedule, combined loss, Adam updates, training-step guarantees, gradient
-checking, config parsing, checkpoint round trips, and tape-free inference."""
+checking, config parsing, checkpoint round trips, tape-free inference, and what
+the training tape keeps alive."""
 
 import json
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -388,6 +390,19 @@ class TestTrainConfigFile:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("char_embeddings", (0, 0), np.nan), ("layer0.char.wq", (1, 2), np.inf),
+         ("crf.transitions", (0, 1), -np.inf), ("crf.transitions", (-2, 0), np.nan)],
+    )
+    def test_non_finite_tensor_rejected(self, setup, tmp_path, name, index, value):
+        model = tiny_model(setup, seed=3)
+        model.parameters()[name].data[index] = value
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        with pytest.raises(ValueError, match=rf"m\.ckpt: tensor {re.escape(name)} has non-finite"):
+            ModelParams.load(path)
+
     def test_round_trip_preserves_everything(self, setup, tmp_path):
         model = tiny_model(setup, seed=3)
         path = tmp_path / "m.ckpt"
@@ -697,12 +712,12 @@ class TestTapeFreeInference:
         decode_tags(model, sent)
         predict_lec(model, sent)
         assert len(seen) == 4 and sent.graph.words
-        assert all(t._parents == () for t in seen)
+        assert all(t._node.parents == () for t in seen)
 
     def test_outputs_equal_a_taped_forward(self, model_and_sentence):
         model, sent = model_and_sentence
         h_c, h_w = forward_states(model, sent)
-        assert h_c._parents
+        assert h_c._node.parents
         emissions = crf.emission_scores(h_c, model.crf).data
         ids = crf.viterbi_decode(emissions, model.crf.transitions.data)
         assert decode_tags(model, sent) == [model.tagset[i] for i in ids]
@@ -727,6 +742,41 @@ class TestTapeFreeInference:
         assert before.keys() == after.keys()
         for name in before:
             np.testing.assert_array_equal(before[name], after[name], err_msg=name)
+
+
+class TestTrainingTape:
+    def test_gate_pre_activations_die_and_gate_outputs_live_until_backward(
+        self, setup, monkeypatch
+    ):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=4)
+        s = max(corpus.sentences, key=len)
+        sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
+        calls, gates = [], []  # (input shape, input ref, output ref) of each sigmoid
+        sigmoid, fuse = Tensor.sigmoid, fusion.inter_source_fusion
+
+        def recording_sigmoid(self):
+            out = sigmoid(self)
+            calls.append((self.data.shape, weakref.ref(self.data), weakref.ref(out.data)))
+            return out
+
+        def recording_fusion(*args, **kwargs):
+            start = len(calls)
+            out = fuse(*args, **kwargs)
+            gates.extend(calls[start:])
+            return out
+
+        monkeypatch.setattr(Tensor, "sigmoid", recording_sigmoid)
+        monkeypatch.setattr(fusion, "inter_source_fusion", recording_fusion)
+        l_ner, l_lec = sentence_losses(model, sent)
+        n, m, d = len(sent.chars), len(sent.graph.words), model.dims.d_c
+        pre_shapes, pre_refs, gate_refs = zip(*gates)
+        assert m and list(pre_shapes) == [(n, m, d), (m, n, d)] * model.dims.layers
+        # no VJP reads a dense pre-activation; the sigmoid VJP reads its output
+        assert all(ref() is None for ref in pre_refs)
+        assert all(ref() is not None for ref in gate_refs)
+        (l_ner + l_lec).backward()
+        assert all(ref() is None for ref in gate_refs)
 
 
 class TestModelDtype:
