@@ -28,7 +28,7 @@ print(f"\nlog partition over {k}**4 = {k**4} sequences: {logz:.6f}")
 scores = []
 t = trans.data
 for seq in itertools.product(range(k), repeat=4):
-    s = t[k, seq[0]] + t[seq[-1], k + 1]
+    s = t[k, seq[0]] + t[seq[-1], k]
     s += sum(emissions[i, y] for i, y in enumerate(seq))
     s += sum(t[a, b] for a, b in zip(seq, seq[1:]))
     scores.append(s)
@@ -43,7 +43,7 @@ print(f"\ngold sequence NLL: {loss:.6f}  (probability {np.exp(-loss):.4f})")
 best = viterbi_decode(emissions, trans.data)
 print("Viterbi path:", [tagset[i] for i in best])
 
-# transitions carry virtual START/STOP states; entering START or leaving
-# STOP is structurally impossible
-print("\ntransition table (START row second to last, STOP column last):")
+# paths run from a virtual START to a virtual STOP: the table is indexed
+# [from, to], with START as the last row and STOP as the last column
+print("\ntransition table (START row last, STOP column last):")
 print(np.round(trans.data, 2))

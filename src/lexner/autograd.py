@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "concat",
     "dropout",
     "glorot",
     "layer_norm",
@@ -332,25 +331,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e += 1
     out /= e
     return out
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(k: int):
-        lo, hi = offsets[k], offsets[k + 1]
-        sl = [slice(None)] * datas[k].ndim
-        sl[axis] = slice(lo, hi)
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    return Tensor(
-        np.concatenate(datas, axis=axis),
-        tuple(tensors),
-        tuple(make_vjp(k) for k in range(len(tensors))),
-    )
 
 
 def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 All arithmetic is in log space: "potentials" here are log-potentials, so the
 partition function is a logsumexp-based forward recursion and path scores are
-plain sums. The transition table covers the K labels plus virtual START and
-STOP states; entries into START and out of STOP are structurally -inf and are
-never touched by scoring, updates, or checks.
+plain sums. Paths run from a virtual START to a virtual STOP, and the
+(K+1, K+1) transition table is indexed [from, to]: row K is START and column
+K is STOP. Every entry is a real parameter; [K, K] (START -> STOP) is one that
+no path of at least one character uses.
 """
 
 from __future__ import annotations
@@ -20,25 +21,15 @@ class CrfParams:
     def __init__(self, weight: Tensor, bias: Tensor, transitions: Tensor):
         self.weight = weight          # (d_c, K): maps final char states to label scores
         self.bias = bias              # (K,)
-        self.transitions = transitions  # (K+2, K+2), START = K, STOP = K+1
+        self.transitions = transitions  # (K+1, K+1) [from, to]: row K is START, column K is STOP
         self.num_labels = bias.data.shape[0]
-
-    @property
-    def start_id(self) -> int:
-        return self.num_labels
-
-    @property
-    def stop_id(self) -> int:
-        return self.num_labels + 1
 
     @classmethod
     def init(
         cls, d_c: int, num_labels: int, rng: np.random.Generator, dtype=np.float64
     ) -> "CrfParams":
         weight = glorot(rng, d_c, num_labels, dtype)
-        trans = np.zeros((num_labels + 2, num_labels + 2), dtype=dtype)
-        trans[:, num_labels] = -np.inf      # nothing may enter START
-        trans[num_labels + 1, :] = -np.inf  # nothing may leave STOP
+        trans = np.zeros((num_labels + 1, num_labels + 1), dtype=dtype)
         return cls(weight, Tensor(np.zeros(num_labels, dtype=dtype)), Tensor(trans))
 
     def named(self, prefix: str = "crf") -> dict[str, Tensor]:
@@ -57,12 +48,11 @@ def emission_scores(h_c: Tensor, params: CrfParams) -> Tensor:
 def log_partition(emissions: Tensor, transitions: Tensor) -> Tensor:
     """log sum over all K^n label sequences of exp(path score)."""
     n, k = emissions.data.shape
-    start, stop = k, k + 1
     inner = transitions[:k, :k]
-    alpha = transitions[start, :k] + emissions[0]
+    alpha = transitions[k, :k] + emissions[0]
     for t in range(1, n):
         alpha = logsumexp(alpha.reshape(k, 1) + inner, axis=0) + emissions[t]
-    return logsumexp(alpha + transitions[:k, stop], axis=0)
+    return logsumexp(alpha + transitions[:k, k], axis=0)
 
 
 def path_score(emissions: Tensor, transitions: Tensor, tags: np.ndarray) -> Tensor:
@@ -73,9 +63,8 @@ def path_score(emissions: Tensor, transitions: Tensor, tags: np.ndarray) -> Tens
         raise ValueError(f"expected {n} gold labels, got shape {tags.shape}")
     if tags.min() < 0 or tags.max() >= k:
         raise ValueError("gold label id out of range")
-    start, stop = k, k + 1
     score = emissions[np.arange(n), tags].sum()
-    score = score + transitions[start, tags[0]] + transitions[tags[-1], stop]
+    score = score + transitions[k, tags[0]] + transitions[tags[-1], k]
     return score + transitions[tags[:-1], tags[1:]].sum()
 
 
@@ -94,22 +83,21 @@ def viterbi_decode(
     Ties resolve to the smallest label id at the latest position where
     candidate sequences differ (argmax keeps the first maximizer both in the
     per-step backpointers and in the final selection). ``allowed`` is an
-    optional (K+2, K+2) boolean matrix; disallowed transitions, e.g.
+    optional (K+1, K+1) boolean matrix; disallowed transitions, e.g.
     ill-formed tag bigrams under constrained decoding, score -inf.
     """
     em = np.asarray(emissions, dtype=np.float64)
     n, k = em.shape
-    start, stop = k, k + 1
     trans = np.asarray(transitions, dtype=np.float64).copy()
     if allowed is not None:
         trans = np.where(allowed, trans, -np.inf)
-    delta = trans[start, :k] + em[0]
+    delta = trans[k, :k] + em[0]
     backptr = np.empty((n, k), dtype=np.int64)
     for t in range(1, n):
         scores = delta[:, None] + trans[:k, :k]
         backptr[t] = scores.argmax(axis=0)
         delta = scores[backptr[t], np.arange(k)] + em[t]
-    final = delta + trans[:k, stop]
+    final = delta + trans[:k, k]
     tags = [int(final.argmax())]
     for t in range(n - 1, 0, -1):
         tags.append(int(backptr[t, tags[-1]]))

@@ -277,10 +277,10 @@ def corpus_stats(corpus: Corpus, trie: LexiconTrie) -> CorpusStats:
 
 
 def allowed_transitions(tagset: Sequence[str], scheme: str = "bio") -> np.ndarray:
-    """Boolean (K+2, K+2) matrix of well-formed tag bigrams for constrained decoding."""
+    """Boolean (K+1, K+1) matrix of well-formed tag bigrams for constrained decoding,
+    laid out like the CRF's transitions: row K is START and column K is STOP."""
     k = len(tagset)
-    start, stop = k, k + 1
-    allowed = np.zeros((k + 2, k + 2), dtype=bool)
+    allowed = np.zeros((k + 1, k + 1), dtype=bool)
 
     def parse(tag: str) -> tuple[str, str]:
         prefix, _, etype = tag.partition("-")
@@ -290,11 +290,11 @@ def allowed_transitions(tagset: Sequence[str], scheme: str = "bio") -> np.ndarra
         pa, ta = parse(a)
         # sequence boundaries
         if scheme == "bio":
-            allowed[start, i] = pa in ("O", "B")
-            allowed[i, stop] = True
+            allowed[k, i] = pa in ("O", "B")
+            allowed[i, k] = True
         else:
-            allowed[start, i] = pa in ("O", "B", "S")
-            allowed[i, stop] = pa in ("O", "E", "S")
+            allowed[k, i] = pa in ("O", "B", "S")
+            allowed[i, k] = pa in ("O", "E", "S")
         for j, b in enumerate(tagset):
             pb, tb = parse(b)
             if scheme == "bio":

@@ -8,6 +8,7 @@ a 3-way linear head on word states for the word-property auxiliary task.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -241,25 +242,28 @@ class ModelParams:
                     f"missing {absent}, unexpected {extra}"
                 )
             checked = []  # each tensor's raw bytes, for one finite check over all of them
+            k = model.crf.num_labels
             for entry in header["tensors"]:
                 tensor = params[entry["name"]]
-                shape = tensor.data.shape
+                # legacy: a (K+2, K+2) table with a -inf START column and STOP row
+                legacy = tensor is model.crf.transitions and entry["shape"] == [k + 2, k + 2]
+                shape = (k + 2, k + 2) if legacy else tensor.data.shape
                 if entry["shape"] != list(shape):
                     raise ValueError(
                         f"{path}: tensor {entry['name']} has shape {entry['shape']!r}, "
                         f"expected {list(shape)}"
                     )
-                raw = fh.read(4 * tensor.data.size)
-                if len(raw) != 4 * tensor.data.size:
+                nbytes = 4 * math.prod(shape)
+                raw = fh.read(nbytes)
+                if len(raw) != nbytes:
                     raise ValueError(
                         f"{path}: tensor {entry['name']} is truncated: "
-                        f"expected {4 * tensor.data.size} bytes, found {len(raw)}"
+                        f"expected {nbytes} bytes, found {len(raw)}"
                     )
                 values = np.frombuffer(raw, dtype="<f4").reshape(shape)
-                if tensor is model.crf.transitions:
-                    # nothing enters START or leaves STOP: those entries are -inf by design
-                    start, stop = model.crf.start_id, model.crf.stop_id
-                    raw = np.delete(values[:stop], start, axis=1).tobytes()
+                if legacy:
+                    values = np.delete(values[: k + 1], k, axis=1)
+                    raw = values.tobytes()
                 checked.append(raw)
                 tensor.data = values.astype(dtype)
             trailing = len(fh.read())
@@ -344,13 +348,11 @@ def forward_states(
 def lec_loss(h_w: Tensor, model: ModelParams, gold_properties: np.ndarray) -> Tensor:
     """Mean cross-entropy of the 3-way word-property head; 0 for empty word sets."""
     m = h_w.data.shape[0]
-    if m == 0:
-        return Tensor(np.asarray(0.0, dtype=model.dtype))
     if gold_properties.shape != (m,):
         raise ValueError(f"expected {m} word property labels, got {gold_properties.shape}")
     logits = h_w @ model.lec_weight + model.lec_bias
     per_word = logsumexp(logits, axis=1) - logits[np.arange(m), gold_properties]
-    return per_word.mean()
+    return per_word.sum() * (1.0 / max(m, 1))
 
 
 def sentence_losses(

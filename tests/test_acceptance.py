@@ -60,14 +60,12 @@ def test_crf_oracle():
     for _ in range(200):
         n, k = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         em = rng.standard_normal((n, k)) * 2
-        trans = np.zeros((k + 2, k + 2))
-        trans[:, k] = -np.inf
-        trans[k + 1, :] = -np.inf
+        trans = np.zeros((k + 1, k + 1))
         trans[: k + 1, :k] = rng.standard_normal((k + 1, k))
-        trans[:k, k + 1] = rng.standard_normal(k)
+        trans[:k, k] = rng.standard_normal(k)
         scores = {}
         for seq in itertools.product(range(k), repeat=n):
-            s = trans[k, seq[0]] + trans[seq[-1], k + 1]
+            s = trans[k, seq[0]] + trans[seq[-1], k]
             s += sum(em[t, y] for t, y in enumerate(seq))
             s += sum(trans[a, b] for a, b in zip(seq, seq[1:]))
             scores[seq] = s

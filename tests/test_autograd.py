@@ -9,7 +9,6 @@ from lexner.autograd import (
     Tensor,
     _scatter_rows,
     _sigmoid,
-    concat,
     dropout,
     layer_norm,
     logsumexp,
@@ -17,6 +16,24 @@ from lexner.autograd import (
     no_grad,
     segment_sum,
 )
+
+
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Tape op joining tensors along an axis: a reference for test oracles."""
+    datas = [t.data for t in tensors]
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
+
+    def make_vjp(k: int):
+        sl = [slice(None)] * datas[k].ndim
+        sl[axis] = slice(offsets[k], offsets[k + 1])
+        sl = tuple(sl)
+        return lambda g: g[sl]
+
+    return Tensor(
+        np.concatenate(datas, axis=axis),
+        tuple(tensors),
+        tuple(make_vjp(k) for k in range(len(tensors))),
+    )
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

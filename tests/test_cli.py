@@ -18,6 +18,7 @@ from lexner.model import (
     prepare_sentence,
 )
 from lexner.synthetic import make_overfit_corpus
+from test_trainer import save_legacy
 
 TINY_CFG = """
 d_c = 8
@@ -239,6 +240,19 @@ class TestTrainPredictEval:
         out, err = capsys.readouterr()
         assert out == ""
         assert "nan.ckpt: tensor char_embeddings has non-finite entries" in err
+
+    def test_non_finite_legacy_checkpoint_is_data_error(
+        self, workspace, checkpoint, tmp_path, capsys
+    ):
+        model = ModelParams.load(checkpoint)
+        model.crf.transitions.data[-1, 0] = np.nan  # START -> label 0, kept on conversion
+        nan_ckpt = save_legacy(model, tmp_path / "legacy.ckpt")
+        capsys.readouterr()
+        assert run(["predict", "--checkpoint", str(nan_ckpt),
+                    "--input", str(workspace / "sentences.txt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "legacy.ckpt: tensor crf.transitions has non-finite entries" in err
 
     def test_600_character_sentence_is_tagged(self, workspace, checkpoint, tmp_path, capsys):
         long_input = tmp_path / "long.txt"

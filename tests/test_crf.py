@@ -18,16 +18,13 @@ from lexner.data import allowed_transitions, make_tagset, tags_to_spans
 
 
 def zero_transitions(k: int) -> np.ndarray:
-    trans = np.zeros((k + 2, k + 2))
-    trans[:, k] = -np.inf
-    trans[k + 1, :] = -np.inf
-    return trans
+    return np.zeros((k + 1, k + 1))
 
 
 def enumerate_scores(em: np.ndarray, trans: np.ndarray):
     """Score of every one of the K^n label sequences, via brute force."""
     n, k = em.shape
-    start, stop = k, k + 1
+    start, stop = k, k
     out = {}
     for seq in itertools.product(range(k), repeat=n):
         s = trans[start, seq[0]] + trans[seq[-1], stop]
@@ -86,7 +83,7 @@ class TestLogPartition:
             em = rng.standard_normal((n, k)) * 2
             trans = zero_transitions(k)
             trans[: k + 1, :k] = rng.standard_normal((k + 1, k))
-            trans[:k, k + 1] = rng.standard_normal(k)
+            trans[:k, k] = rng.standard_normal(k)
             z = float(log_partition(Tensor(em), Tensor(trans)).data)
             scores = np.array(list(enumerate_scores(em, trans).values()))
             expect = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
@@ -113,7 +110,7 @@ class TestNllLoss:
             em = rng.standard_normal((n, k))
             trans = zero_transitions(k)
             trans[: k + 1, :k] = rng.standard_normal((k + 1, k)) * 0.5
-            trans[:k, k + 1] = rng.standard_normal(k) * 0.5
+            trans[:k, k] = rng.standard_normal(k) * 0.5
             gold = tuple(rng.integers(0, k, size=n))
             scores = enumerate_scores(em, trans)
             arr = np.array(list(scores.values()))
@@ -173,7 +170,7 @@ class TestViterbi:
             em = rng.standard_normal((n, k))
             trans = zero_transitions(k)
             trans[: k + 1, :k] = rng.standard_normal((k + 1, k))
-            trans[:k, k + 1] = rng.standard_normal(k)
+            trans[:k, k] = rng.standard_normal(k)
             assert viterbi_decode(em, trans) == brute_force_best(em, trans)
 
     def test_tie_break_with_integer_scores(self):
@@ -229,20 +226,17 @@ class TestViterbi:
 
 
 class TestCrfParams:
-    def test_forbidden_transitions_are_minus_inf(self):
+    def test_transitions_are_k_plus_one_square_and_finite(self):
         params = CrfParams.init(4, 3, np.random.default_rng(0))
         trans = params.transitions.data
-        assert np.all(np.isneginf(trans[:, params.start_id]))
-        assert np.all(np.isneginf(trans[params.stop_id, :]))
-        finite = np.isfinite(trans)
-        assert finite[:3, :3].all() and finite[params.start_id, :3].all()
-        assert finite[:3, params.stop_id].all()
+        assert trans.shape == (4, 4)  # row 3 is START, column 3 is STOP
+        assert np.isfinite(trans).all()
 
     def test_path_score_uses_boundary_transitions(self):
         k = 2
         trans = zero_transitions(k)
         trans[k, 0] = 3.0        # START -> label 0
-        trans[1, k + 1] = 5.0    # label 1 -> STOP
+        trans[1, k] = 5.0        # label 1 -> STOP
         em = np.zeros((2, k))
         s = path_score(Tensor(em), Tensor(trans), np.array([0, 1]))
         assert float(s.data) == pytest.approx(8.0)

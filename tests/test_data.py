@@ -259,7 +259,7 @@ class TestAllowedTransitions:
         tagset = make_tagset(["PER"], "bmes")
         allowed = allowed_transitions(tagset, "bmes")
         idx = {t: i for i, t in enumerate(tagset)}
-        stop = len(tagset) + 1
+        stop = len(tagset)
         assert allowed[idx["B-PER"], idx["M-PER"]]
         assert allowed[idx["M-PER"], idx["E-PER"]]
         assert not allowed[idx["B-PER"], idx["O"]]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lexner.autograd import Tensor, concat, layer_norm, masked_softmax
+from lexner.autograd import Tensor, layer_norm, masked_softmax
 from lexner.fusion import (
     FusionLayerParams,
     encode,
@@ -15,7 +15,7 @@ from lexner.fusion import (
 )
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
-from test_autograd import check_op
+from test_autograd import check_op, concat
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):

@@ -122,7 +122,7 @@ class TestAdam:
         for k, v in model.parameters().items():
             np.testing.assert_array_equal(v.data, before[k])
 
-    def test_structural_infinities_survive_updates(self, setup):
+    def test_transitions_stay_finite_through_updates(self, setup):
         model = tiny_model(setup)
         opt = Adam(model.parameters(), lr=0.1, weight_decay=0.1)
         corpus, trie, _ = setup
@@ -130,9 +130,31 @@ class TestAdam:
         for step in range(3):
             train_step(sents[:3], model, opt, step, tiny_config(), None)
         trans = model.crf.transitions.data
-        assert np.all(np.isneginf(trans[:, model.crf.start_id]))
-        assert np.all(np.isneginf(trans[model.crf.stop_id, :]))
-        assert np.isfinite(trans[: model.crf.num_labels, : model.crf.num_labels]).all()
+        k = model.crf.num_labels
+        assert trans.shape == (k + 1, k + 1)
+        assert np.isfinite(trans).all()
+        assert trans[k, k] == 0.0  # START -> STOP lies on no path: no gradient, no decay
+
+    def test_matches_the_textbook_update(self):
+        rng = np.random.default_rng(5)
+        shapes = {"w": (3, 4), "b": (4,), "crf.transitions": (4, 4), "unused": (2,)}
+        params = {k: Tensor(rng.standard_normal(s)) for k, s in shapes.items()}
+        lr, wd, b1, b2, eps = 0.05, 0.1, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, weight_decay=wd)
+        expect = {k: t.data.copy() for k, t in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        for t in range(1, 4):
+            for k, p in params.items():
+                p.grad = None if k == "unused" else rng.standard_normal(shapes[k])
+            opt.step()
+            for k, p in params.items():
+                g = np.zeros(shapes[k]) if p.grad is None else p.grad
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * (g * g)
+                step = lr / (1 - b1**t) * m[k] / (np.sqrt(v[k] / (1 - b2**t)) + eps)
+                expect[k] = expect[k] - (step + lr * wd * expect[k])
+                np.testing.assert_array_equal(p.data, expect[k], err_msg=f"{k} step {t}")
 
     def test_descends_on_quadratic(self):
         from lexner.autograd import Tensor
@@ -389,11 +411,52 @@ class TestTrainConfigFile:
         assert dims.max_word_len == 4 and dims.constrained_decode is True
 
 
+def save_legacy(model, path):
+    """Save `model` with its transitions in the older (K+2, K+2) layout: a -inf
+    START column at K and a -inf STOP row at K+1 around the (K+1, K+1) table."""
+    model.save(path)
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<Q", raw[start : start + 8])
+    header = json.loads(raw[start + 8 : start + 8 + hlen])
+    k = model.crf.num_labels
+    tables = {name: t.data.astype("<f4") for name, t in model.parameters().items()}
+    wide = np.insert(tables["crf.transitions"], k, -np.inf, axis=1)
+    tables["crf.transitions"] = np.insert(wide, k + 1, -np.inf, axis=0)
+    for entry in header["tensors"]:
+        entry["shape"] = list(tables[entry["name"]].shape)
+    blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    body = b"".join(tables[entry["name"]].tobytes() for entry in header["tensors"])
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + body)
+    return path
+
+
 class TestCheckpoint:
+    def test_legacy_transitions_table_loads(self, setup, tmp_path):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=3)
+        trans = model.crf.transitions.data
+        trans[:] = np.random.default_rng(4).standard_normal(trans.shape)
+        model.save(tmp_path / "m.ckpt")
+        current = ModelParams.load(tmp_path / "m.ckpt")
+        legacy = ModelParams.load(save_legacy(model, tmp_path / "legacy.ckpt"))
+        k = model.crf.num_labels
+        assert legacy.crf.transitions.data.shape == (k + 1, k + 1)
+        assert legacy.crf.transitions.data.tobytes() == current.crf.transitions.data.tobytes()
+        for s in prepare_corpus(corpus, trie, model.tagset)[:5]:
+            assert decode_tags(legacy, s) == decode_tags(current, s)
+
+    def test_legacy_transitions_table_with_nan_rejected(self, setup, tmp_path):
+        model = tiny_model(setup, seed=3)
+        model.crf.transitions.data[0, -1] = np.nan  # label 0 -> STOP, kept on conversion
+        path = save_legacy(model, tmp_path / "legacy.ckpt")
+        with pytest.raises(ValueError, match=r"legacy\.ckpt: tensor crf\.transitions has non-finite"):
+            ModelParams.load(path)
+
     @pytest.mark.parametrize(
         "name, index, value",
         [("char_embeddings", (0, 0), np.nan), ("layer0.char.wq", (1, 2), np.inf),
-         ("crf.transitions", (0, 1), -np.inf), ("crf.transitions", (-2, 0), np.nan)],
+         ("crf.transitions", (0, 1), -np.inf), ("crf.transitions", (-1, 0), np.nan)],
     )
     def test_non_finite_tensor_rejected(self, setup, tmp_path, name, index, value):
         model = tiny_model(setup, seed=3)
