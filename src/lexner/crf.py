@@ -88,15 +88,16 @@ def viterbi_decode(
     """
     em = np.asarray(emissions, dtype=np.float64)
     n, k = em.shape
-    trans = np.asarray(transitions, dtype=np.float64).copy()
+    trans = np.asarray(transitions, dtype=np.float64)
     if allowed is not None:
         trans = np.where(allowed, trans, -np.inf)
+    inner, labels = trans[:k, :k], np.arange(k)
     delta = trans[k, :k] + em[0]
     backptr = np.empty((n, k), dtype=np.int64)
     for t in range(1, n):
-        scores = delta[:, None] + trans[:k, :k]
+        scores = delta[:, None] + inner
         backptr[t] = scores.argmax(axis=0)
-        delta = scores[backptr[t], np.arange(k)] + em[t]
+        delta = scores[backptr[t], labels] + em[t]
     final = delta + trans[:k, k]
     tags = [int(final.argmax())]
     for t in range(n - 1, 0, -1):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from lexner.autograd import (
+    _BLOCK,
     Tensor,
     _scatter_rows,
     _sigmoid,
+    _sigmoid_vjp,
     dropout,
     layer_norm,
     logsumexp,
@@ -337,6 +339,101 @@ class TestSigmoidOracle:
         before = x.copy()
         _sigmoid(x)
         np.testing.assert_array_equal(x, before)
+
+
+SPECIAL = [0.0, -0.0, 1000.0, -1000.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 17.0, -17.0,
+           -88.0, -104.0, -708.0, -760.0]
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and NaN positions, and bit-equal everywhere else."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    bits = f"u{got.itemsize}"
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got[~nan]).view(bits), np.ascontiguousarray(want[~nan]).view(bits)
+    )
+
+
+def multiscale(shape, dtype, seed=0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 10.0, 100.0], shape)
+    return x.astype(dtype)
+
+
+class TestBlockedSigmoid:
+    """_sigmoid and _sigmoid_vjp run in blocks of _BLOCK elements: the oracles
+    must hold across block boundaries, on partial last blocks and on views."""
+
+    SIZES = [0, 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2 + 3]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_bit_equal_to_two_branch_formula_at_every_size(self, dtype, size):
+        x = multiscale(size, dtype)
+        x[: len(SPECIAL)] = SPECIAL[:size]
+        assert_same_bits(_sigmoid(x), two_branch_sigmoid(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values_at_block_boundaries(self, dtype):
+        x = multiscale(5 * _BLOCK // 2, dtype)
+        for value in SPECIAL:
+            x[[_BLOCK - 1, _BLOCK, _BLOCK + 1, -1]] = value
+            assert_same_bits(_sigmoid(x), two_branch_sigmoid(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_views_read_in_logical_order(self, dtype):
+        x = multiscale((80, 64, 64), dtype)  # 5 blocks
+        x.flat[_BLOCK - 1 : _BLOCK - 1 + len(SPECIAL)] = SPECIAL
+        zero_d = x[5:6, 6, 7].reshape(())
+        views = (x.transpose(2, 0, 1), x[:, ::2], x[::-1, 3:, ::5], x.T[:7], x[5, 6, 7], zero_d)
+        for view in views:
+            got = _sigmoid(view)
+            assert got.flags.c_contiguous
+            assert_same_bits(got, two_branch_sigmoid(view))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_vjp_is_the_unblocked_expression_byte_for_byte(self, dtype, size):
+        y = _sigmoid(multiscale(size, dtype, seed=1))
+        g = multiscale(size, dtype, seed=2)
+        want = g * y * (1.0 - y)
+        got = _sigmoid_vjp(g, y)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_on_views_and_broadcast_gradients(self, dtype):
+        y = _sigmoid(multiscale((80, 64, 64), dtype, seed=1))
+        g = multiscale((80, 64, 64), dtype, seed=2)
+        cases = [(g.transpose(2, 0, 1), y.transpose(2, 0, 1)), (g[:, ::2], y[:, ::2]),
+                 (g[5, 6, 7], y[5, 6, 7]), (np.broadcast_to(np.ones((), dtype), y.shape), y)]
+        for gv, yv in cases:
+            want = gv * yv * (1.0 - yv)
+            got = _sigmoid_vjp(gv, yv)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_vjp_of_a_float64_gradient_through_a_float32_output(self):
+        y = _sigmoid(multiscale(_BLOCK + 5, np.float32, seed=1))
+        g = multiscale(_BLOCK + 5, np.float64, seed=2)
+        want = g * y * (1.0 - y)
+        got = _sigmoid_vjp(g, y)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_neither_kernel_writes_to_its_inputs(self, dtype):
+        x = multiscale(5 * _BLOCK // 2, dtype)
+        x[_BLOCK - 1 : _BLOCK - 1 + len(SPECIAL)] = SPECIAL
+        g = multiscale(x.shape, dtype, seed=3)
+        y = _sigmoid(x)
+        before = [a.tobytes() for a in (x, y, g)]
+        _sigmoid(x)
+        _sigmoid(x[::-2])
+        _sigmoid_vjp(g, y)
+        _sigmoid_vjp(g[::-2], y[::-2])
+        assert [a.tobytes() for a in (x, y, g)] == before
 
 
 class TestNoGrad:

@@ -224,6 +224,24 @@ class TestViterbi:
 
             assert spans_to_tags(spans, 6) == tags
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_its_arguments_unmodified(self, dtype):
+        tagset = make_tagset(["PER", "LOC"])
+        k = len(tagset)
+        rng = np.random.default_rng(11)
+        em = rng.standard_normal((6, k)).astype(dtype)
+        trans = rng.standard_normal((k + 1, k + 1)).astype(dtype)
+        allowed = allowed_transitions(tagset)
+        before = [a.copy() for a in (em, trans, allowed)]
+        for a in (em, trans, allowed):
+            a.flags.writeable = False  # a write raises instead of passing unseen
+        constrained = viterbi_decode(em, trans, allowed=allowed)
+        free = viterbi_decode(em, trans)
+        for a, b in zip((em, trans, allowed), before):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert viterbi_decode(*before[:2], allowed=before[2]) == constrained
+        assert viterbi_decode(*before[:2]) == free
+
 
 class TestCrfParams:
     def test_transitions_are_k_plus_one_square_and_finite(self):
