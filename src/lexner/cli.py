@@ -18,14 +18,13 @@ from . import model as model_mod
 from .data import (
     SCHEMES,
     CorpusError,
-    allowed_transitions,
     corpus_stats,
     evaluate,
     load_corpus,
     make_tagset,
 )
 from .encoding import EmbeddingTable
-from .graph import GRAPH_VARIANTS, serialize_graph
+from .graph import GRAPH_VARIANTS, graph_variant, serialize_graph
 from .matching import build_trie, load_lexicon, match_sentence
 from .model import ModelParams, prepare_corpus, prepare_sentence
 from .synthetic import make_overfit_corpus
@@ -112,9 +111,9 @@ def _cmd_graph(args) -> int:
         for sid, line in enumerate(Path(args.input).read_text(encoding="utf-8").splitlines()):
             if not line:
                 continue
-            sent = prepare_sentence(line, trie, variant=args.variant)
+            graph = graph_variant(prepare_sentence(line, trie).graph, args.variant)
             out.write(f"sentence {sid}\n")
-            out.write(serialize_graph(sent.graph))
+            out.write(serialize_graph(graph))
             out.write("\n")
     return 0
 
@@ -140,7 +139,7 @@ def _cmd_train(args) -> int:
         if loaded is not None:
             print(f"corpus={name} repaired_tags={loaded.repaired_tags}")
     lexicon = load_lexicon(cfg.lexicon_file)
-    trie = build_trie(lexicon, cfg.max_word_len or None)
+    trie = build_trie(lexicon, cfg.max_word_len)
     char_vocab = sorted({c for s in corpus.sentences for c in s.chars})
     types = set(corpus.entity_types()) | (set(dev.entity_types()) if dev else set())
     rng = np.random.default_rng(cfg.seed)
@@ -151,9 +150,8 @@ def _cmd_train(args) -> int:
         scheme=cfg.tag_scheme, dtype=np.float32,
         char_table=char_table, word_table=word_table,
     )
-    variant = model.dims.variant
-    train_sents = prepare_corpus(corpus, trie, model.tagset, variant)
-    dev_sents = prepare_corpus(dev, trie, model.tagset, variant) if dev else None
+    train_sents = prepare_corpus(corpus, trie, model.tagset)
+    dev_sents = prepare_corpus(dev, trie, model.tagset) if dev else None
     train(
         model, train_sents, cfg,
         dev_sents=dev_sents, dev_corpus=dev,
@@ -190,16 +188,12 @@ def _read_prediction_input(path: str) -> list[list[str]]:
 def _cmd_predict(args) -> int:
     model = ModelParams.load(args.checkpoint)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else model.word_table.tokens
-    # match and decode as the model was trained
-    trie = build_trie(lexicon, model.dims.max_word_len or None)
-    allowed = (
-        allowed_transitions(model.tagset, model.scheme) if model.dims.constrained_decode else None
-    )
+    # match as the model was trained; the model applies its variant and constraints itself
+    trie = build_trie(lexicon, model.dims.max_word_len)
     sentences = _read_prediction_input(args.input)
     with _output(args.out) as out:
         for chars in sentences:
-            sent = prepare_sentence(chars, trie, variant=model.dims.variant)
-            tags = model_mod.decode_tags(model, sent, allowed)
+            tags = model_mod.decode_tags(model, prepare_sentence(chars, trie))
             for c, t in zip(chars, tags):
                 out.write(f"{c}\t{t}\n")
             out.write("\n")
@@ -209,7 +203,7 @@ def _cmd_predict(args) -> int:
 def _cmd_gradcheck(args) -> int:
     cfg = TrainConfig.from_file(args.config, overrides={"seed": args.seed})
     corpus, lexicon = make_overfit_corpus(seed=13)
-    trie = build_trie(lexicon, cfg.max_word_len or None)
+    trie = build_trie(lexicon, cfg.max_word_len)
     tagset = make_tagset(corpus.entity_types(), corpus.scheme)
     # pick a sentence with a healthy word set
     sent_src = max(corpus.sentences, key=lambda s: len(match_sentence(trie, s.chars)[0]))
@@ -224,9 +218,7 @@ def _cmd_gradcheck(args) -> int:
             rng,
             dtype=np.float64,
         )
-        sent = prepare_sentence(
-            sent_src.chars, trie, tagset, sent_src.tags, variant=model.dims.variant
-        )
+        sent = prepare_sentence(sent_src.chars, trie, tagset, sent_src.tags)
         try:
             report = grad_check(model, sent, lam=0.3)
             break

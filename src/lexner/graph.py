@@ -57,11 +57,14 @@ def build_graph(n: int, words: list[MatchedWord]) -> LatticeGraph:
 
 
 def graph_variant(graph: LatticeGraph, variant: str) -> LatticeGraph:
-    """Derive an edge-construction ablation of the graph.
+    """Derive an edge-construction ablation of a standard lattice.
 
     standard: a new graph sharing the (never written) edge arrays.
     wo_word_edge: word-word edges removed (only self-loops stay). fc_intra:
     all word pairs connected. fc_inter: every character adjacent to every word.
+
+    Prepared sentences hold the standard lattice; the forward pass derives the
+    variant named by the model's ``dims.variant``.
     """
     if variant not in GRAPH_VARIANTS:
         raise ValueError(f"unknown graph variant {variant!r}; expected one of {GRAPH_VARIANTS}")

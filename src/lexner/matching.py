@@ -84,13 +84,13 @@ class MatchedWord:
         return (self.head, self.tail)
 
 
-def build_trie(lexicon: Iterable[str], max_word_len: int | None = None) -> LexiconTrie:
+def build_trie(lexicon: Iterable[str], max_word_len: int = 0) -> LexiconTrie:
     """Build a trie from lexicon words, de-duplicating entries.
 
     Single-character entries are skipped: they would only duplicate the
-    character nodes of the lattice. Empty entries are rejected. If
-    ``max_word_len`` is given, longer entries are skipped as well, bounding
-    the per-position matching cost.
+    character nodes of the lattice. Empty entries are rejected. A positive
+    ``max_word_len`` skips longer entries as well, bounding the per-position
+    matching cost; 0 caps nothing, as in ``ModelDims``.
     """
     trie = LexiconTrie()
     for word in lexicon:
@@ -98,7 +98,7 @@ def build_trie(lexicon: Iterable[str], max_word_len: int | None = None) -> Lexic
             raise ValueError("lexicon contains an empty entry")
         if len(word) < 2:
             continue
-        if max_word_len is not None and len(word) > max_word_len:
+        if max_word_len and len(word) > max_word_len:
             continue
         trie._insert(word)
     return trie

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import crf, fusion
 from .autograd import Tensor, dropout, glorot, logsumexp, no_grad
-from .data import Corpus, make_tagset, tags_to_spans
+from .data import Corpus, allowed_transitions, make_tagset, tags_to_spans
 from .encoding import EmbeddingTable, WordProjection, initial_states
 from .graph import GRAPH_VARIANTS, LatticeGraph, build_graph, graph_variant
 from .matching import LexiconTrie, label_lec, match_sentence
@@ -281,7 +281,11 @@ class ModelParams:
 
 @dataclass
 class EncodedSentence:
-    """A sentence with everything the forward pass needs precomputed."""
+    """A sentence with everything the forward pass needs precomputed.
+
+    ``graph`` is always the standard lattice; the forward pass derives the
+    model's own variant of it.
+    """
 
     chars: list[str]
     graph: LatticeGraph                      # its matched words are graph.words
@@ -295,12 +299,9 @@ def prepare_sentence(
     tagset: Sequence[str] | None = None,
     gold_tags: Sequence[str] | None = None,
     scheme: str = "bio",
-    variant: str = "standard",
 ) -> EncodedSentence:
     words, _ = match_sentence(trie, chars)
     graph = build_graph(len(chars), words)
-    if variant != "standard":
-        graph = graph_variant(graph, variant)
     tags = None
     lec = None
     if gold_tags is not None:
@@ -316,14 +317,10 @@ def prepare_sentence(
 
 
 def prepare_corpus(
-    corpus: Corpus,
-    trie: LexiconTrie,
-    tagset: Sequence[str],
-    variant: str = "standard",
+    corpus: Corpus, trie: LexiconTrie, tagset: Sequence[str]
 ) -> list[EncodedSentence]:
     return [
-        prepare_sentence(s.chars, trie, tagset, s.tags, corpus.scheme, variant)
-        for s in corpus.sentences
+        prepare_sentence(s.chars, trie, tagset, s.tags, corpus.scheme) for s in corpus.sentences
     ]
 
 
@@ -334,15 +331,18 @@ def forward_states(
     fusion_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Final node states (H_c, H_w) after the fusion stack."""
+    """Final node states (H_c, H_w) after the fusion stack.
+
+    The layers run on ``graph_variant(sent.graph, model.dims.variant)``, so
+    training, decoding and gradient checks all see the model's own lattice.
+    """
+    graph = graph_variant(sent.graph, model.dims.variant)
     h_c, h_w = initial_states(
-        sent.chars, sent.graph.words, model.char_table, model.word_table, model.projection
+        sent.chars, graph.words, model.char_table, model.word_table, model.projection
     )
     h_c = dropout(h_c, embed_dropout, rng)
     h_w = dropout(h_w, embed_dropout, rng)
-    return fusion.encode(
-        sent.graph, h_c, h_w, model.layers, model.dims.heads, fusion_dropout, rng
-    )
+    return fusion.encode(graph, h_c, h_w, model.layers, model.dims.heads, fusion_dropout, rng)
 
 
 def lec_loss(h_w: Tensor, model: ModelParams, gold_properties: np.ndarray) -> Tensor:
@@ -372,15 +372,17 @@ def sentence_losses(
     return l_ner, l_lec
 
 
-def decode_tags(
-    model: ModelParams,
-    sent: EncodedSentence,
-    allowed: np.ndarray | None = None,
-) -> list[str]:
-    """Viterbi-decoded tag strings for one sentence (no dropout, no tape)."""
+def decode_tags(model: ModelParams, sent: EncodedSentence) -> list[str]:
+    """Viterbi-decoded tag strings for one sentence (no dropout, no tape).
+
+    A model with ``dims.constrained_decode`` admits only well-formed tag sequences.
+    """
     with no_grad():
         h_c, _ = forward_states(model, sent)
         emissions = crf.emission_scores(h_c, model.crf)
+    allowed = (
+        allowed_transitions(model.tagset, model.scheme) if model.dims.constrained_decode else None
+    )
     ids = crf.viterbi_decode(emissions.data, model.crf.transitions.data, allowed)
     return [model.tagset[i] for i in ids]
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as model_mod
 from .autograd import Tensor, watch_relu_kinks
-from .data import Corpus, allowed_transitions, evaluate
+from .data import Corpus, evaluate
 from .model import EncodedSentence, ModelParams, sentence_losses
 
 
@@ -26,7 +26,9 @@ class NumericError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(model_mod.ModelDims):
+    """The model's settings (the ModelDims fields) plus how to train it."""
+
     # multi-task schedule
     lambda0: float = 0.5
     lambda1: float = 0.8
@@ -40,17 +42,7 @@ class TrainConfig:
     # regularization
     embed_dropout: float = 0.5
     fusion_dropout: float = 0.3
-    # model shape
-    d_c: int = 304
-    d_w: int = 200
-    d_ff: int = 0
-    heads: int = 8
-    layers: int = 2
-    # variants and decoding
     tag_scheme: str = "bio"
-    variant: str = "standard"
-    constrained_decode: bool = False
-    max_word_len: int = 0  # 0 means longest lexicon word
     # paths (optional; CLI fills them from the config file)
     train_file: str = ""
     dev_file: str = ""
@@ -60,6 +52,7 @@ class TrainConfig:
     checkpoint_dir: str = ""
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for name in ("lambda0", "lambda1", "tau"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -68,7 +61,7 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        for name, least in (("batch_size", 1), ("epochs", 0), ("max_word_len", 0)):
+        for name, least in (("batch_size", 1), ("epochs", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not self.lr > 0.0:
@@ -79,6 +72,7 @@ class TrainConfig:
             raise ValueError(f"unknown tag scheme {self.tag_scheme!r}")
 
     def dims(self) -> model_mod.ModelDims:
+        """The ModelDims fields alone, as a model and its checkpoint hold them."""
         return model_mod.ModelDims(
             **{f.name: getattr(self, f.name) for f in fields(model_mod.ModelDims)}
         )
@@ -140,20 +134,13 @@ def total_loss(l_ner, l_lec, lam: float):
 class Adam:
     """Adam with decoupled weight decay."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
@@ -161,8 +148,8 @@ class Adam:
 
     def step(self) -> None:
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - self.BETA1**self.step_count
+        bc2 = 1.0 - self.BETA2**self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -171,17 +158,17 @@ class Adam:
             v = self.v[name]
             # update = (lr/bc1) * m / (sqrt(v/bc2) + eps) + lr*wd * p, every
             # operation in that order, in place in two scratch arrays
-            buf = np.multiply(g, 1.0 - self.beta1)
-            m *= self.beta1
+            buf = np.multiply(g, 1.0 - self.BETA1)
+            m *= self.BETA1
             m += buf
             np.multiply(g, g, out=buf)
-            buf *= 1.0 - self.beta2
-            v *= self.beta2
+            buf *= 1.0 - self.BETA2
+            v *= self.BETA2
             v += buf
             update = np.multiply(m, self.lr / bc1)
             np.divide(v, bc2, out=buf)
             np.sqrt(buf, out=buf)
-            buf += self.eps
+            buf += self.EPS
             update /= buf
             if self.weight_decay:
                 np.multiply(p.data, self.lr * self.weight_decay, out=buf)
@@ -251,11 +238,8 @@ class EpochLog:
 
 
 def evaluate_model(model: ModelParams, sentences: Sequence[EncodedSentence], corpus: Corpus):
-    """Strict span evaluation of the model's decoding, constrained if the model says so."""
-    allowed = (
-        allowed_transitions(model.tagset, model.scheme) if model.dims.constrained_decode else None
-    )
-    pred = [model_mod.decode_tags(model, s, allowed) for s in sentences]
+    """Strict span evaluation of the model's decoding."""
+    pred = [model_mod.decode_tags(model, s) for s in sentences]
     return evaluate(pred, corpus)
 
 

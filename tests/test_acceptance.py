@@ -221,8 +221,8 @@ def test_ablation_direction():
                 cfg.dims(), chars, trie.words, types,
                 np.random.default_rng(seed), dtype=np.float32,
             )
-            tr = prepare_corpus(train_c, trie, model.tagset, variant)
-            he = prepare_corpus(held_c, trie, model.tagset, variant)
+            tr = prepare_corpus(train_c, trie, model.tagset)
+            he = prepare_corpus(held_c, trie, model.tagset)
             train(model, tr, cfg)
             scores.append(evaluate_model(model, he, held_c).f1)
         return float(np.mean(scores))

@@ -1,5 +1,7 @@
 """The command-line surface: subcommands, formats, exit codes."""
 
+import copy
+import dataclasses
 import json
 import struct
 import warnings
@@ -7,9 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from lexner import cli
+from lexner import cli, fusion
 from lexner.cli import run
-from lexner.data import Corpus, allowed_transitions, load_corpus, spans_to_tags, tags_to_spans
+from lexner.data import Corpus, load_corpus, spans_to_tags, tags_to_spans
 from lexner.matching import build_trie
 from lexner.model import (
     CHECKPOINT_MAGIC,
@@ -317,7 +319,7 @@ class TestTrainPredictEval:
         ("multiplicative_mask = false", "unknown config key 'multiplicative_mask'"),
         ("batch_size = 0", "batch_size must be at least 1, got 0"),
         ("embed_dropout = 1.0", "embed_dropout must lie in [0, 1), got 1.0"),
-        ("max_word_len = -3", "max_word_len must be at least 0, got -3"),
+        ("max_word_len = -3", "max_word_len must be at least 0, found -3"),
     ])
     def test_train_config_out_of_range_is_data_error(
         self, workspace, tmp_path, capsys, line, message
@@ -338,7 +340,7 @@ class TestTrainPredictEval:
         trie = build_trie(model.word_table.tokens)
         want = []
         for s in load_corpus(workspace / "dev.tsv").sentences:
-            sent = prepare_sentence(s.chars, trie, variant="wo_word_edge")
+            sent = prepare_sentence(s.chars, trie)
             want.extend(f"{c}\t{t}" for c, t in zip(s.chars, decode_tags(model, sent)))
             want.append("")
         assert out.read_text(encoding="utf-8").splitlines() == want
@@ -357,12 +359,34 @@ class TestTrainPredictEval:
         assert run(["predict", "--checkpoint", str(tmp_path / "inside.ckpt"),
                     "--input", str(workspace / "dev.tsv"), "--out", str(out)]) == 0
         trie = build_trie(model.word_table.tokens)
-        allowed = allowed_transitions(model.tagset, model.scheme)
+        free = copy.copy(model)
+        free.dims = dataclasses.replace(model.dims, constrained_decode=False)
         want = []
         for s in load_corpus(workspace / "dev.tsv").sentences:
             sent = prepare_sentence(s.chars, trie)
-            tags = decode_tags(model, sent, allowed)
-            assert well_formed(tags) and not well_formed(decode_tags(model, sent))
+            tags = decode_tags(model, sent)
+            assert well_formed(tags) and not well_formed(decode_tags(free, sent))
+            want.extend(f"{c}\t{t}" for c, t in zip(s.chars, tags))
+            want.append("")
+        assert out.read_text(encoding="utf-8").splitlines() == want
+
+    def test_library_decode_keeps_the_constraints_of_predict(self, workspace, checkpoint, tmp_path):
+        model = ModelParams.load(checkpoint)
+        model.dims.constrained_decode = True
+        # favour a tag that cannot open a span, so unconstrained decoding is ill-formed
+        inside = next(k for k, t in enumerate(model.tagset) if t.startswith("I-"))
+        model.crf.bias.data[inside] += 100.0
+        ckpt = tmp_path / "constrained.ckpt"
+        model.save(ckpt)
+        out = tmp_path / "pred.tsv"
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv"), "--out", str(out)]) == 0
+        model = ModelParams.load(ckpt)
+        trie = build_trie(model.word_table.tokens)
+        want = []
+        for s in load_corpus(workspace / "dev.tsv").sentences:
+            tags = decode_tags(model, prepare_sentence(s.chars, trie))
+            assert well_formed(tags)
             want.extend(f"{c}\t{t}" for c, t in zip(s.chars, tags))
             want.append("")
         assert out.read_text(encoding="utf-8").splitlines() == want
@@ -448,19 +472,25 @@ class TestGradcheckCommand:
         assert "max_rel_error=" in out
 
     def test_checks_the_configured_graph_variant(self, workspace, tmp_path, monkeypatch):
-        probed = []
+        probed, graphs = [], []
 
         def spy(model, sent, **kwargs):
             probed.append(sent)
             return cli_grad_check(model, sent, **kwargs)
 
-        cli_grad_check = cli.grad_check
+        def layer_spy(h_c, h_w, graph, *args):
+            graphs.append(graph)
+            return fusion_layer(h_c, h_w, graph, *args)
+
+        cli_grad_check, fusion_layer = cli.grad_check, fusion.fusion_layer
         monkeypatch.setattr(cli, "grad_check", spy)
+        monkeypatch.setattr(fusion, "fusion_layer", layer_spy)
         cfg = config_with(workspace, tmp_path, "variant = fc_inter\n")
         assert run(["gradcheck", "--config", str(cfg)]) == 0
         sent = probed[-1]
         n, m = len(sent.chars), sent.graph.m
-        assert m and sent.graph.char_word.shape == (2, n * m)
+        assert m and graphs
+        assert all(g.char_word.shape == (2, n * m) for g in graphs)
 
 
 class TestStats:

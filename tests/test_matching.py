@@ -69,6 +69,8 @@ class TestBuildTrie:
         assert trie.word_count == 1
         words, _ = match_sentence(trie, "abcd")
         assert [w.surface for w in words] == ["ab"]
+        # 0 caps nothing
+        assert build_trie(["ab", "abcd"], max_word_len=0).words == ["ab", "abcd"]
 
 
 class TestMatchSentence:

@@ -315,6 +315,28 @@ class TestTrainLoop:
 
         assert run() == run()
 
+    def test_a_variant_model_trains_on_its_own_graph(self, setup, monkeypatch):
+        corpus, trie, chars = setup
+        cfg = tiny_config(epochs=1, variant="wo_word_edge")
+        model = ModelParams.build(
+            cfg.dims(), chars, trie.words, corpus.entity_types(), np.random.default_rng(0)
+        )
+        sents = prepare_corpus(corpus, trie, model.tagset)[:8]
+        # the prepared lattices do link distinct words
+        assert any((s.graph.word_word[0] != s.graph.word_word[1]).any() for s in sents)
+        graphs = []
+
+        def spy(h_c, h_w, graph, *args):
+            graphs.append(graph)
+            return fusion_layer(h_c, h_w, graph, *args)
+
+        fusion_layer = fusion.fusion_layer
+        monkeypatch.setattr(fusion, "fusion_layer", spy)
+        train(model, sents, cfg)
+        assert len(graphs) == cfg.layers * len(sents)
+        for g in graphs:
+            assert np.array_equal(g.word_word, np.tile(np.arange(g.m), (2, 1)))
+
 
 def read_header(path):
     """A saved checkpoint's JSON header and the tensor bytes after it."""
@@ -390,7 +412,7 @@ class TestTrainConfigFile:
          ("lr", -1.0, "lr must be positive, got -1.0"),
          ("lr", 0.0, "lr must be positive, got 0.0"),
          ("weight_decay", -0.1, "weight_decay must be non-negative, got -0.1"),
-         ("max_word_len", -3, "max_word_len must be at least 0, got -3")],
+         ("max_word_len", -3, "max_word_len must be at least 0, found -3")],
     )
     def test_out_of_range_value_names_key_and_value(self, key, value, message):
         with pytest.raises(ValueError, match=message):
