@@ -1,8 +1,10 @@
 """Corpus ingestion, tag/span conversion, strict-match evaluation, statistics.
 
 Corpus files are UTF-8, one `character<TAB>tag` pair per line, blank line
-between sentences. Both the BIO and BMES tag schemes are supported; BIO is
-the default everywhere.
+between sentences. `SCHEMES` is the only declaration of a tag scheme (BIO,
+the default everywhere, or BMES): the `prefix-type` tag prefixes of a
+one-character entity and of an entity's first, inner and last characters.
+Every scheme rule here is derived from that table.
 """
 
 from __future__ import annotations
@@ -15,7 +17,22 @@ import numpy as np
 
 from .matching import COVER, MATCH, LexiconTrie, label_lec, match_sentence
 
-SCHEMES = ("bio", "bmes")
+# prefixes for (single, first, inner, last)
+SCHEMES = {"bio": ("B", "B", "I", "I"), "bmes": ("S", "B", "M", "E")}
+
+
+def _prefixes(scheme: str) -> tuple[str, str, str, str]:
+    """The (single, first, inner, last) prefixes of a scheme."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown tag scheme {scheme!r}")
+    return SCHEMES[scheme]
+
+
+def _roles(scheme: str) -> tuple[tuple[str, ...], ...]:
+    """The prefixes that continue the open entity, those that leave it open,
+    and those after which an entity may end."""
+    single, first, inner, last = _prefixes(scheme)
+    return (inner, last), (first, inner), ("O", single, last)
 
 
 class CorpusError(ValueError):
@@ -52,11 +69,11 @@ class Corpus:
 
 
 def make_tagset(entity_types: Sequence[str], scheme: str = "bio") -> list[str]:
-    """Label inventory for a set of entity types; outside tag first (id 0)."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown tag scheme {scheme!r}")
+    """Label inventory for a set of entity types: outside tag first (id 0), then
+    each type's prefixes in the order first, inner, last, single, each once."""
+    single, first, inner, last = _prefixes(scheme)
+    prefixes = dict.fromkeys((first, inner, last, single))
     tags = ["O"]
-    prefixes = ("B", "I") if scheme == "bio" else ("B", "M", "E", "S")
     for t in sorted(entity_types):
         tags.extend(f"{p}-{t}" for p in prefixes)
     return tags
@@ -64,27 +81,29 @@ def make_tagset(entity_types: Sequence[str], scheme: str = "bio") -> list[str]:
 
 def spans_to_tags(spans: Sequence[tuple[int, int, str]], n: int, scheme: str = "bio") -> list[str]:
     """Render entity spans as a per-character tag sequence."""
+    single, first, inner, last = _prefixes(scheme)
     tags = ["O"] * n
     for head, tail, etype in spans:
         if not (0 <= head <= tail < n):
             raise ValueError(f"span ({head},{tail}) out of range for length {n}")
-        if scheme == "bio":
-            tags[head] = f"B-{etype}"
-            for i in range(head + 1, tail + 1):
-                tags[i] = f"I-{etype}"
-        else:
-            if head == tail:
-                tags[head] = f"S-{etype}"
-            else:
-                tags[head] = f"B-{etype}"
-                for i in range(head + 1, tail):
-                    tags[i] = f"M-{etype}"
-                tags[tail] = f"E-{etype}"
+        if head == tail:
+            tags[head] = f"{single}-{etype}"
+            continue
+        tags[head] = f"{first}-{etype}"
+        for i in range(head + 1, tail):
+            tags[i] = f"{inner}-{etype}"
+        tags[tail] = f"{last}-{etype}"
     return tags
 
 
 def tags_to_spans(tags: Sequence[str], scheme: str = "bio") -> list[tuple[int, int, str]]:
-    """Extract (head, tail, type) entity spans; inverse of spans_to_tags."""
+    """Extract (head, tail, type) entity spans; inverse of spans_to_tags.
+
+    A tag that does not continue the open entity of its type starts one, and
+    a tag that does not leave it open ends it. So a prefix the scheme does not
+    use gives a one-character entity (`load_corpus` rejects such tags).
+    """
+    continues, stays_open, _ = _roles(scheme)
     spans: list[tuple[int, int, str]] = []
     head: int | None = None
     etype: str | None = None
@@ -100,18 +119,11 @@ def tags_to_spans(tags: Sequence[str], scheme: str = "bio") -> list[tuple[int, i
             flush(i - 1)
             continue
         prefix, _, t = tag.partition("-")
-        if scheme == "bio":
-            if prefix == "B" or (head is not None and t != etype) or head is None:
-                flush(i - 1)
-                head, etype = i, t
-        else:
-            if prefix in ("B", "S") or head is None or t != etype:
-                flush(i - 1)
-                head, etype = i, t
-            if prefix in ("E", "S"):
-                spans.append((head, i, etype))
-                head = etype = None
-                continue
+        if prefix not in continues or head is None or t != etype:
+            flush(i - 1)
+            head, etype = i, t
+        if prefix not in stays_open:
+            flush(i)
     flush(len(tags) - 1)
     return spans
 
@@ -120,13 +132,12 @@ def load_corpus(path: str | Path, scheme: str = "bio") -> Corpus:
     """Parse a two-column corpus file.
 
     Raises CorpusError with the line number for malformed lines or tags not
-    matching the scheme. A sentence-initial or type-switching inside tag (for
-    BIO: I- without a matching B-) is repaired by promoting it to B-, counted
-    in Corpus.repaired_tags.
+    matching the scheme. A tag that continues an entity where none of its
+    type is open (sentence-initial, after `O` or after another type) is
+    repaired by promoting it to the scheme's first prefix, counted in
+    Corpus.repaired_tags.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown tag scheme {scheme!r}")
-    prefixes = {"B", "I"} if scheme == "bio" else {"B", "M", "E", "S"}
+    prefixes = set(_prefixes(scheme))
     sentences: list[Sentence] = []
     chars: list[str] = []
     tags: list[str] = []
@@ -160,23 +171,19 @@ def load_corpus(path: str | Path, scheme: str = "bio") -> Corpus:
 
 
 def _repair_tags(tags: list[str], scheme: str) -> int:
-    """Promote continuation tags with no open entity to begin tags, in place."""
-    cont = {"I"} if scheme == "bio" else {"M", "E"}
+    """Promote continuation tags with no open entity of their type to the
+    scheme's first prefix, in place; returns how many were promoted."""
+    first = _prefixes(scheme)[1]
+    continues, stays_open, _ = _roles(scheme)
     repaired = 0
     open_type: str | None = None
     for i, tag in enumerate(tags):
-        if tag == "O":
-            open_type = None
-            continue
         prefix, _, etype = tag.partition("-")
-        if prefix in cont and open_type != etype:
-            tags[i] = f"B-{etype}"
+        if prefix in continues and open_type != etype:
+            prefix = first
+            tags[i] = f"{first}-{etype}"
             repaired += 1
-            open_type = etype
-        elif prefix in ("B", "I", "M"):
-            open_type = etype
-        else:  # E or S closes the entity
-            open_type = None
+        open_type = etype if prefix in stays_open else None
     return repaired
 
 
@@ -278,31 +285,19 @@ def corpus_stats(corpus: Corpus, trie: LexiconTrie) -> CorpusStats:
 
 def allowed_transitions(tagset: Sequence[str], scheme: str = "bio") -> np.ndarray:
     """Boolean (K+1, K+1) matrix of well-formed tag bigrams for constrained decoding,
-    laid out like the CRF's transitions: row K is START and column K is STOP."""
+    laid out like the CRF's transitions: row K is START and column K is STOP.
+
+    A continuing tag may follow only an open tag of its type; any other tag,
+    and STOP, only a tag after which an entity may end; START no continuing tag.
+    """
+    continues, stays_open, may_end = _roles(scheme)
     k = len(tagset)
+    prefix = np.array([t.partition("-")[0] for t in tagset], dtype=str)
+    etype = np.array([t.partition("-")[2] for t in tagset], dtype=str)
+    cont, ends = np.isin(prefix, continues), np.isin(prefix, may_end)
+    same_open = np.isin(prefix, stays_open)[:, None] & (etype[:, None] == etype)
     allowed = np.zeros((k + 1, k + 1), dtype=bool)
-
-    def parse(tag: str) -> tuple[str, str]:
-        prefix, _, etype = tag.partition("-")
-        return prefix, etype
-
-    for i, a in enumerate(tagset):
-        pa, ta = parse(a)
-        # sequence boundaries
-        if scheme == "bio":
-            allowed[k, i] = pa in ("O", "B")
-            allowed[i, k] = True
-        else:
-            allowed[k, i] = pa in ("O", "B", "S")
-            allowed[i, k] = pa in ("O", "E", "S")
-        for j, b in enumerate(tagset):
-            pb, tb = parse(b)
-            if scheme == "bio":
-                ok = pb in ("O", "B") or (pb == "I" and pa in ("B", "I") and ta == tb)
-            else:
-                if pa in ("B", "M"):
-                    ok = pb in ("M", "E") and ta == tb
-                else:  # O, E, S may be followed by any opener
-                    ok = pb in ("O", "B", "S")
-            allowed[i, j] = ok
+    allowed[:k, :k] = np.where(cont, same_open, ends[:, None])
+    allowed[k, :k] = ~cont
+    allowed[:k, k] = ends
     return allowed

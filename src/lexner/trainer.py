@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as model_mod
 from .autograd import Tensor, watch_relu_kinks
-from .data import Corpus, evaluate
+from .data import SCHEMES, Corpus, evaluate
 from .model import EncodedSentence, ModelParams, sentence_losses
 
 
@@ -68,7 +68,7 @@ class TrainConfig(model_mod.ModelDims):
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not self.weight_decay >= 0.0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.tag_scheme not in ("bio", "bmes"):
+        if self.tag_scheme not in SCHEMES:
             raise ValueError(f"unknown tag scheme {self.tag_scheme!r}")
 
     def dims(self) -> model_mod.ModelDims:
@@ -261,6 +261,8 @@ def train(
     Shuffling, dropout and parameter updates all draw from a generator seeded
     by cfg.seed, so runs with identical config and data are bit-identical.
     """
+    if not train_sents:
+        raise ValueError("no training sentences")
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(
         model.parameters(), cfg.lr, weight_decay=cfg.weight_decay

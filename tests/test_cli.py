@@ -330,7 +330,8 @@ class TestTrainPredictEval:
         assert not (tmp_path / "ckpt").exists()
 
     def test_predict_decodes_on_the_trained_graph_variant(self, workspace, tmp_path, capsys):
-        cfg = config_with(workspace, tmp_path)
+        # at this learning rate the 2-epoch model's tags depend on the word-word edges
+        cfg = config_with(workspace, tmp_path, "lr = 0.05\n")
         assert run(["train", "--config", str(cfg), "--variant", "wo_word_edge"]) == 0
         model = ModelParams.load(tmp_path / "ckpt" / "best.ckpt")
         assert model.dims.variant == "wo_word_edge"
@@ -338,11 +339,17 @@ class TestTrainPredictEval:
         assert run(["predict", "--checkpoint", str(tmp_path / "ckpt" / "best.ckpt"),
                     "--input", str(workspace / "dev.tsv"), "--out", str(out)]) == 0
         trie = build_trie(model.word_table.tokens)
+        standard = copy.copy(model)
+        standard.dims = dataclasses.replace(model.dims, variant="standard")
         want = []
+        differs = False
         for s in load_corpus(workspace / "dev.tsv").sentences:
             sent = prepare_sentence(s.chars, trie)
-            want.extend(f"{c}\t{t}" for c, t in zip(s.chars, decode_tags(model, sent)))
+            tags = decode_tags(model, sent)
+            differs |= tags != decode_tags(standard, sent)
+            want.extend(f"{c}\t{t}" for c, t in zip(s.chars, tags))
             want.append("")
+        assert differs
         assert out.read_text(encoding="utf-8").splitlines() == want
 
     def test_predict_decodes_with_the_trained_constraints(self, workspace, tmp_path):
@@ -435,6 +442,14 @@ class TestTrainPredictEval:
             assert run(["train", "--config", str(cfg)]) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "numeric failure: non-finite loss" in capsys.readouterr().err
+
+    def test_empty_training_corpus_is_data_error(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        cfg = config_with(workspace, tmp_path, f"train_file = {empty}\n")
+        assert run(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: no training sentences"]
+        assert not (tmp_path / "ckpt").exists()
 
     def test_truncated_checkpoint_header_is_data_error(
         self, workspace, checkpoint, tmp_path, capsys

@@ -1,5 +1,7 @@
 """Corpus parsing, span round trips, strict-match evaluation, statistics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -265,3 +267,16 @@ class TestAllowedTransitions:
         assert not allowed[idx["B-PER"], idx["O"]]
         assert not allowed[idx["B-PER"], stop]
         assert allowed[idx["E-PER"], stop]
+
+    @pytest.mark.parametrize("scheme", ["bio", "bmes"])
+    def test_admits_exactly_the_sequences_that_round_trip(self, scheme):
+        # oracle: a tag sequence is well formed iff rendering its spans gives it back
+        tagset = make_tagset(["A", "B"], scheme)
+        allowed = allowed_transitions(tagset, scheme)
+        start = stop = len(tagset)
+        for n in range(1, 5):
+            for seq in itertools.product(range(len(tagset)), repeat=n):
+                path = (start, *seq, stop)
+                admitted = all(allowed[a, b] for a, b in zip(path, path[1:]))
+                tags = [tagset[i] for i in seq]
+                assert admitted == (spans_to_tags(tags_to_spans(tags, scheme), n, scheme) == tags)

@@ -304,6 +304,12 @@ class TestTrainLoop:
         assert (tmp_path / "last.ckpt").exists()
         assert not (tmp_path / "best.ckpt").exists()
 
+    def test_no_training_sentences_is_an_error(self, setup, tmp_path):
+        model = tiny_model(setup, seed=2)
+        with pytest.raises(ValueError, match="no training sentences"):
+            train(model, [], tiny_config(epochs=1), checkpoint_dir=tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_same_seed_same_losses(self, setup):
         corpus, trie, _ = setup
 
