@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lexner import ModelParams, TrainConfig, build_trie, evaluate, load_corpus
+from lexner import ModelParams, TrainConfig, build_trie
 from lexner.model import decode_tags, predict_lec, prepare_corpus
 from lexner.synthetic import make_overfit_corpus
 from lexner.trainer import evaluate_model, lambda_schedule, train
@@ -17,10 +17,11 @@ print(f"synthetic corpus: {len(corpus.sentences)} sentences, "
       f"{len(lexicon)}-word lexicon")
 
 trie = build_trie(lexicon)
+ckpt_dir = Path(tempfile.mkdtemp(prefix="lexner_demo_"))
 cfg = TrainConfig(
     d_c=16, d_w=16, d_ff=64, heads=2, layers=2,
     lr=5e-3, weight_decay=0.0, embed_dropout=0.0, fusion_dropout=0.0,
-    epochs=60, batch_size=10, seed=1,
+    epochs=60, batch_size=10, seed=1, checkpoint_dir=str(ckpt_dir),
 )
 print(f"trade-off schedule: lambda(t) = max({cfg.lambda0} * {cfg.lambda1}^t, {cfg.tau})")
 print("  first epochs:", [round(lambda_schedule(t, cfg), 3) for t in range(8)], "...")
@@ -32,17 +33,15 @@ model = ModelParams.build(
 )
 sents = prepare_corpus(corpus, trie, model.tagset)
 
-ckpt_dir = Path(tempfile.mkdtemp(prefix="lexner_demo_"))
 history = train(
     model, sents, cfg,
-    dev_sents=sents, dev_corpus=corpus,  # train-set monitoring for the demo
-    checkpoint_dir=ckpt_dir,
+    dev_sents=sents,  # train-set monitoring for the demo
     log=lambda line: print(line) if int(line.split()[0].split("=")[1]) % 10 == 0 else None,
     stop_when=lambda e: e.dev_f1 == 1.0,
 )
 print(f"stopped after epoch {history[-1].epoch}; checkpoints in {ckpt_dir}")
 
-report = evaluate_model(model, sents, corpus)
+report = evaluate_model(model, sents)
 print(f"\ntrain-set strict match: P={report.precision:.3f} R={report.recall:.3f} "
       f"F1={report.f1:.3f}")
 

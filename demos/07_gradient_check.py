@@ -24,7 +24,7 @@ enc = prepare_sentence(sentence, trie, model.tagset, tags)
 print(f"probe sentence {''.join(sentence)!r}: "
       f"{[w.surface for w in enc.graph.words]} matched")
 
-report = grad_check(model, enc, lam=0.3, h=1e-5, max_entries_per_tensor=8)
+report = grad_check(model, enc, lam=0.3, max_entries_per_tensor=8)
 print(report.format())
 
 print("\nworst relative error per tensor:")

@@ -17,12 +17,16 @@ import numpy as np
 
 from . import model as model_mod
 from .autograd import Tensor, watch_relu_kinks
-from .data import SCHEMES, Corpus, evaluate
+from .data import SCHEMES, Corpus, Sentence, evaluate
 from .model import EncodedSentence, ModelParams, sentence_losses
 
 
 class NumericError(RuntimeError):
     """Non-finite loss or a failed gradient check."""
+
+
+class ReluKinkError(NumericError):
+    """A relu input too near its kink for a finite-difference probe across it."""
 
 
 @dataclass
@@ -237,10 +241,14 @@ class EpochLog:
         )
 
 
-def evaluate_model(model: ModelParams, sentences: Sequence[EncodedSentence], corpus: Corpus):
-    """Strict span evaluation of the model's decoding."""
+def evaluate_model(model: ModelParams, sentences: Sequence[EncodedSentence]):
+    """Strict span evaluation of the model's decoding against each sentence's
+    own gold tags (`EncodedSentence.tags`) under the model's tagset and scheme."""
+    if any(s.tags is None for s in sentences):
+        raise ValueError("cannot evaluate on sentences without gold tags")
+    gold = [Sentence(s.chars, [model.tagset[i] for i in s.tags]) for s in sentences]
     pred = [model_mod.decode_tags(model, s) for s in sentences]
-    return evaluate(pred, corpus)
+    return evaluate(pred, Corpus(gold, model.scheme))
 
 
 def train(
@@ -248,15 +256,14 @@ def train(
     train_sents: Sequence[EncodedSentence],
     cfg: TrainConfig,
     dev_sents: Sequence[EncodedSentence] | None = None,
-    dev_corpus: Corpus | None = None,
-    checkpoint_dir: str | Path | None = None,
     log: Callable[[str], None] | None = None,
     stop_when: Callable[[EpochLog], bool] | None = None,
 ) -> list[EpochLog]:
     """Full training loop; returns one log entry per completed epoch.
 
-    With a checkpoint directory, `last.ckpt` is written every epoch and, when
-    a dev set is given, `best.ckpt` whenever dev F1 improves.
+    With non-empty `dev_sents`, each epoch is scored on them by `evaluate_model`.
+    With `cfg.checkpoint_dir` set, `last.ckpt` is written there every epoch
+    and, with dev sentences, `best.ckpt` whenever dev F1 improves.
 
     Shuffling, dropout and parameter updates all draw from a generator seeded
     by cfg.seed, so runs with identical config and data are bit-identical.
@@ -270,8 +277,7 @@ def train(
     order = np.arange(len(train_sents))
     history: list[EpochLog] = []
     best_f1 = -1.0
-    has_dev = dev_sents is not None and dev_corpus is not None
-    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir else None
+    ckpt_dir = Path(cfg.checkpoint_dir) if cfg.checkpoint_dir else None
     if ckpt_dir:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
     for epoch in range(cfg.epochs):
@@ -285,8 +291,8 @@ def train(
             lec_sum += report.lec_loss
             batches += 1
         dev_p = dev_r = dev_f1 = 0.0
-        if has_dev:
-            dev = evaluate_model(model, dev_sents, dev_corpus)
+        if dev_sents:
+            dev = evaluate_model(model, dev_sents)
             dev_p, dev_r, dev_f1 = dev.precision, dev.recall, dev.f1
         entry = EpochLog(
             epoch, lambda_schedule(epoch, cfg), ner_sum / batches, lec_sum / batches,
@@ -297,7 +303,7 @@ def train(
             log(entry.format())
         if ckpt_dir:
             model.save(ckpt_dir / "last.ckpt")
-            if has_dev and dev_f1 > best_f1:
+            if dev_sents and dev_f1 > best_f1:
                 best_f1 = dev_f1
                 model.save(ckpt_dir / "best.ckpt")
         if stop_when and stop_when(entry):
@@ -316,22 +322,23 @@ class GradCheckEntry:
 
 @dataclass
 class GradCheckReport:
+    TOLERANCE = 1e-4
+
     max_rel_error: float
     worst: GradCheckEntry
     checked: int
-    tolerance: float
     per_tensor: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < self.TOLERANCE
 
     def format(self) -> str:
         status = "ok" if self.ok else "FAILED"
         w = self.worst
         return (
             f"gradcheck {status}: max_rel_error={self.max_rel_error:.3e} "
-            f"(tolerance {self.tolerance:.1e}, {self.checked} entries) "
+            f"(tolerance {self.TOLERANCE:.1e}, {self.checked} entries) "
             f"worst at {w.tensor}{list(w.index)}: "
             f"analytic={w.analytic:.6e} numeric={w.numeric:.6e}"
         )
@@ -341,18 +348,17 @@ def grad_check(
     model: ModelParams,
     sent: EncodedSentence,
     lam: float = 0.3,
-    h: float = 1e-5,
     max_entries_per_tensor: int = 16,
-    tolerance: float = 1e-4,
-    seed: int = 0,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
     Requires a float64 model; dropout is off. Every parameter tensor is
     checked on a deterministic subsample of at least 5 entries (all entries
     for small tensors). Relative error is |a - n| / max(1, |a|, |n|), which
-    stays meaningful for zero gradients.
+    stays meaningful for zero gradients. Raises ReluKinkError when a relu
+    input lies within 10 probe widths of its kink.
     """
+    h = 1e-5  # probe width
     if model.dtype != np.float64:
         raise NumericError("gradient check requires a float64 model")
 
@@ -360,12 +366,10 @@ def grad_check(
         l_ner, l_lec = sentence_losses(model, sent)
         return float(total_loss(l_ner, l_lec, lam).data)
 
-    # reject configurations where a relu input sits within the probe width of
-    # its kink: central differences would straddle the non-differentiable point
     with watch_relu_kinks() as margins:
         base_ner, base_lec = sentence_losses(model, sent)
     if margins and min(margins) <= 10 * h:
-        raise NumericError(
+        raise ReluKinkError(
             f"relu pre-activation within {10 * h:g} of zero; "
             "re-seed the model or pick another sentence"
         )
@@ -373,7 +377,7 @@ def grad_check(
     loss = total_loss(base_ner, base_lec, lam)
     loss.backward()
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst: GradCheckEntry | None = None
     per_tensor: dict[str, float] = {}
     checked = 0
@@ -404,4 +408,4 @@ def grad_check(
                 idx = np.unravel_index(i, p.data.shape)
                 worst = GradCheckEntry(name, tuple(int(x) for x in idx), a, numeric, err)
         per_tensor[name] = tensor_worst
-    return GradCheckReport(worst.rel_error, worst, checked, tolerance, per_tensor)
+    return GradCheckReport(worst.rel_error, worst, checked, per_tensor)

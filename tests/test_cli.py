@@ -11,7 +11,7 @@ import pytest
 
 from lexner import cli, fusion
 from lexner.cli import run
-from lexner.data import Corpus, load_corpus, spans_to_tags, tags_to_spans
+from lexner.data import Corpus, Sentence, load_corpus, spans_to_tags, tags_to_spans
 from lexner.matching import build_trie
 from lexner.model import (
     CHECKPOINT_MAGIC,
@@ -20,6 +20,7 @@ from lexner.model import (
     prepare_sentence,
 )
 from lexner.synthetic import make_overfit_corpus
+from lexner.trainer import NumericError, ReluKinkError
 from test_trainer import save_legacy
 
 TINY_CFG = """
@@ -451,6 +452,26 @@ class TestTrainPredictEval:
         assert capsys.readouterr().err.splitlines() == ["error: no training sentences"]
         assert not (tmp_path / "ckpt").exists()
 
+    def test_dev_sentence_without_gold_tags_is_data_error(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+
+        def untagged_dev(corpus, trie, tagset):
+            calls.append(corpus)
+            sents = prepare_corpus(corpus, trie, tagset)
+            return sents if len(calls) == 1 else [dataclasses.replace(s, tags=None) for s in sents]
+
+        prepare_corpus = cli.prepare_corpus
+        monkeypatch.setattr(cli, "prepare_corpus", untagged_dev)
+        cfg = config_with(workspace, tmp_path, "epochs = 1\n")
+        assert run(["train", "--config", str(cfg)]) == 2
+        assert len(calls) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot evaluate on sentences without gold tags"
+        ]
+        assert not (tmp_path / "ckpt" / "last.ckpt").exists()
+
     def test_truncated_checkpoint_header_is_data_error(
         self, workspace, checkpoint, tmp_path, capsys
     ):
@@ -507,6 +528,35 @@ class TestGradcheckCommand:
         assert m and graphs
         assert all(g.char_word.shape == (2, n * m) for g in graphs)
 
+    def test_retries_on_a_relu_kink(self, workspace, monkeypatch, capsys):
+        models = []
+
+        def kink_first(model, sent, **kwargs):
+            models.append(model)
+            if len(models) == 1:
+                raise ReluKinkError("relu pre-activation within 0.0001 of zero")
+            return cli_grad_check(model, sent, **kwargs)
+
+        cli_grad_check = cli.grad_check
+        monkeypatch.setattr(cli, "grad_check", kink_first)
+        assert run(["gradcheck", "--config", str(workspace / "tiny.cfg")]) == 0
+        assert len(models) >= 2  # re-seeded past the refused first model
+        assert "gradcheck ok" in capsys.readouterr().out
+
+    def test_other_numeric_errors_are_not_retried(self, workspace, monkeypatch, capsys):
+        models = []
+
+        def fails(model, sent, **kwargs):
+            models.append(model)
+            raise NumericError("relu kink named, but not a kink refusal")
+
+        monkeypatch.setattr(cli, "grad_check", fails)
+        assert run(["gradcheck", "--config", str(workspace / "tiny.cfg")]) == 3
+        assert len(models) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: relu kink named, but not a kink refusal"
+        ]
+
 
 class TestStats:
     def test_reports_counts(self, workspace, capsys):
@@ -515,3 +565,21 @@ class TestStats:
         out = capsys.readouterr().out
         assert "sentences 40" in out
         assert "entity_avg" in out and "rate_word_ent" in out
+
+    def test_bmes_corpus_reports_as_its_bio_form(self, workspace, tmp_path, capsys):
+        bio = load_corpus(workspace / "train.tsv")
+        bmes = Corpus(
+            [Sentence(s.chars, spans_to_tags(tags_to_spans(s.tags), len(s), "bmes"))
+             for s in bio.sentences],
+            "bmes",
+        )
+        assert any(t.startswith("E-") for s in bmes.sentences for t in s.tags)
+        write_corpus_file(tmp_path / "bmes.tsv", bmes)
+        lexicon = ["--lexicon", str(workspace / "lexicon.txt")]
+        assert run(["stats", "--corpus", str(workspace / "train.tsv")] + lexicon) == 0
+        expected = capsys.readouterr().out
+        assert run(["stats", "--corpus", str(tmp_path / "bmes.tsv"),
+                    "--scheme", "bmes"] + lexicon) == 0
+        assert capsys.readouterr().out == expected
+        assert run(["stats", "--corpus", str(tmp_path / "bmes.tsv"),
+                    "--scheme", "bmeo"] + lexicon) == 1

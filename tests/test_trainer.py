@@ -2,6 +2,7 @@
 checking, config parsing, checkpoint round trips, tape-free inference, and what
 the training tape keeps alive."""
 
+import dataclasses
 import json
 import re
 import struct
@@ -13,6 +14,7 @@ import pytest
 from lexner import crf, fusion
 from lexner import model as model_mod
 from lexner.autograd import Tensor, no_grad
+from lexner.data import Corpus, Sentence, evaluate, spans_to_tags, tags_to_spans
 from lexner.encoding import initial_states
 from lexner.matching import build_trie
 from lexner.model import (
@@ -31,6 +33,7 @@ from lexner.trainer import (
     Adam,
     NumericError,
     TrainConfig,
+    evaluate_model,
     grad_check,
     lambda_schedule,
     total_loss,
@@ -278,15 +281,11 @@ class TestGradCheck:
 class TestTrainLoop:
     def test_history_and_checkpoints(self, setup, tmp_path):
         corpus, trie, _ = setup
-        cfg = tiny_config(epochs=2, batch_size=8)
+        cfg = tiny_config(epochs=2, batch_size=8, checkpoint_dir=str(tmp_path))
         model = tiny_model(setup, seed=2)
         sents = prepare_corpus(corpus, trie, model.tagset)
         lines = []
-        history = train(
-            model, sents[:8], cfg,
-            dev_sents=sents[8:12], dev_corpus=_sub_corpus(corpus, 8, 12),
-            checkpoint_dir=tmp_path, log=lines.append,
-        )
+        history = train(model, sents[:8], cfg, dev_sents=sents[8:12], log=lines.append)
         assert len(history) == 2
         assert (tmp_path / "last.ckpt").exists()
         assert (tmp_path / "best.ckpt").exists()
@@ -299,16 +298,48 @@ class TestTrainLoop:
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=2)
         sents = prepare_corpus(corpus, trie, model.tagset)
-        train(model, sents[:8], tiny_config(epochs=2, batch_size=8),
-              dev_sents=None, checkpoint_dir=tmp_path)
+        cfg = tiny_config(epochs=2, batch_size=8, checkpoint_dir=str(tmp_path))
+        train(model, sents[:8], cfg, dev_sents=None)
         assert (tmp_path / "last.ckpt").exists()
         assert not (tmp_path / "best.ckpt").exists()
 
     def test_no_training_sentences_is_an_error(self, setup, tmp_path):
         model = tiny_model(setup, seed=2)
         with pytest.raises(ValueError, match="no training sentences"):
-            train(model, [], tiny_config(epochs=1), checkpoint_dir=tmp_path / "ckpt")
+            train(model, [], tiny_config(epochs=1, checkpoint_dir=str(tmp_path / "ckpt")))
         assert not (tmp_path / "ckpt").exists()
+
+    def test_checkpoints_go_to_the_configured_directory(self, setup, tmp_path):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=2)
+        sents = prepare_corpus(corpus, trie, model.tagset)
+        train(model, sents[:8], tiny_config(epochs=1, checkpoint_dir=str(tmp_path)))
+        saved = ModelParams.load(tmp_path / "last.ckpt")
+        assert [decode_tags(saved, s) for s in sents] == [decode_tags(model, s) for s in sents]
+
+    def test_dev_sentences_alone_select_the_best_checkpoint(self, setup, tmp_path):
+        corpus, trie, _ = setup
+        cfg = tiny_config(lr=3e-2, checkpoint_dir=str(tmp_path))
+        model = tiny_model(setup, seed=0)
+        sents = prepare_corpus(corpus, trie, model.tagset)
+        dev = sents[20:30]
+        history = train(model, sents[:20], cfg, dev_sents=dev)
+        assert (tmp_path / "best.ckpt").exists()
+        last, report = history[-1], evaluate_model(model, dev)
+        assert report.f1 > 0.0
+        assert (last.dev_precision, last.dev_recall, last.dev_f1) == (
+            report.precision, report.recall, report.f1
+        )
+
+    def test_dev_sentence_without_gold_tags_is_an_error(self, setup):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=2)
+        sents = prepare_corpus(corpus, trie, model.tagset)
+        untagged = [dataclasses.replace(sents[8], tags=None)]
+        with pytest.raises(ValueError, match="without gold tags"):
+            evaluate_model(model, untagged)
+        with pytest.raises(ValueError, match="without gold tags"):
+            train(model, sents[:8], tiny_config(epochs=1), dev_sents=untagged)
 
     def test_same_seed_same_losses(self, setup):
         corpus, trie, _ = setup
@@ -368,6 +399,29 @@ def _sub_corpus(corpus, lo, hi):
     from lexner.data import Corpus
 
     return Corpus(corpus.sentences[lo:hi], corpus.scheme)
+
+
+class TestEvaluateModel:
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("scheme", ["bio", "bmes"])
+    def test_equals_evaluate_against_the_corpus(self, setup, scheme, constrained):
+        """Gold read from the prepared sentences scores as the corpus itself does."""
+        corpus, trie, chars = setup
+        rendered = Corpus(
+            [Sentence(s.chars, spans_to_tags(tags_to_spans(s.tags), len(s), scheme))
+             for s in corpus.sentences],
+            scheme,
+        )
+        cfg = tiny_config(lr=3e-2, tag_scheme=scheme, constrained_decode=constrained)
+        model = ModelParams.build(
+            cfg.dims(), chars, trie.words, rendered.entity_types(),
+            np.random.default_rng(0), scheme=scheme,
+        )
+        sents = prepare_corpus(rendered, trie, model.tagset)
+        train(model, sents[:20], cfg)
+        report = evaluate_model(model, sents)
+        assert 0.0 < report.f1 < 1.0
+        assert report == evaluate([decode_tags(model, s) for s in sents], rendered)
 
 
 class TestTrainConfigFile:
