@@ -11,8 +11,11 @@ Every lattice step reads the edge lists :func:`graph.build_graph` made once
 per sentence: words attend by an edge softmax along ``graph.word_word``
 (characters, fully connected, use a dense kernel with the heads as one batch
 axis), and the gate, still evaluated for every (char, word) pair, is summed
-along ``graph.char_word`` both ways with :func:`segment_sum`. Every constant
-is a Python float, so a float32 model computes in float32 throughout.
+along ``graph.char_word`` both ways with :func:`segment_sum`. The gate is made
+in blocks of destination rows of at most ``_GATE_BLOCK`` elements, cut only
+between lattice segments, so no full (n, m, d) array is ever held at once and
+the results equal the unblocked gate's bit for bit. Every constant is a Python
+float, so a float32 model computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -165,11 +168,62 @@ def intra_source_attention(
     return layer_norm(h + o, params.ln_gain, params.ln_bias)
 
 
-def _gated_sum(gate: Tensor, t_dst: Tensor, t_src: Tensor, edges: np.ndarray) -> Tensor:
+# Elements in one block of the gate: a block of k destination rows makes a
+# (k, m, d) pre-activation and sigmoid. On 500-character sentences 2**17 and
+# 2**18 decoded fastest; from 2**20 up, blocks held 12-25 MB more and ran slower.
+_GATE_BLOCK = 1 << 18
+
+
+def _row_blocks(dst: np.ndarray, src: np.ndarray, n: int, m: int, rows: int):
+    """(lo, hi) ranges of destination rows that cover range(n) in order.
+
+    ``dst`` is sorted. A cut at row r is allowed only where no source node has
+    edges on both sides of r, so each source's edges, and so its gradient,
+    come from one block. Whole lattice segments are packed greedily into
+    blocks of at most ``rows`` rows; a longer segment is a block of its own.
+    """
+    if n <= rows:
+        return [(0, n)]
+    last = np.full(m, -1)
+    np.maximum.at(last, src, dst)
+    # reach[k]: the furthest row a source of the first k edges has an edge to
+    reach = np.maximum.accumulate(np.r_[-1, last[src]])
+    ends = np.arange(1, n)
+    cuts = ends[reach[np.searchsorted(dst, ends)] < ends]
+    blocks, lo, prev = [], 0, 0
+    for r in [*cuts.tolist(), n]:
+        if r - lo > rows and prev > lo:
+            blocks.append((lo, prev))
+            lo = prev
+        prev = r
+    blocks.append((lo, n))
+    return blocks
+
+
+def _gated_sum(
+    t_dst: Tensor, t_src: Tensor, w_dst: Tensor, w_src: Tensor, edges: np.ndarray
+) -> Tensor:
     """t_dst plus, for each node, its neighbors' states in t_src along ``edges``,
-    each scaled elementwise by the (dst, src) entry of the dense gate."""
-    dst, src = edges
-    return t_dst + segment_sum(gate[dst, src] * t_src[src], dst, t_dst.data.shape[0])
+    each scaled elementwise by gate sigmoid(t_dst_i @ w_dst + t_src_j @ w_src).
+
+    The gate is evaluated for every (dst, src) pair, one block of destination
+    rows at a time (:func:`_row_blocks`); each block adds its rows' sums.
+    t_dst @ w_dst, t_src @ w_src and the gathered neighbor states are made
+    once and sliced per block, so each input's gradient sums the same terms
+    in the same order as one dense block would.
+    """
+    n, d = t_dst.data.shape
+    m = t_src.data.shape[0]
+    dst, src = edges[:, np.argsort(edges[0], kind="stable")]
+    a = t_dst @ w_dst
+    b = (t_src @ w_src).reshape(1, m, d)
+    neighbors = t_src[src]
+    out = t_dst
+    for lo, hi in _row_blocks(dst, src, n, m, max(1, _GATE_BLOCK // max(m * d, 1))):
+        e = slice(*np.searchsorted(dst, [lo, hi]))
+        gate = (a[lo:hi].reshape(hi - lo, 1, d) + b).sigmoid()
+        out = out + segment_sum(gate[dst[e] - lo, src[e]] * neighbors[e], dst[e], n)
+    return out
 
 
 def inter_source_fusion(
@@ -183,18 +237,14 @@ def inter_source_fusion(
     cross-source neighbors, such as every character of a sentence without
     words, adds the empty sum. The gated states are summed along the lattice
     edges, each node's neighbors in index order, so the result equals a sum
-    over the dense (node, neighbor) grid bit for bit.
+    over the dense (node, neighbor) grid bit for bit. The gate is made in
+    blocks of destination rows that no word (for characters) or character
+    (for words) straddles; the fully connected ``fc_inter`` lattice is one
+    segment and so one block.
     """
-    n, d = t_c.data.shape
-    m = t_w.data.shape[0]
-    # alpha is held while beta is made: on 500-character sentences, releasing it first
-    # cut peak RSS by 14 MB but decoded 3-4% slower (the allocator gives the pages back
-    # and beta faults them in again: 5.7k minor faults per sentence against 3.6-4.6k)
-    alpha = ((t_c @ params.w_c1).reshape(n, 1, d) + (t_w @ params.w_c2).reshape(1, m, d)).sigmoid()
-    s_c = _gated_sum(alpha, t_c, t_w, graph.char_word)
-    beta = ((t_w @ params.w_w1).reshape(m, 1, d) + (t_c @ params.w_w2).reshape(1, n, d)).sigmoid()
+    s_c = _gated_sum(t_c, t_w, params.w_c1, params.w_c2, graph.char_word)
     # as (word, char) pairs each word's chars come in index order, so sums match a by-word list
-    s_w = _gated_sum(beta, t_w, t_c, graph.char_word[::-1])
+    s_w = _gated_sum(t_w, t_c, params.w_w1, params.w_w2, graph.char_word[::-1])
     return s_c, s_w
 
 

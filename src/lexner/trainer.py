@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import model as model_mod
-from .autograd import Tensor, watch_relu_kinks
+from .autograd import Tensor, no_grad, watch_relu_kinks
 from .data import SCHEMES, Corpus, Sentence, evaluate
 from .model import EncodedSentence, ModelParams, sentence_losses
 
@@ -241,11 +241,15 @@ class EpochLog:
         )
 
 
+def _require_gold(sentences: Sequence[EncodedSentence]) -> None:
+    if any(s.tags is None for s in sentences):
+        raise ValueError("cannot evaluate on sentences without gold tags")
+
+
 def evaluate_model(model: ModelParams, sentences: Sequence[EncodedSentence]):
     """Strict span evaluation of the model's decoding against each sentence's
     own gold tags (`EncodedSentence.tags`) under the model's tagset and scheme."""
-    if any(s.tags is None for s in sentences):
-        raise ValueError("cannot evaluate on sentences without gold tags")
+    _require_gold(sentences)
     gold = [Sentence(s.chars, [model.tagset[i] for i in s.tags]) for s in sentences]
     pred = [model_mod.decode_tags(model, s) for s in sentences]
     return evaluate(pred, Corpus(gold, model.scheme))
@@ -267,9 +271,16 @@ def train(
 
     Shuffling, dropout and parameter updates all draw from a generator seeded
     by cfg.seed, so runs with identical config and data are bit-identical.
+    Dev sentences without gold tags, or a `cfg.tag_scheme` other than the
+    model's scheme, raise a ValueError before the first step.
     """
     if not train_sents:
         raise ValueError("no training sentences")
+    if cfg.tag_scheme != model.scheme:
+        raise ValueError(
+            f"config tag scheme {cfg.tag_scheme!r} differs from the model's scheme {model.scheme!r}"
+        )
+    _require_gold(dev_sents or ())
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(
         model.parameters(), cfg.lr, weight_decay=cfg.weight_decay
@@ -363,8 +374,10 @@ def grad_check(
         raise NumericError("gradient check requires a float64 model")
 
     def loss_value() -> float:
-        l_ner, l_lec = sentence_losses(model, sent)
-        return float(total_loss(l_ner, l_lec, lam).data)
+        # a probe reads the loss only: the same arithmetic without a tape
+        with no_grad():
+            l_ner, l_lec = sentence_losses(model, sent)
+            return float(total_loss(l_ner, l_lec, lam).data)
 
     with watch_relu_kinks() as margins:
         base_ner, base_lec = sentence_losses(model, sent)

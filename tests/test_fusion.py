@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lexner import fusion
 from lexner.autograd import Tensor, layer_norm, masked_softmax
 from lexner.fusion import (
     FusionLayerParams,
@@ -363,32 +364,106 @@ class TestInterSourceFusion:
     @pytest.mark.parametrize("variant", ["standard", "wo_word_edge", "fc_inter"])
     def test_bit_equal_to_the_dense_gate(self, dtype, variant):
         """Outputs and every input gradient equal the dense formula's bytes."""
-        rng = np.random.default_rng(60)
-        n, d = 30, 8
-        heads = rng.integers(0, n - 8, 12)
-        # characters n-5.. lie in no word, so standard rows there have no edges
-        words = [
-            MatchedWord(j, "w", int(h), int(h + rng.integers(0, 4))) for j, h in enumerate(heads)
-        ]
-        graph = graph_variant(build_graph(n, words), variant)
-        c = rng.standard_normal((n, d)).astype(dtype)
-        w = rng.standard_normal((len(words), d)).astype(dtype)
-        weights = [rng.standard_normal(shape).astype(dtype) for shape in (c.shape, w.shape)]
-
-        def run(gate):
-            p = make_params(d, 16, 2, seed=61, dtype=dtype)
-            t_c, t_w = Tensor(c.copy()), Tensor(w.copy())
-            s_c, s_w = gate(t_c, t_w, graph, p)
-            ((s_c * weights[0]).sum() + (s_w * weights[1]).sum()).backward()
-            gate_params = (p.w_c1, p.w_c2, p.w_w1, p.w_w2)
-            return [s_c.data, s_w.data, t_c.grad, t_w.grad] + [t.grad for t in gate_params]
-
-        got, want = run(inter_source_fusion), run(ref_dense_gating)
+        graph, c, got, want = run_against_the_dense_gate(dtype, variant)
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.dtype == b.dtype == dtype, k
             assert a.tobytes() == b.tobytes(), k
         if variant == "standard":
+            n = graph.n
             np.testing.assert_array_equal(got[0][n - 5 :], c[n - 5 :])
+
+    @pytest.mark.parametrize("budget", [8, 64, 200])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", ["standard", "wo_word_edge", "fc_inter"])
+    def test_row_blocks_bit_equal_to_the_dense_gate(self, monkeypatch, dtype, variant, budget):
+        """A budget of a few rows cuts the gate into many blocks, and some lattice
+        segments are longer than one block may be: every output and input
+        gradient still equals the dense formula's bytes."""
+        monkeypatch.setattr(fusion, "_GATE_BLOCK", budget)
+        blocks = []
+        sigmoid = Tensor.sigmoid
+
+        def recording_sigmoid(x):
+            blocks.append(x.data.shape)
+            return sigmoid(x)
+
+        monkeypatch.setattr(Tensor, "sigmoid", recording_sigmoid)
+        graph, _, got, want = run_against_the_dense_gate(dtype, variant)
+        gated = blocks[: len(blocks) - 2]  # the dense reference makes the last two
+        n, m = graph.n, graph.m
+        if variant == "fc_inter":
+            # one lattice segment: one dense block each way, whatever the budget
+            assert gated == [(n, m, 8), (m, n, 8)]
+        else:
+            assert len(gated) > 4
+            # some segment is longer than the rows the budget allows: a block of its own
+            assert any(k > max(1, budget // (cols * d)) for k, cols, d in gated)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype == dtype, k
+            assert a.tobytes() == b.tobytes(), k
+
+    @pytest.mark.parametrize("budget", [1, 100, 1 << 18])
+    def test_row_blocks_tile_the_pair_grid_once(self, monkeypatch, budget):
+        """Each direction's sigmoid inputs, in call order, are the rows of its
+        dense pre-activation grid, each row once."""
+        monkeypatch.setattr(fusion, "_GATE_BLOCK", budget)
+        rng = np.random.default_rng(62)
+        words = HALL_WORDS + [MatchedWord(3, "dd", 9, 10), MatchedWord(4, "e", 15, 15)]
+        graph = build_graph(20, words)
+        n, m, d = graph.n, graph.m, 6
+        p = make_params(d, 8, 2, seed=63)
+        t_c, t_w = Tensor(rng.standard_normal((n, d))), Tensor(rng.standard_normal((m, d)))
+        inputs, directions = [], []
+        sigmoid, gated_sum = Tensor.sigmoid, fusion._gated_sum
+
+        def recording_sigmoid(x):
+            inputs.append(x.data)
+            return sigmoid(x)
+
+        def recording_gated_sum(*args):
+            start = len(inputs)
+            out = gated_sum(*args)
+            directions.append(inputs[start:])
+            return out
+
+        monkeypatch.setattr(Tensor, "sigmoid", recording_sigmoid)
+        monkeypatch.setattr(fusion, "_gated_sum", recording_gated_sum)
+        inter_source_fusion(t_c, t_w, graph, p)
+        grids = [
+            (t_c @ p.w_c1).data.reshape(n, 1, d) + (t_w @ p.w_c2).data.reshape(1, m, d),
+            (t_w @ p.w_w1).data.reshape(m, 1, d) + (t_c @ p.w_w2).data.reshape(1, n, d),
+        ]
+        assert len(directions) == 2
+        for grid, blocks in zip(grids, directions):
+            assert (len(blocks) == 1) if budget == 1 << 18 else (len(blocks) > 2)
+            assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
+
+def run_against_the_dense_gate(dtype, variant):
+    """(graph, char states, blocked, dense): the outputs, input gradients and
+    gate-weight gradients of inter_source_fusion and of the dense formula on
+    one seeded lattice."""
+    rng = np.random.default_rng(60)
+    n, d = 30, 8
+    heads = rng.integers(0, n - 8, 12)
+    # characters n-5.. lie in no word, so standard rows there have no edges
+    words = [
+        MatchedWord(j, "w", int(h), int(h + rng.integers(0, 4))) for j, h in enumerate(heads)
+    ]
+    graph = graph_variant(build_graph(n, words), variant)
+    c = rng.standard_normal((n, d)).astype(dtype)
+    w = rng.standard_normal((len(words), d)).astype(dtype)
+    weights = [rng.standard_normal(shape).astype(dtype) for shape in (c.shape, w.shape)]
+
+    def run(gate):
+        p = make_params(d, 16, 2, seed=61, dtype=dtype)
+        t_c, t_w = Tensor(c.copy()), Tensor(w.copy())
+        s_c, s_w = gate(t_c, t_w, graph, p)
+        ((s_c * weights[0]).sum() + (s_w * weights[1]).sum()).backward()
+        gate_params = (p.w_c1, p.w_c2, p.w_w1, p.w_w2)
+        return [s_c.data, s_w.data, t_c.grad, t_w.grad] + [t.grad for t in gate_params]
+
+    return graph, c, run(inter_source_fusion), run(ref_dense_gating)
 
 
 class TestFusionLayer:

@@ -11,8 +11,9 @@ import weakref
 import numpy as np
 import pytest
 
-from lexner import crf, fusion
+from lexner import autograd, crf, fusion
 from lexner import model as model_mod
+from lexner import trainer as trainer_mod
 from lexner.autograd import Tensor, no_grad
 from lexner.data import Corpus, Sentence, evaluate, spans_to_tags, tags_to_spans
 from lexner.encoding import initial_states
@@ -267,6 +268,25 @@ class TestGradCheck:
         total_loss(l_ner, l_lec, 0.0).backward()
         np.testing.assert_array_equal(model.lec_weight.grad, 0.0)
 
+    def test_probe_forwards_record_no_tape(self, setup, monkeypatch):
+        """The analytic pass records a tape; every finite-difference probe runs
+        under no_grad, so the probes build no tape that nothing reads."""
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=0, dtype=np.float64)
+        sent = corpus.sentences[0]
+        enc = prepare_sentence(sent.chars, trie, model.tagset, sent.tags)
+        recording = []
+        losses = trainer_mod.sentence_losses
+
+        def recording_losses(*args, **kwargs):
+            recording.append(autograd._grad_enabled)
+            return losses(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "sentence_losses", recording_losses)
+        report = grad_check(model, enc, lam=0.3, max_entries_per_tensor=5)
+        assert report.ok, report.format()
+        assert recording == [True] + [False] * (2 * report.checked)
+
     def test_detects_a_wrong_gradient(self, setup):
         corpus, trie, _ = setup
         model = tiny_model(setup, dtype=np.float64)
@@ -331,15 +351,41 @@ class TestTrainLoop:
             report.precision, report.recall, report.f1
         )
 
-    def test_dev_sentence_without_gold_tags_is_an_error(self, setup):
+    def test_dev_sentence_without_gold_tags_is_an_error(self, setup, tmp_path):
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=2)
         sents = prepare_corpus(corpus, trie, model.tagset)
-        untagged = [dataclasses.replace(sents[8], tags=None)]
+        untagged = [sents[9], dataclasses.replace(sents[8], tags=None)]
         with pytest.raises(ValueError, match="without gold tags"):
             evaluate_model(model, untagged)
+        before = {k: t.data.copy() for k, t in model.parameters().items()}
+        cfg = tiny_config(epochs=1, checkpoint_dir=str(tmp_path / "ckpt"))
         with pytest.raises(ValueError, match="without gold tags"):
-            train(model, sents[:8], tiny_config(epochs=1), dev_sents=untagged)
+            train(model, sents[:8], cfg, dev_sents=untagged)
+        # refused before the first step: no update, no checkpoint directory
+        after = model.parameters()
+        assert all(after[k].data.tobytes() == v.tobytes() for k, v in before.items())
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_config_scheme_must_match_the_model(self, setup, tmp_path):
+        corpus, trie, chars = setup
+        bmes = Corpus(
+            [Sentence(s.chars, spans_to_tags(tags_to_spans(s.tags), len(s), "bmes"))
+             for s in corpus.sentences],
+            "bmes",
+        )
+        model = ModelParams.build(
+            ModelDims(**TINY), chars, trie.words, bmes.entity_types(),
+            np.random.default_rng(2), scheme="bmes",
+        )
+        sents = prepare_corpus(bmes, trie, model.tagset)
+        before = {k: t.data.copy() for k, t in model.parameters().items()}
+        cfg = tiny_config(epochs=1, tag_scheme="bio", checkpoint_dir=str(tmp_path / "ckpt"))
+        with pytest.raises(ValueError, match="'bio'.*'bmes'"):
+            train(model, sents[:8], cfg)
+        after = model.parameters()
+        assert all(after[k].data.tobytes() == v.tobytes() for k, v in before.items())
+        assert not (tmp_path / "ckpt").exists()
 
     def test_same_seed_same_losses(self, setup):
         corpus, trie, _ = setup
@@ -890,38 +936,63 @@ class TestTapeFreeInference:
 
 
 class TestTrainingTape:
-    def test_gate_pre_activations_die_and_gate_outputs_live_until_backward(
-        self, setup, monkeypatch
-    ):
+    @staticmethod
+    def gate_blocks(setup, monkeypatch):
+        """(n, m, d) of the longest sentence, its two losses, and per _gated_sum
+        call the (input shape, input ref, output ref) of each gate sigmoid it made."""
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=4)
         s = max(corpus.sentences, key=len)
         sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
-        calls, gates = [], []  # (input shape, input ref, output ref) of each sigmoid
-        sigmoid, fuse = Tensor.sigmoid, fusion.inter_source_fusion
+        calls, gates = [], []
+        sigmoid, gated_sum = Tensor.sigmoid, fusion._gated_sum
 
         def recording_sigmoid(self):
             out = sigmoid(self)
             calls.append((self.data.shape, weakref.ref(self.data), weakref.ref(out.data)))
             return out
 
-        def recording_fusion(*args, **kwargs):
+        def recording_gated_sum(*args, **kwargs):
             start = len(calls)
-            out = fuse(*args, **kwargs)
-            gates.extend(calls[start:])
+            out = gated_sum(*args, **kwargs)
+            gates.append(calls[start:])
             return out
 
         monkeypatch.setattr(Tensor, "sigmoid", recording_sigmoid)
-        monkeypatch.setattr(fusion, "inter_source_fusion", recording_fusion)
-        l_ner, l_lec = sentence_losses(model, sent)
+        monkeypatch.setattr(fusion, "_gated_sum", recording_gated_sum)
+        losses = sentence_losses(model, sent)
         n, m, d = len(sent.chars), len(sent.graph.words), model.dims.d_c
-        pre_shapes, pre_refs, gate_refs = zip(*gates)
-        assert m and list(pre_shapes) == [(n, m, d), (m, n, d)] * model.dims.layers
-        # no VJP reads a dense pre-activation; the sigmoid VJP reads its output
+        assert m and len(gates) == 2 * model.dims.layers
+        return (n, m, d), losses, gates
+
+    @staticmethod
+    def assert_outputs_live_until_backward(losses, gates):
+        _, pre_refs, gate_refs = zip(*(call for blocks in gates for call in blocks))
+        # no VJP reads a pre-activation block; the sigmoid VJP reads its output
         assert all(ref() is None for ref in pre_refs)
         assert all(ref() is not None for ref in gate_refs)
-        (l_ner + l_lec).backward()
+        (losses[0] + losses[1]).backward()
         assert all(ref() is None for ref in gate_refs)
+
+    def test_gate_pre_activations_die_and_gate_outputs_live_until_backward(
+        self, setup, monkeypatch
+    ):
+        (n, m, d), losses, gates = self.gate_blocks(setup, monkeypatch)
+        # the default budget holds a whole sentence's gate: one dense block each way
+        shapes = [[shape for shape, *_ in blocks] for blocks in gates]
+        assert shapes == [[(n, m, d)], [(m, n, d)]] * (len(gates) // 2)
+        self.assert_outputs_live_until_backward(losses, gates)
+
+    def test_gate_row_blocks_cover_each_direction_and_live_until_backward(
+        self, setup, monkeypatch
+    ):
+        monkeypatch.setattr(fusion, "_GATE_BLOCK", 1 << 8)
+        (n, m, d), losses, gates = self.gate_blocks(setup, monkeypatch)
+        for blocks, (rows, cols) in zip(gates, [(n, m), (m, n)] * (len(gates) // 2)):
+            assert len(blocks) > 1
+            assert sum(shape[0] for shape, *_ in blocks) == rows
+            assert {shape[1:] for shape, *_ in blocks} == {(cols, d)}
+        self.assert_outputs_live_until_backward(losses, gates)
 
 
 class TestModelDtype:
