@@ -27,7 +27,7 @@ print(f"\ncharacter states: {h_c.shape} = embedding + absolute position")
 # the same surface at two different spans encodes differently
 word_table = EmbeddingTable.random(["人民"], dim=8, rng=rng)
 proj = WordProjection.init(d_w=8, d_c=8, rng=rng)
-occurrences = [MatchedWord(0, "人民", 2, 3), MatchedWord(1, "人民", 7, 8)]
+occurrences = [MatchedWord("人民", 2, 3), MatchedWord("人民", 7, 8)]
 h_w = word_states(occurrences, word_table, proj)
 print(f"word states: {h_w.shape}, projected to the character dimension")
 gap = np.abs(h_w.data[0] - h_w.data[1]).max()

@@ -6,7 +6,6 @@ import numpy as np
 from lexner.autograd import Tensor
 from lexner.fusion import (
     FusionLayerParams,
-    encode,
     fusion_layer,
     inter_source_fusion,
     intra_source_attention,
@@ -18,9 +17,9 @@ rng = np.random.default_rng(1)
 d_c, heads = 8, 2
 
 words = [
-    MatchedWord(0, "北京人", 0, 2),
-    MatchedWord(1, "人民", 2, 3),
-    MatchedWord(2, "人民大会堂", 2, 6),
+    MatchedWord("北京人", 0, 2),
+    MatchedWord("人民", 2, 3),
+    MatchedWord("人民大会堂", 2, 6),
 ]
 graph = build_graph(7, words)
 params = FusionLayerParams.init(d_c, d_ff=32, heads=heads, rng=rng)
@@ -53,5 +52,7 @@ one_c, one_w = fusion_layer(h_c, h_w, graph, params, heads)
 print(f"\nafter one layer: H_c {one_c.shape}, H_w {one_w.shape}")
 
 layers = [FusionLayerParams.init(d_c, 32, heads, rng) for _ in range(3)]
-out_c, out_w = encode(graph, h_c, h_w, layers, heads)
+out_c, out_w = h_c, h_w
+for layer in layers:
+    out_c, out_w = fusion_layer(out_c, out_w, graph, layer, heads)
 print(f"after a 3-layer stack: H_c {out_c.shape}, finite: {np.isfinite(out_c.data).all()}")

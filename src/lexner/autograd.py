@@ -34,9 +34,9 @@ __all__ = [
     "glorot",
     "layer_norm",
     "logsumexp",
-    "masked_softmax",
     "no_grad",
     "segment_sum",
+    "softmax",
     "watch_relu_kinks",
 ]
 
@@ -402,18 +402,10 @@ def segment_sum(x: Tensor, segments: np.ndarray, n: int) -> Tensor:
     return Tensor(_scatter_rows(x.data, segments, n), (x,), (lambda g: g[segments],))
 
 
-def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:
-    """Softmax with hard exclusion of masked entries.
-
-    Entries where mask == 0 get weight exactly 0; each row must keep at least
-    one admissible entry. ``mask=None`` admits every entry. Non-finite scores
-    give non-finite weights, for the loss check to report. Backward uses the
-    standard softmax Jacobian, which is exactly zero at excluded entries.
-    """
-    if mask is not None and not (mask > 0).any(axis=axis).all():
-        raise ValueError("mask has a row with no admissible entries")
-    s = scores.data if mask is None else np.where(mask > 0, scores.data, -np.inf)
-    y = s - np.max(s, axis=axis, keepdims=True)
+def softmax(scores: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``. Non-finite scores give non-finite weights, for the
+    loss check to report."""
+    y = scores.data - np.max(scores.data, axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
 

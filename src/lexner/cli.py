@@ -21,7 +21,8 @@ from .data import (
     corpus_stats,
     evaluate,
     load_corpus,
-    make_tagset,
+    spans_to_tags,
+    tags_to_spans,
 )
 from .encoding import EmbeddingTable
 from .graph import GRAPH_VARIANTS, graph_variant, serialize_graph
@@ -147,8 +148,7 @@ def _cmd_train(args) -> int:
     char_table = _load_embeddings(cfg.char_emb_file, char_vocab, cfg.d_c, rng, np.float32)
     word_table = _load_embeddings(cfg.word_emb_file, trie.words, cfg.d_w, rng, np.float32)
     model = ModelParams.build(
-        cfg.dims(), char_vocab, trie.words, sorted(types), rng,
-        scheme=cfg.tag_scheme, dtype=np.float32,
+        cfg.dims(), char_vocab, trie.words, sorted(types), rng, dtype=np.float32,
         char_table=char_table, word_table=word_table,
     )
     train_sents = prepare_corpus(corpus, trie, model.tagset)
@@ -198,23 +198,25 @@ def _cmd_predict(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = TrainConfig.from_file(args.config, overrides={"seed": args.seed})
+    dims = cfg.dims()
     corpus, lexicon = make_overfit_corpus(seed=13)
-    trie = build_trie(lexicon, cfg.max_word_len)
-    tagset = make_tagset(corpus.entity_types(), corpus.scheme)
-    # pick a sentence with a healthy word set
+    trie = build_trie(lexicon, dims.max_word_len)
+    # pick a sentence with a healthy word set; its gold tags in the model's scheme
     sent_src = max(corpus.sentences, key=lambda s: len(match_sentence(trie, s.chars)[0]))
-    sent = prepare_sentence(sent_src.chars, trie, tagset, sent_src.tags)
+    spans = tags_to_spans(sent_src.tags, corpus.scheme)
+    gold = spans_to_tags(spans, len(sent_src), dims.tag_scheme)
     report = None
     for attempt in range(8):  # re-seed if a relu input sits on its kink
         rng = np.random.default_rng(cfg.seed + attempt)
         model = ModelParams.build(
-            cfg.dims(),
+            dims,
             sorted({c for s in corpus.sentences for c in s.chars}),
             trie.words,
             corpus.entity_types(),
             rng,
             dtype=np.float64,
         )
+        sent = prepare_sentence(sent_src.chars, trie, model.tagset, gold, dims.tag_scheme)
         try:
             report = grad_check(model, sent, lam=0.3)
             break

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, dropout, glorot, layer_norm, masked_softmax, segment_sum
+from .autograd import Tensor, dropout, glorot, layer_norm, segment_sum, softmax
 from .graph import LatticeGraph
 
 
@@ -145,7 +145,7 @@ def intra_source_attention(
     if edges is None:
         # heads as a batch axis: q and v as (heads, n, d_z), k as (heads, d_z, n)
         q, v = (x.reshape(n, heads, d_z).transpose(1, 0, 2) for x in (q, v))
-        att = masked_softmax((q @ k.reshape(n, heads, d_z).transpose(1, 2, 0)) * scale, None)
+        att = softmax((q @ k.reshape(n, heads, d_z).transpose(1, 2, 0)) * scale)
         if weights_out is not None:
             weights_out.extend(att.data)
         o = (att @ v).transpose(1, 0, 2).reshape(n, d)
@@ -271,19 +271,4 @@ def fusion_layer(
     s_c, s_w = inter_source_fusion(t_c, t_w, graph, params)
     h_c = _ffn_block(s_c, params.char_ffn, dropout_rate, rng)
     h_w = _ffn_block(s_w, params.word_ffn, dropout_rate, rng)
-    return h_c, h_w
-
-
-def encode(
-    graph: LatticeGraph,
-    h_c: Tensor,
-    h_w: Tensor,
-    layers: list[FusionLayerParams],
-    heads: int,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Run the stacked fusion layers; returns the final (H_c, H_w)."""
-    for params in layers:
-        h_c, h_w = fusion_layer(h_c, h_w, graph, params, heads, dropout_rate, rng)
     return h_c, h_w

@@ -71,7 +71,6 @@ class MatchedWord:
     [head..tail] equals ``surface``.
     """
 
-    word_id: int
     surface: str
     head: int
     tail: int
@@ -121,7 +120,7 @@ def match_sentence(
     """Find every lexicon word occurring in the sentence.
 
     Returns the full word set as a list of :class:`MatchedWord` sorted by
-    (head, tail) -- word_id is the index into that list -- and the
+    (head, tail) -- a word's id is its index in that list -- and the
     per-character word subset index: for character i, the sorted ids of all
     words whose span contains i. The same surface at different positions
     yields distinct matched words.
@@ -139,11 +138,11 @@ def match_sentence(
                 break
             if node.word_id is not None:
                 surface = "".join(sentence[head : tail + 1])
-                words.append(MatchedWord(len(words), surface, head, tail))
+                words.append(MatchedWord(surface, head, tail))
     subsets: list[list[int]] = [[] for _ in range(n)]
-    for w in words:
+    for j, w in enumerate(words):
         for i in range(w.head, w.tail + 1):
-            subsets[i].append(w.word_id)
+            subsets[i].append(j)
     return words, subsets
 
 

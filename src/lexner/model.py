@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import crf, fusion
 from .autograd import Tensor, dropout, glorot, logsumexp, no_grad
-from .data import Corpus, allowed_transitions, make_tagset, tags_to_spans
+from .data import SCHEMES, Corpus, allowed_transitions, make_tagset, tags_to_spans
 from .encoding import EmbeddingTable, WordProjection, initial_states
 from .graph import GRAPH_VARIANTS, LatticeGraph, build_graph, graph_variant
 from .matching import LexiconTrie, label_lec, match_sentence
@@ -42,6 +43,7 @@ class ModelDims:
     variant: str = "standard"  # the lattice edges the model is trained and decoded on
     max_word_len: int = 0  # longest lexicon word matched; 0 means no cap
     constrained_decode: bool = False  # Viterbi admits only well-formed tag sequences
+    tag_scheme: str = "bio"  # with the entity types, fixes the tagset; a key of data.SCHEMES
 
     def __post_init__(self) -> None:
         for name, least in (
@@ -59,6 +61,10 @@ class ModelDims:
             raise ValueError(
                 f"unknown graph variant {self.variant!r}; expected one of {GRAPH_VARIANTS}"
             )
+        if self.tag_scheme not in SCHEMES:
+            raise ValueError(
+                f"unknown tag scheme {self.tag_scheme!r}; expected one of {tuple(SCHEMES)}"
+            )
 
 
 class ModelParams:
@@ -75,7 +81,6 @@ class ModelParams:
         lec_weight: Tensor,
         lec_bias: Tensor,
         tagset: list[str],
-        scheme: str,
     ):
         self.dims = dims
         self.char_table = char_table
@@ -86,7 +91,6 @@ class ModelParams:
         self.lec_weight = lec_weight
         self.lec_bias = lec_bias
         self.tagset = tagset
-        self.scheme = scheme
 
     @property
     def dtype(self):
@@ -100,12 +104,11 @@ class ModelParams:
         word_vocab: Sequence[str],
         entity_types: Sequence[str],
         rng: np.random.Generator,
-        scheme: str = "bio",
         dtype=np.float32,
         char_table: EmbeddingTable | None = None,
         word_table: EmbeddingTable | None = None,
     ) -> "ModelParams":
-        tagset = make_tagset(entity_types, scheme)
+        tagset = make_tagset(entity_types, dims.tag_scheme)
         if char_table is None:
             char_table = EmbeddingTable.random(char_vocab, dims.d_c, rng, dtype=dtype)
         if word_table is None:
@@ -120,7 +123,7 @@ class ModelParams:
         lec_bias = Tensor(np.zeros(3, dtype=dtype))
         return cls(
             dims, char_table, word_table, projection, layers, crf_params,
-            lec_weight, lec_bias, tagset, scheme,
+            lec_weight, lec_bias, tagset,
         )
 
     def parameters(self) -> dict[str, Tensor]:
@@ -147,12 +150,14 @@ class ModelParams:
         manifest = [
             {"name": name, "shape": list(t.data.shape)} for name, t in params.items()
         ]
+        dims = asdict(self.dims)
+        scheme = dims.pop("tag_scheme")
         header = {
-            "dims": asdict(self.dims),
+            "dims": dims,
             "char_vocab": self.char_table.tokens,
             "word_vocab": self.word_table.tokens,
             "tagset": self.tagset,
-            "scheme": self.scheme,
+            "scheme": scheme,
             "tensors": manifest,
         }
         blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
@@ -175,12 +180,13 @@ class ModelParams:
                     f"{path}: header length is truncated: expected 8 bytes, found {len(raw)}"
                 )
             (hlen,) = struct.unpack("<Q", raw)
-            blob = fh.read(hlen)
-            if len(blob) != hlen:
+            # checked before reading: a huge declared length would be allocated up front
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if hlen > left:
                 raise ValueError(
-                    f"{path}: header is truncated: expected {hlen} bytes, found {len(blob)}"
+                    f"{path}: header is truncated: expected {hlen} bytes, found {left}"
                 )
-            header = json.loads(blob.decode("utf-8"))
+            header = json.loads(fh.read(hlen).decode("utf-8"))
             if not isinstance(header, dict):
                 raise ValueError(f"{path}: header is not a JSON object")
             missing = [key for key in HEADER_TYPES if key not in header]
@@ -197,7 +203,8 @@ class ModelParams:
                     raise ValueError(f"{path}: header field {key} must hold strings only")
             saved = dict(header["dims"])
             saved.pop("max_sentence_len", None)  # legacy: positions have no cap
-            defaults = {f.name: f.default for f in fields(ModelDims)}
+            # the scheme is the header's "scheme", never a dims field
+            defaults = {f.name: f.default for f in fields(ModelDims) if f.name != "tag_scheme"}
             defaults["multiplicative_mask"] = False  # legacy: only false loads
             unknown = sorted(set(saved) - set(defaults))
             if unknown:
@@ -211,12 +218,14 @@ class ModelParams:
                     )
             if saved.pop("multiplicative_mask", False):
                 raise ValueError(f"{path}: multiplicative_mask is true; that ablation was removed")
+            saved["tag_scheme"] = header["scheme"]
             try:
                 dims = ModelDims(**saved)
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
             for k, entry in enumerate(header["tensors"]):
-                if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
+                if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                        and isinstance(entry.get("shape"), list)):
                     raise ValueError(f"{path}: tensor entry {k} needs a name and a shape")
             entity_types = sorted(
                 {t.partition("-")[2] for t in header["tagset"] if t != "O"}
@@ -227,10 +236,13 @@ class ModelParams:
                 header["word_vocab"],
                 entity_types,
                 np.random.default_rng(0),
-                scheme=header["scheme"],
                 dtype=dtype,
             )
-            model.tagset = header["tagset"]
+            if header["tagset"] != model.tagset:
+                raise ValueError(
+                    f"{path}: header tagset {header['tagset']} is not the "
+                    f"{dims.tag_scheme} tagset of its types, {model.tagset}"
+                )
             params = model.parameters()
             names = Counter(entry["name"] for entry in header["tensors"])
             expected = Counter(params.keys())
@@ -336,13 +348,16 @@ def forward_states(
     The layers run on ``graph_variant(sent.graph, model.dims.variant)``, so
     training, decoding and gradient checks all see the model's own lattice.
     """
-    graph = graph_variant(sent.graph, model.dims.variant)
+    dims = model.dims
+    graph = graph_variant(sent.graph, dims.variant)
     h_c, h_w = initial_states(
         sent.chars, graph.words, model.char_table, model.word_table, model.projection
     )
     h_c = dropout(h_c, embed_dropout, rng)
     h_w = dropout(h_w, embed_dropout, rng)
-    return fusion.encode(graph, h_c, h_w, model.layers, model.dims.heads, fusion_dropout, rng)
+    for params in model.layers:
+        h_c, h_w = fusion.fusion_layer(h_c, h_w, graph, params, dims.heads, fusion_dropout, rng)
+    return h_c, h_w
 
 
 def lec_loss(h_w: Tensor, model: ModelParams, gold_properties: np.ndarray) -> Tensor:
@@ -380,9 +395,9 @@ def decode_tags(model: ModelParams, sent: EncodedSentence) -> list[str]:
     with no_grad():
         h_c, _ = forward_states(model, sent)
         emissions = crf.emission_scores(h_c, model.crf)
-    allowed = (
-        allowed_transitions(model.tagset, model.scheme) if model.dims.constrained_decode else None
-    )
+    allowed = None
+    if model.dims.constrained_decode:
+        allowed = allowed_transitions(model.tagset, model.dims.tag_scheme)
     ids = crf.viterbi_decode(emissions.data, model.crf.transitions.data, allowed)
     return [model.tagset[i] for i in ids]
 

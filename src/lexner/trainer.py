@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as model_mod
 from .autograd import Tensor, no_grad, watch_relu_kinks
-from .data import SCHEMES, Corpus, Sentence, evaluate
+from .data import Corpus, Sentence, evaluate
 from .model import EncodedSentence, ModelParams, sentence_losses
 
 
@@ -46,7 +46,6 @@ class TrainConfig(model_mod.ModelDims):
     # regularization
     embed_dropout: float = 0.5
     fusion_dropout: float = 0.3
-    tag_scheme: str = "bio"
     # paths (optional; CLI fills them from the config file)
     train_file: str = ""
     dev_file: str = ""
@@ -72,8 +71,6 @@ class TrainConfig(model_mod.ModelDims):
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not self.weight_decay >= 0.0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.tag_scheme not in SCHEMES:
-            raise ValueError(f"unknown tag scheme {self.tag_scheme!r}")
 
     def dims(self) -> model_mod.ModelDims:
         """The ModelDims fields alone, as a model and its checkpoint hold them."""
@@ -252,7 +249,7 @@ def evaluate_model(model: ModelParams, sentences: Sequence[EncodedSentence]):
     _require_gold(sentences)
     gold = [Sentence(s.chars, [model.tagset[i] for i in s.tags]) for s in sentences]
     pred = [model_mod.decode_tags(model, s) for s in sentences]
-    return evaluate(pred, Corpus(gold, model.scheme))
+    return evaluate(pred, Corpus(gold, model.dims.tag_scheme))
 
 
 def train(
@@ -271,15 +268,20 @@ def train(
 
     Shuffling, dropout and parameter updates all draw from a generator seeded
     by cfg.seed, so runs with identical config and data are bit-identical.
-    Dev sentences without gold tags, or a `cfg.tag_scheme` other than the
-    model's scheme, raise a ValueError before the first step.
+    Dev sentences without gold tags, or model settings in `cfg` (its
+    ModelDims fields) other than the model's own, raise a ValueError before
+    the first step.
     """
     if not train_sents:
         raise ValueError("no training sentences")
-    if cfg.tag_scheme != model.scheme:
-        raise ValueError(
-            f"config tag scheme {cfg.tag_scheme!r} differs from the model's scheme {model.scheme!r}"
-        )
+    settings = cfg.dims()
+    differ = [
+        f"{f.name} {getattr(settings, f.name)!r} != {getattr(model.dims, f.name)!r}"
+        for f in fields(settings)
+        if getattr(settings, f.name) != getattr(model.dims, f.name)
+    ]
+    if differ:
+        raise ValueError(f"config settings differ from the model's: {', '.join(differ)}")
     _require_gold(dev_sents or ())
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(

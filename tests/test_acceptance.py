@@ -137,7 +137,7 @@ def test_mask_property():
             h = int(rng.integers(0, n - 1))
             t = min(n - 1, h + int(rng.integers(1, 4)))
             spans.append((h, t))
-        words = [MatchedWord(j, "w" * (t - h + 1), h, t) for j, (h, t) in enumerate(spans)]
+        words = [MatchedWord("w" * (t - h + 1), h, t) for h, t in spans]
         graph = build_graph(n, words)
         params = FusionLayerParams.init(8, 16, 2, rng)
         h_w = Tensor(rng.standard_normal((len(words), 8)))

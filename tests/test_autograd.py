@@ -14,9 +14,9 @@ from lexner.autograd import (
     dropout,
     layer_norm,
     logsumexp,
-    masked_softmax,
     no_grad,
     segment_sum,
+    softmax,
 )
 
 
@@ -36,6 +36,20 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         tuple(tensors),
         tuple(make_vjp(k) for k in range(len(tensors))),
     )
+
+
+def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:
+    """Softmax with hard exclusion of masked entries: a reference for test oracles.
+
+    Entries where mask == 0 get the score -inf, so weight exactly 0 and, by the
+    softmax Jacobian, gradient exactly 0; each row must keep at least one
+    admissible entry. ``mask=None`` admits every entry: lexner's own softmax.
+    """
+    if mask is None:
+        return softmax(scores, axis)
+    if not (mask > 0).any(axis=axis).all():
+        raise ValueError("mask has a row with no admissible entries")
+    return softmax(scores + np.where(mask > 0, 0.0, -np.inf).astype(scores.data.dtype), axis)
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -441,7 +455,7 @@ class TestNoGrad:
         x = Tensor(np.arange(6.0).reshape(2, 3))
         with no_grad():
             y = (x * 2.0 + x).sigmoid().sum(axis=1)
-            z = masked_softmax(x @ x.T, None)
+            z = softmax(x @ x.T)
         for t in (y, z):
             assert t._node.parents == () and t._node.vjps == ()
         np.testing.assert_array_equal(y.data, (x * 2.0 + x).sigmoid().sum(axis=1).data)

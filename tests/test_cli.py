@@ -302,8 +302,11 @@ class TestTrainPredictEval:
          (lambda h: h.update(dims=[]), "header field dims must be dict, found list"),
          (lambda h: h["dims"].update(multiplicative_mask=True),
           "multiplicative_mask is true; that ablation was removed"),
-         (lambda h: h["dims"].update(variant="no_edges"), "unknown graph variant 'no_edges'")],
-        ids=["zero-heads", "zero-d_c", "tensors", "dims", "multiplicative-mask", "variant"],
+         (lambda h: h["dims"].update(variant="no_edges"), "unknown graph variant 'no_edges'"),
+         (lambda h: h.update(scheme="bmeo"), "unknown tag scheme 'bmeo'"),
+         (lambda h: h["tagset"].reverse(), "header tagset ['I-PER', 'B-PER',")],
+        ids=["zero-heads", "zero-d_c", "tensors", "dims", "multiplicative-mask", "variant",
+             "scheme", "permuted-tagset"],
     )
     def test_checkpoint_header_out_of_range_is_data_error(
         self, workspace, checkpoint, tmp_path, capsys, edit, message
@@ -321,6 +324,7 @@ class TestTrainPredictEval:
         ("batch_size = 0", "batch_size must be at least 1, got 0"),
         ("embed_dropout = 1.0", "embed_dropout must lie in [0, 1), got 1.0"),
         ("max_word_len = -3", "max_word_len must be at least 0, found -3"),
+        ("tag_scheme = bmeo", "unknown tag scheme 'bmeo'"),
     ])
     def test_train_config_out_of_range_is_data_error(
         self, workspace, tmp_path, capsys, line, message
@@ -481,6 +485,21 @@ class TestTrainPredictEval:
                     "--input", str(workspace / "dev.tsv")]) == 2
         assert "cut.ckpt: header length is truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hlen", [2**64 - 1, 2**45])
+    def test_checkpoint_header_length_past_the_end_is_data_error(
+        self, workspace, checkpoint, tmp_path, capsys, hlen
+    ):
+        raw = checkpoint.read_bytes()
+        start = len(CHECKPOINT_MAGIC)
+        ckpt = tmp_path / "long.ckpt"
+        ckpt.write_bytes(raw[:start] + struct.pack("<Q", hlen) + raw[start + 8 :])
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: header is truncated: "
+            f"expected {hlen} bytes, found {len(raw) - start - 8}"
+        ]
+
     def test_eval_bmes_files(self, tmp_path, capsys):
         gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
         gold.write_text("北\tB-LOC\n京\tE-LOC\n很\tO\n大\tS-LOC\n\n", encoding="utf-8")
@@ -527,6 +546,24 @@ class TestGradcheckCommand:
         n, m = len(sent.chars), sent.graph.m
         assert m and graphs
         assert all(g.char_word.shape == (2, n * m) for g in graphs)
+
+    def test_checks_the_configured_tag_scheme(self, workspace, tmp_path, monkeypatch):
+        probed = []
+
+        def spy(model, sent, **kwargs):
+            probed.append((model, sent))
+            return cli_grad_check(model, sent, **kwargs)
+
+        cli_grad_check = cli.grad_check
+        monkeypatch.setattr(cli, "grad_check", spy)
+        cfg = config_with(workspace, tmp_path, "tag_scheme = bmes\n")
+        assert run(["gradcheck", "--config", str(cfg)]) == 0
+        model, sent = probed[-1]
+        assert model.dims.tag_scheme == "bmes"
+        # the probe's gold tags are ids into the model's own BMES tagset
+        tags = [model.tagset[i] for i in sent.tags]
+        spans = tags_to_spans(tags, "bmes")
+        assert spans and spans_to_tags(spans, len(tags), "bmes") == tags
 
     def test_retries_on_a_relu_kink(self, workspace, monkeypatch, capsys):
         models = []

@@ -176,7 +176,7 @@ class TestEncodeChar:
 
 
 class TestEncodeWord:
-    WORD = MatchedWord(0, "ab", 1, 2)
+    WORD = MatchedWord("ab", 1, 2)
 
     def test_zero_position_mixer_leaves_embedding(self):
         rng = np.random.default_rng(3)
@@ -197,7 +197,7 @@ class TestEncodeWord:
         d_w, d_c = 4, 6
         table = EmbeddingTable.random(["ab", "abc"], d_w, rng)
         proj = WordProjection.init(d_w, d_c, rng)
-        words = [MatchedWord(0, "ab", 1, 2), MatchedWord(1, "abc", 0, 2)]
+        words = [MatchedWord("ab", 1, 2), MatchedWord("abc", 0, 2)]
         got = word_states(words, table, proj).data
 
         def ref(word):
@@ -218,8 +218,8 @@ class TestEncodeWord:
         proj = WordProjection.init(4, 4, rng)
         spans = [(0, 1), (3, 4), (0, 1)]
         a, b, c = (
-            word_states([MatchedWord(j, "ab", h, t)], table, proj).data[0]
-            for j, (h, t) in enumerate(spans)
+            word_states([MatchedWord("ab", h, t)], table, proj).data[0]
+            for h, t in spans
         )
         assert not np.allclose(a, b)
         np.testing.assert_array_equal(a, c)
@@ -239,7 +239,7 @@ class TestInitialStates:
         char_table = EmbeddingTable.random(list("abc"), 6, rng, dtype=dtype)
         word_table = EmbeddingTable.random(["ab"], 4, rng, dtype=dtype)
         proj = WordProjection.init(4, 6, rng, dtype=dtype)
-        words = [MatchedWord(0, "ab", 0, 1), MatchedWord(1, "ab", 1, 2)]
+        words = [MatchedWord("ab", 0, 1), MatchedWord("ab", 1, 2)]
         h_c, h_w = initial_states(list("abc"), words, char_table, word_table, proj)
         assert h_c.data.dtype == dtype and h_w.data.dtype == dtype
         assert h_c.data.shape == (3, 6) and h_w.data.shape == (2, 6)

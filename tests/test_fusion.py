@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from lexner import fusion
-from lexner.autograd import Tensor, layer_norm, masked_softmax
+from lexner.autograd import Tensor, layer_norm
+from lexner.encoding import initial_states
 from lexner.fusion import (
     FusionLayerParams,
-    encode,
     fusion_layer,
     inter_source_fusion,
     intra_source_attention,
 )
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
-from test_autograd import check_op, concat
+from lexner.model import EncodedSentence, ModelDims, ModelParams, forward_states
+from test_autograd import check_op, concat, masked_softmax
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):
@@ -122,9 +123,9 @@ def ref_ffn(x, p):
 
 
 HALL_WORDS = [
-    MatchedWord(0, "aaa", 0, 2),
-    MatchedWord(1, "bb", 2, 3),
-    MatchedWord(2, "ccccc", 2, 6),
+    MatchedWord("aaa", 0, 2),
+    MatchedWord("bb", 2, 3),
+    MatchedWord("ccccc", 2, 6),
 ]
 
 
@@ -264,8 +265,8 @@ class TestEdgeAttention:
         rng = np.random.default_rng(70)
         n, d = 24, 8
         words = [
-            MatchedWord(j, "w", int(h), min(n - 1, int(h + rng.integers(1, 4))))
-            for j, h in enumerate(rng.integers(0, n - 1, 10))
+            MatchedWord("w", int(h), min(n - 1, int(h + rng.integers(1, 4))))
+            for h in rng.integers(0, n - 1, 10)
         ]
         graph = graph_variant(build_graph(n, words), variant)
         mask = {
@@ -290,7 +291,7 @@ class TestEdgeAttention:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=str(k))
 
     def test_gradient(self):
-        graph = build_graph(7, HALL_WORDS + [MatchedWord(3, "d", 5, 6)])
+        graph = build_graph(7, HALL_WORDS + [MatchedWord("d", 5, 6)])
         p = make_params(8, 16, 4, seed=72)
         check_op(lambda ts: intra_source_attention(ts[0], graph.word_word, p.word_att, 4), [(4, 8)])
 
@@ -310,7 +311,7 @@ class TestEdgeAttention:
 
 class TestInterSourceFusion:
     def test_characters_without_words_pass_through(self):
-        graph = build_graph(5, [MatchedWord(0, "ab", 0, 1)])
+        graph = build_graph(5, [MatchedWord("ab", 0, 1)])
         p = make_params(6, 8, 2, seed=15)
         rng = np.random.default_rng(16)
         t_c = Tensor(rng.standard_normal((5, 6)))
@@ -333,7 +334,7 @@ class TestInterSourceFusion:
         assert dense_c.data.tobytes() == t_c.data.tobytes() and dense_w.data.shape == (0, 6)
 
     def test_zero_gates_give_half_weight(self):
-        graph = build_graph(3, [MatchedWord(0, "ab", 0, 1), MatchedWord(1, "bc", 1, 2)])
+        graph = build_graph(3, [MatchedWord("ab", 0, 1), MatchedWord("bc", 1, 2)])
         p = make_params(4, 8, 2, seed=18)
         p.w_c1.data[:] = 0.0
         p.w_c2.data[:] = 0.0
@@ -408,7 +409,7 @@ class TestInterSourceFusion:
         dense pre-activation grid, each row once."""
         monkeypatch.setattr(fusion, "_GATE_BLOCK", budget)
         rng = np.random.default_rng(62)
-        words = HALL_WORDS + [MatchedWord(3, "dd", 9, 10), MatchedWord(4, "e", 15, 15)]
+        words = HALL_WORDS + [MatchedWord("dd", 9, 10), MatchedWord("e", 15, 15)]
         graph = build_graph(20, words)
         n, m, d = graph.n, graph.m, 6
         p = make_params(d, 8, 2, seed=63)
@@ -447,9 +448,7 @@ def run_against_the_dense_gate(dtype, variant):
     n, d = 30, 8
     heads = rng.integers(0, n - 8, 12)
     # characters n-5.. lie in no word, so standard rows there have no edges
-    words = [
-        MatchedWord(j, "w", int(h), int(h + rng.integers(0, 4))) for j, h in enumerate(heads)
-    ]
+    words = [MatchedWord("w", int(h), int(h + rng.integers(0, 4))) for h in heads]
     graph = graph_variant(build_graph(n, words), variant)
     c = rng.standard_normal((n, d)).astype(dtype)
     w = rng.standard_normal((len(words), d)).astype(dtype)
@@ -466,13 +465,28 @@ def run_against_the_dense_gate(dtype, variant):
     return graph, c, run(inter_source_fusion), run(ref_dense_gating)
 
 
+def hall_model(layers):
+    """A float64 model with `layers` fusion layers over the HALL_WORDS lattice,
+    and that 7-character sentence: the stack as `model.forward_states` runs it."""
+    chars = list("abcdefg")
+    dims = ModelDims(d_c=8, d_w=8, d_ff=16, heads=2, layers=layers)
+    model = ModelParams.build(
+        dims, chars, [w.surface for w in HALL_WORDS], ["T"], np.random.default_rng(27),
+        dtype=np.float64,
+    )
+    sent = EncodedSentence(chars, build_graph(7, HALL_WORDS))
+    h_c, h_w = initial_states(
+        chars, HALL_WORDS, model.char_table, model.word_table, model.projection
+    )
+    return model, sent, h_c, h_w
+
+
 class TestFusionLayer:
     def test_empty_stack_is_identity(self):
-        graph = build_graph(3, [])
-        h_c = Tensor(np.random.default_rng(22).standard_normal((3, 4)))
-        h_w = Tensor(np.zeros((0, 4)))
-        out_c, out_w = encode(graph, h_c, h_w, [], heads=2)
-        assert out_c is h_c and out_w is h_w
+        model, sent, h_c, h_w = hall_model(layers=0)
+        out_c, out_w = forward_states(model, sent)
+        assert out_c.data.tobytes() == h_c.data.tobytes()
+        assert out_w.data.tobytes() == h_w.data.tobytes()
 
     def test_zero_word_sentence_reduces_to_char_self_attention(self):
         graph = build_graph(4, [])
@@ -499,14 +513,10 @@ class TestFusionLayer:
         np.testing.assert_allclose(out_w.data, ref_ffn(s_w, p.word_ffn), atol=1e-9)
 
     def test_stacking_composes(self):
-        graph = build_graph(7, HALL_WORDS)
-        layers = [make_params(8, 16, 2, seed=s) for s in (27, 28)]
-        rng = np.random.default_rng(29)
-        h_c = Tensor(rng.standard_normal((7, 8)))
-        h_w = Tensor(rng.standard_normal((3, 8)))
-        once = fusion_layer(h_c, h_w, graph, layers[0], heads=2)
-        twice_c, twice_w = fusion_layer(*once, graph, layers[1], heads=2)
-        enc_c, enc_w = encode(graph, h_c, h_w, layers, heads=2)
+        model, sent, h_c, h_w = hall_model(layers=2)
+        once = fusion_layer(h_c, h_w, sent.graph, model.layers[0], heads=2)
+        twice_c, twice_w = fusion_layer(*once, sent.graph, model.layers[1], heads=2)
+        enc_c, enc_w = forward_states(model, sent)
         np.testing.assert_array_equal(enc_c.data, twice_c.data)
         np.testing.assert_array_equal(enc_w.data, twice_w.data)
 
@@ -516,9 +526,10 @@ class TestFusionLayer:
         layers = [make_params(8, 16, 2, seed=31 + s) for s in range(4)]
         h_c = Tensor(rng.uniform(-1, 1, size=(7, 8)))
         h_w = Tensor(rng.uniform(-1, 1, size=(3, 8)))
-        enc_c, enc_w = encode(graph, h_c, h_w, layers, heads=2)
-        assert np.all(np.isfinite(enc_c.data))
-        assert np.all(np.isfinite(enc_w.data))
+        for p in layers:
+            h_c, h_w = fusion_layer(h_c, h_w, graph, p, heads=2)
+        assert np.all(np.isfinite(h_c.data))
+        assert np.all(np.isfinite(h_w.data))
 
     def test_word_order_equivariance(self):
         """Permuting word nodes permutes word outputs and fixes char outputs."""

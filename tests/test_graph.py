@@ -9,15 +9,15 @@ from lexner.matching import MatchedWord
 
 def words_from_spans(spans):
     return [
-        MatchedWord(j, "w" * (t - h + 1), h, t) for j, (h, t) in enumerate(spans)
+        MatchedWord("w" * (t - h + 1), h, t) for h, t in spans
     ]
 
 
 # the three overlapping words attached to the shared character at index 2
 HALL_WORDS = [
-    MatchedWord(0, "北京人", 0, 2),
-    MatchedWord(1, "人民", 2, 3),
-    MatchedWord(2, "人民大会堂", 2, 6),
+    MatchedWord("北京人", 0, 2),
+    MatchedWord("人民", 2, 3),
+    MatchedWord("人民大会堂", 2, 6),
 ]
 
 
@@ -77,7 +77,7 @@ class TestBuildGraph:
 
     def test_out_of_range_span_rejected(self):
         with pytest.raises(ValueError):
-            build_graph(3, [MatchedWord(0, "xyz", 1, 3)])
+            build_graph(3, [MatchedWord("xyz", 1, 3)])
         with pytest.raises(ValueError):
             build_graph(0, [])
 
@@ -129,7 +129,7 @@ def test_serialize_graph_lists_nodes_and_edges():
 
 @pytest.mark.parametrize("variant", GRAPH_VARIANTS)
 def test_serialize_graph_pins_every_variant(variant):
-    words = HALL_WORDS + [MatchedWord(3, "堂", 6, 6)]
+    words = HALL_WORDS + [MatchedWord("堂", 6, 6)]
     text = serialize_graph(graph_variant(build_graph(8, words), variant))
     header = ["n 8", "m 4", "word 0 0 2 北京人", "word 1 2 3 人民", "word 2 2 6 人民大会堂",
               "word 3 6 6 堂"]

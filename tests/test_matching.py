@@ -103,8 +103,7 @@ class TestMatchSentence:
             words, subsets = match_sentence(trie, sentence)
             got = {(w.surface, w.head, w.tail) for w in words}
             assert got == naive_matches(lexicon, sentence)
-            # sorted by (head, tail), ids positional
-            assert [w.word_id for w in words] == list(range(len(words)))
+            # sorted by (head, tail)
             assert [(w.head, w.tail) for w in words] == sorted(
                 (w.head, w.tail) for w in words
             )
@@ -130,7 +129,7 @@ class TestMatchSentence:
     def test_repeated_occurrences_are_distinct_words(self):
         words, _ = match_sentence(build_trie(["ab"]), "abab")
         assert [(w.head, w.tail) for w in words] == [(0, 1), (2, 3)]
-        assert words[0].word_id != words[1].word_id
+        assert words[0] != words[1]
 
     def test_surface_equals_slice(self):
         words, _ = match_sentence(build_trie(HALL_LEXICON), HALL_SENTENCE)
@@ -142,22 +141,22 @@ class TestLabelLec:
     GOLD = [(2, 6, "ORG")]
 
     def test_exact_span_is_match(self):
-        words = [MatchedWord(0, "人民大会堂", 2, 6)]
+        words = [MatchedWord("人民大会堂", 2, 6)]
         assert label_lec(words, self.GOLD) == [MATCH]
 
     def test_contained_span_is_cover(self):
-        words = [MatchedWord(0, "人民", 2, 3)]
+        words = [MatchedWord("人民", 2, 3)]
         assert label_lec(words, self.GOLD) == [COVER]
 
     def test_outside_and_crossing_are_disturb(self):
         words = [
-            MatchedWord(0, "公众", 14, 15),  # entirely outside
-            MatchedWord(1, "北京人", 0, 2),  # crosses the gold head boundary
+            MatchedWord("公众", 14, 15),  # entirely outside
+            MatchedWord("北京人", 0, 2),  # crosses the gold head boundary
         ]
         assert label_lec(words, self.GOLD) == [DISTURB, DISTURB]
 
     def test_word_containing_an_entity_is_disturb(self):
-        words = [MatchedWord(0, "大人民大会堂", 1, 6)]
+        words = [MatchedWord("大人民大会堂", 1, 6)]
         assert label_lec(words, self.GOLD) == [DISTURB]
 
     def test_each_word_gets_exactly_one_label(self):
@@ -173,10 +172,10 @@ class TestLabelLec:
                     spans.append((h, t, "T"))
                 pos = t + 2
             words = []
-            for wid in range(int(rng.integers(1, 8))):
+            for _ in range(int(rng.integers(1, 8))):
                 h = int(rng.integers(0, n - 1))
                 t = min(n - 1, h + int(rng.integers(1, 4)))
-                words.append(MatchedWord(wid, "x" * (t - h + 1), h, t))
+                words.append(MatchedWord("x" * (t - h + 1), h, t))
             labels = label_lec(words, spans)
             assert len(labels) == len(words)
             assert all(lab in (MATCH, COVER, DISTURB) for lab in labels)

@@ -7,6 +7,7 @@ import json
 import re
 import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from lexner.trainer import (
 )
 
 TINY = dict(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -375,14 +377,32 @@ class TestTrainLoop:
             "bmes",
         )
         model = ModelParams.build(
-            ModelDims(**TINY), chars, trie.words, bmes.entity_types(),
-            np.random.default_rng(2), scheme="bmes",
+            ModelDims(**TINY, tag_scheme="bmes"), chars, trie.words, bmes.entity_types(),
+            np.random.default_rng(2),
         )
         sents = prepare_corpus(bmes, trie, model.tagset)
         before = {k: t.data.copy() for k, t in model.parameters().items()}
         cfg = tiny_config(epochs=1, tag_scheme="bio", checkpoint_dir=str(tmp_path / "ckpt"))
-        with pytest.raises(ValueError, match="'bio'.*'bmes'"):
+        with pytest.raises(ValueError, match="tag_scheme 'bio' != 'bmes'"):
             train(model, sents[:8], cfg)
+        after = model.parameters()
+        assert all(after[k].data.tobytes() == v.tobytes() for k, v in before.items())
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_config_variant_must_match_the_model(self, setup, tmp_path):
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=2)
+        sents = prepare_corpus(corpus, trie, model.tagset)[:8]
+        before = {k: t.data.copy() for k, t in model.parameters().items()}
+        cfg = tiny_config(
+            epochs=1, variant="fc_inter", constrained_decode=True,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        with pytest.raises(
+            ValueError,
+            match="variant 'fc_inter' != 'standard', constrained_decode True != False$",
+        ):
+            train(model, sents, cfg)
         after = model.parameters()
         assert all(after[k].data.tobytes() == v.tobytes() for k, v in before.items())
         assert not (tmp_path / "ckpt").exists()
@@ -460,8 +480,7 @@ class TestEvaluateModel:
         )
         cfg = tiny_config(lr=3e-2, tag_scheme=scheme, constrained_decode=constrained)
         model = ModelParams.build(
-            cfg.dims(), chars, trie.words, rendered.entity_types(),
-            np.random.default_rng(0), scheme=scheme,
+            cfg.dims(), chars, trie.words, rendered.entity_types(), np.random.default_rng(0)
         )
         sents = prepare_corpus(rendered, trie, model.tagset)
         train(model, sents[:20], cfg)
@@ -534,6 +553,15 @@ class TestTrainConfigFile:
     def test_config_variant_reaches_the_model_dims(self):
         assert tiny_config(variant="fc_inter").dims().variant == "fc_inter"
 
+    def test_unknown_tag_scheme_rejected(self, tmp_path):
+        path = tmp_path / "t.cfg"
+        path.write_text("tag_scheme = bmeo\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown tag scheme 'bmeo'"):
+            TrainConfig.from_file(path)
+
+    def test_config_tag_scheme_reaches_the_model_dims(self):
+        assert tiny_config(tag_scheme="bmes").dims().tag_scheme == "bmes"
+
     def test_config_decode_settings_reach_the_model_dims(self):
         dims = tiny_config(max_word_len=4, constrained_decode=True).dims()
         assert dims.max_word_len == 4 and dims.constrained_decode is True
@@ -600,12 +628,61 @@ class TestCheckpoint:
         model.save(path)
         loaded = ModelParams.load(path)
         assert loaded.tagset == model.tagset
-        assert loaded.scheme == model.scheme
+        assert loaded.dims == model.dims
         assert loaded.char_table.tokens == model.char_table.tokens
         assert loaded.word_table.tokens == model.word_table.tokens
         src, dst = model.parameters(), loaded.parameters()
         for name in src:
             np.testing.assert_array_equal(src[name].data, dst[name].data, err_msg=name)
+
+    @pytest.mark.parametrize("scheme", ["bio", "bmes"])
+    def test_golden_checkpoint_loads_and_saves_byte_identically(self, tmp_path, scheme):
+        """tests/data/tiny_{bio,bmes}.ckpt were written by an earlier lexner (d_c=8, one
+        layer, random CRF transitions; the BMES one with wo_word_edge, max_word_len=3 and
+        constrained decoding). Every checkpoint ever written must load unchanged."""
+        golden = DATA / f"tiny_{scheme}.ckpt"
+        model = ModelParams.load(golden)
+        assert model.dims.tag_scheme == scheme
+        assert model.dims.constrained_decode is (scheme == "bmes")
+        assert model.tagset == read_header(golden)[0]["tagset"]
+        model.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == golden.read_bytes()
+
+    def test_scheme_is_the_header_scheme_and_not_a_dims_field(self, setup, tmp_path):
+        corpus, trie, chars = setup
+        dims = ModelDims(**TINY, tag_scheme="bmes")
+        model = ModelParams.build(
+            dims, chars, trie.words, corpus.entity_types(), np.random.default_rng(3)
+        )
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        header = read_header(path)[0]
+        assert header["scheme"] == "bmes" and "tag_scheme" not in header["dims"]
+        assert ModelParams.load(path).dims == dims
+        rewrite_header(path, lambda h: h["dims"].update(tag_scheme="bmes"))
+        with pytest.raises(ValueError, match=r"m\.ckpt: unknown dims field\(s\) tag_scheme"):
+            ModelParams.load(path)
+
+    def test_unknown_header_scheme_names_the_file(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: h.update(scheme="bmeo"))
+        with pytest.raises(ValueError, match=r"m\.ckpt: unknown tag scheme 'bmeo'"):
+            ModelParams.load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda t: t.reverse(), lambda t: t.pop(), lambda t: t.append("B-XYZ")],
+        ids=["permuted", "short", "long"],
+    )
+    def test_header_tagset_other_than_its_schemes_rejected(self, setup, tmp_path, edit):
+        """The tagset is rebuilt from the scheme and the types; a header that
+        lists it otherwise would permute the decoded labels."""
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        rewrite_header(path, lambda h: edit(h["tagset"]))
+        with pytest.raises(ValueError, match=r"m\.ckpt: header tagset \[.*\] is not the bio"):
+            ModelParams.load(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -780,8 +857,13 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda t: t[2].pop("name"), lambda t: t[2].pop("shape"), lambda t: t.insert(2, "x")],
-        ids=["no-name", "no-shape", "not-an-object"],
+        [lambda t: t[2].pop("name"), lambda t: t[2].pop("shape"), lambda t: t.insert(2, "x"),
+         lambda t: t[2].update(name=[1]), lambda t: t[2].update(shape="ab"),
+         lambda t: t[2].update(shape=5),
+         # refused before the unknown str name beside it is sorted with it
+         lambda t: (t[2].update(name=7), t[3].update(name="no.such"))],
+        ids=["no-name", "no-shape", "not-an-object", "list-name", "str-shape", "int-shape",
+             "int-name"],
     )
     def test_malformed_tensor_entry_rejected(self, setup, tmp_path, edit):
         path = tmp_path / "m.ckpt"
@@ -792,7 +874,7 @@ class TestCheckpoint:
         ):
             ModelParams.load(path)
 
-    @pytest.mark.parametrize("shape", ["ab", 5, [3, 8]])
+    @pytest.mark.parametrize("shape", [[3, 8], [8]])
     def test_tensor_entry_with_a_wrong_shape_rejected(self, setup, tmp_path, shape):
         path = tmp_path / "m.ckpt"
         tiny_model(setup, seed=3).save(path)
@@ -838,6 +920,20 @@ class TestCheckpoint:
         ):
             ModelParams.load(path)
 
+    @pytest.mark.parametrize("hlen", [2**64 - 1, 2**45])
+    def test_header_length_past_the_end_of_the_file_rejected(self, setup, tmp_path, hlen):
+        """Refused before any read: the length is never allocated."""
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        raw = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC)
+        path.write_bytes(raw[:start] + struct.pack("<Q", hlen) + raw[start + 8 :])
+        left = len(raw) - start - 8
+        with pytest.raises(
+            ValueError, match=rf"m\.ckpt: header is truncated: expected {hlen} bytes, found {left}$"
+        ):
+            ModelParams.load(path)
+
     def test_header_shorter_than_declared_rejected(self, setup, tmp_path):
         path = tmp_path / "m.ckpt"
         tiny_model(setup, seed=3).save(path)
@@ -869,7 +965,8 @@ class TestDefaultDims:
          ("d_c", 0, "d_c must be at least 1, found 0"),
          ("d_w", -4, "d_w must be at least 1, found -4"),
          ("d_ff", -8, "d_ff must be at least 0, found -8"),
-         ("layers", -1, "layers must be at least 0, found -1")],
+         ("layers", -1, "layers must be at least 0, found -1"),
+         ("tag_scheme", "bmeo", r"unknown tag scheme 'bmeo'; expected one of \('bio', 'bmes'\)")],
     )
     def test_out_of_range_dims_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
