@@ -30,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "concat",
     "dropout",
     "glorot",
     "layer_norm",
@@ -416,12 +417,35 @@ def softmax(scores: Tensor, axis: int = -1) -> Tensor:
     return Tensor(y, (scores,), (vjp,))
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    a = x.data
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """The tensors joined along ``axis``; each one's VJP is its slice of g.
+
+    A single tensor is returned as it is: tensors are never written in place.
+    """
+    if len(tensors) == 1:
+        return tensors[0]
+    datas = [t.data for t in tensors]
+    ends = np.cumsum([d.shape[axis] for d in datas]).tolist()
+    lead = (slice(None),) * (axis % datas[0].ndim)
+
+    def part(lo: int, hi: int):
+        return lambda g: g[(*lead, slice(lo, hi))]
+
+    vjps = tuple(part(lo, hi) for lo, hi in zip([0, *ends], ends))
+    return Tensor(np.concatenate(datas, axis=axis), tuple(tensors), vjps)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log sum exp(a), e, z) along ``axis``, keepdims: exp(a - max) is e and its sum z,
+    so e / z are the softmax weights the VJP scales g by."""
     m = np.max(a, axis=axis, keepdims=True)
     e = np.exp(a - m)
     z = e.sum(axis=axis, keepdims=True)
-    out = np.log(z) + m
+    return np.log(z) + m, e, z
+
+
+def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
+    out, e, z = _logsumexp(x.data, axis)
     if not keepdims:
         out = np.squeeze(out, axis=axis)
 

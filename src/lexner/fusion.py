@@ -11,9 +11,10 @@ Every lattice step reads the edge lists :func:`graph.build_graph` made once
 per sentence: words attend by an edge softmax along ``graph.word_word``
 (characters, fully connected, use a dense kernel with the heads as one batch
 axis), and the gate, still evaluated for every (char, word) pair, is summed
-along ``graph.char_word`` both ways with :func:`segment_sum`. The gate is made
-in blocks of destination rows of at most ``_GATE_BLOCK`` elements, cut only
-between lattice segments, so no full (n, m, d) array is ever held at once and
+along ``graph.char_word`` both ways, with one :func:`segment_sum` per
+direction. The gate is made in blocks of destination rows of at most
+``_GATE_BLOCK`` elements, cut only between lattice segments; each block keeps
+only its edges' gate rows, so no full (n, m, d) array is ever held at once and
 the results equal the unblocked gate's bit for bit. Every constant is a Python
 float, so a float32 model computes in float32 throughout.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, dropout, glorot, layer_norm, segment_sum, softmax
+from .autograd import Tensor, concat, dropout, glorot, layer_norm, segment_sum, softmax
 from .graph import LatticeGraph
 
 
@@ -207,23 +208,24 @@ def _gated_sum(
     each scaled elementwise by gate sigmoid(t_dst_i @ w_dst + t_src_j @ w_src).
 
     The gate is evaluated for every (dst, src) pair, one block of destination
-    rows at a time (:func:`_row_blocks`); each block adds its rows' sums.
-    t_dst @ w_dst, t_src @ w_src and the gathered neighbor states are made
-    once and sliced per block, so each input's gradient sums the same terms
-    in the same order as one dense block would.
+    rows at a time (:func:`_row_blocks`), and each block keeps only its
+    edges' gate rows. The blocks follow the edges' destination order, so the
+    rows joined by :func:`concat` are the edges' gates in edge order: one
+    product with the gathered neighbor states and one segment sum then give
+    every node its addends in the same order as one dense block would, and
+    each input's gradient sums the same terms in the same order too.
     """
     n, d = t_dst.data.shape
     m = t_src.data.shape[0]
     dst, src = edges[:, np.argsort(edges[0], kind="stable")]
     a = t_dst @ w_dst
     b = (t_src @ w_src).reshape(1, m, d)
-    neighbors = t_src[src]
-    out = t_dst
+    gates = []
     for lo, hi in _row_blocks(dst, src, n, m, max(1, _GATE_BLOCK // max(m * d, 1))):
         e = slice(*np.searchsorted(dst, [lo, hi]))
-        gate = (a[lo:hi].reshape(hi - lo, 1, d) + b).sigmoid()
-        out = out + segment_sum(gate[dst[e] - lo, src[e]] * neighbors[e], dst[e], n)
-    return out
+        # one expression: without a tape the block's sigmoid output dies here, before the next
+        gates.append((a[lo:hi].reshape(hi - lo, 1, d) + b).sigmoid()[dst[e] - lo, src[e]])
+    return t_dst + segment_sum(concat(gates) * t_src[src], dst, n)
 
 
 def inter_source_fusion(
@@ -240,7 +242,8 @@ def inter_source_fusion(
     over the dense (node, neighbor) grid bit for bit. The gate is made in
     blocks of destination rows that no word (for characters) or character
     (for words) straddles; the fully connected ``fc_inter`` lattice is one
-    segment and so one block.
+    segment and so one block. The blocks' edge gates are joined, so each
+    direction makes one product and one segment sum.
     """
     s_c = _gated_sum(t_c, t_w, params.w_c1, params.w_c2, graph.char_word)
     # as (word, char) pairs each word's chars come in index order, so sums match a by-word list

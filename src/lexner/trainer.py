@@ -80,7 +80,8 @@ class TrainConfig(model_mod.ModelDims):
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "TrainConfig":
-        """Parse a `key = value` config file; '#' starts a comment."""
+        """Parse a `key = value` config file; '#' starts a comment. Every error,
+        a value out of range included, starts with the file's path."""
         values: dict = {}
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -101,7 +102,10 @@ class TrainConfig(model_mod.ModelDims):
                 kwargs[key] = _convert(known[key], value)
             except ValueError as exc:
                 raise ValueError(f"{path}: {key}: {exc}") from None
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _convert(annotation: str, value):

@@ -11,6 +11,7 @@ from lexner.autograd import (
     _scatter_rows,
     _sigmoid,
     _sigmoid_vjp,
+    concat,
     dropout,
     layer_norm,
     logsumexp,
@@ -18,24 +19,6 @@ from lexner.autograd import (
     segment_sum,
     softmax,
 )
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Tape op joining tensors along an axis: a reference for test oracles."""
-    datas = [t.data for t in tensors]
-    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
-
-    def make_vjp(k: int):
-        sl = [slice(None)] * datas[k].ndim
-        sl[axis] = slice(offsets[k], offsets[k + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    return Tensor(
-        np.concatenate(datas, axis=axis),
-        tuple(tensors),
-        tuple(make_vjp(k) for k in range(len(tensors))),
-    )
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:
@@ -50,6 +33,17 @@ def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> T
     if not (mask > 0).any(axis=axis).all():
         raise ValueError("mask has a row with no admissible entries")
     return softmax(scores + np.where(mask > 0, 0.0, -np.inf).astype(scores.data.dtype), axis)
+
+
+def tape_nodes(t: Tensor) -> int:
+    """Nodes reachable from t's node, t's own included."""
+    seen, stack = set(), [t._node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -174,6 +168,32 @@ class TestIndexingAndShape:
     def test_concat(self):
         check_op(lambda ts: concat([ts[0], ts[1]], axis=1), [(3, 2), (3, 4)])
         check_op(lambda ts: concat([ts[0], ts[1], ts[0]], axis=0), [(2, 3), (1, 3)])
+
+    def test_concat_with_a_zero_row_part(self):
+        check_op(lambda ts: concat([ts[0], ts[1], ts[2]]), [(2, 3), (0, 3), (4, 3)])
+        check_op(lambda ts: concat([ts[1], ts[0]], axis=-1), [(3, 2), (3, 0)])
+        parts = [Tensor(np.ones((0, 3))), Tensor(np.ones((2, 3)))]
+        (concat(parts) * 2.0).sum().backward()
+        assert parts[0].grad.shape == (0, 3)
+        np.testing.assert_array_equal(parts[1].grad, np.full((2, 3), 2.0))
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat_vjp_hands_each_part_its_slice(self, axis):
+        rng = np.random.default_rng(55)
+        shapes = [(2, 3, 4), (2, 3, 4), (2, 3, 4)]
+        parts = [Tensor(rng.standard_normal(s).astype(np.float32)) for s in shapes]
+        out = concat(parts, axis=axis)
+        np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis))
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        g.reshape(-1)[::3] = -0.0
+        for part, vjp, want in zip(parts, out._node.vjps, np.split(g, 3, axis=axis)):
+            got = vjp(g)
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, g)  # a view: nothing is copied
+
+    def test_concat_of_one_tensor_is_that_tensor(self):
+        x = Tensor(np.ones((2, 3)))
+        assert concat([x]) is x
 
 
 def ref_segment_sum(x, segments, n):

@@ -334,6 +334,17 @@ class TestTrainPredictEval:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("heads = 0", "heads must be at least 1, found 0"),
+        ("tag_scheme = bmeo", "unknown tag scheme 'bmeo'; expected one of ('bio', 'bmes')"),
+    ])
+    def test_train_config_out_of_range_names_the_file(
+        self, workspace, tmp_path, capsys, line, message
+    ):
+        cfg = config_with(workspace, tmp_path, f"{line}\n")
+        assert run(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: {message}"]
+
     def test_predict_decodes_on_the_trained_graph_variant(self, workspace, tmp_path, capsys):
         # at this learning rate the 2-epoch model's tags depend on the word-word edges
         cfg = config_with(workspace, tmp_path, "lr = 0.05\n")

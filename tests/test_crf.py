@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lexner.autograd import Tensor
+from lexner.autograd import Tensor, logsumexp
 from lexner.crf import (
     CrfParams,
     emission_scores,
@@ -15,6 +15,7 @@ from lexner.crf import (
     viterbi_decode,
 )
 from lexner.data import allowed_transitions, make_tagset, tags_to_spans
+from test_autograd import tape_nodes
 
 
 def zero_transitions(k: int) -> np.ndarray:
@@ -32,6 +33,17 @@ def enumerate_scores(em: np.ndarray, trans: np.ndarray):
         s += sum(trans[a, b] for a, b in zip(seq, seq[1:]))
         out[seq] = s
     return out
+
+
+def ref_log_partition(emissions: Tensor, transitions: Tensor) -> Tensor:
+    """The forward recursion as logsumexp tape ops, five nodes a character:
+    the byte oracle for the one-op log_partition."""
+    n, k = emissions.data.shape
+    inner = transitions[:k, :k]
+    alpha = transitions[k, :k] + emissions[0]
+    for t in range(1, n):
+        alpha = logsumexp(alpha.reshape(k, 1) + inner, axis=0) + emissions[t]
+    return logsumexp(alpha + transitions[:k, k], axis=0)
 
 
 def brute_force_best(em, trans):
@@ -88,6 +100,108 @@ class TestLogPartition:
             scores = np.array(list(enumerate_scores(em, trans).values()))
             expect = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
             assert z == pytest.approx(expect, abs=1e-8)
+
+
+class TestLogPartitionOp:
+    """log_partition is one tape op whose value and gradients equal the bytes
+    of the same recursion written as logsumexp tape ops."""
+
+    SHAPES = [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (7, 5), (16, 9), (40, 17)]
+
+    @staticmethod
+    def run(partition, em, trans, tags_list, weight):
+        """Value and grads of sum over sentences of weight * (log Z - path score),
+        one backward() per sentence into shared leaves; emissions are h @ W + b."""
+        n, d = em.shape[0], 3
+        h = Tensor(np.linspace(-1.0, 1.0, n * d).reshape(n, d).astype(em.dtype))
+        w = Tensor(np.full((d, em.shape[1]), 0.25, dtype=em.dtype))
+        b, t_tr = Tensor(em[0].copy()), Tensor(trans.copy())
+        values = []
+        for tags in tags_list:
+            emissions = h @ w + b + em
+            loss = partition(emissions, t_tr)
+            if tags is not None:
+                loss = loss - path_score(emissions, t_tr, tags)
+            (loss * weight).backward()
+            values.append(loss.data)
+        return [*values, h.grad, w.grad, b.grad, t_tr.grad]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_byte_equal_to_the_tape_recursion(self, dtype, n, k):
+        rng = np.random.default_rng(100 + 10 * n + k)
+        em = (rng.standard_normal((n, k)) * 3).astype(dtype)
+        trans = rng.standard_normal((k + 1, k + 1)).astype(dtype)
+        # log Z alone, then two nll losses accumulating into the same leaves
+        for tags_list, weight in (
+            ([None], 1.0),
+            ([None], -0.375),
+            ([rng.integers(0, k, n), rng.integers(0, k, n)], 0.5),
+        ):
+            got = self.run(log_partition, em, trans, tags_list, weight)
+            want = self.run(ref_log_partition, em, trans, tags_list, weight)
+            for pos, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == b.dtype == dtype, pos
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), pos
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("weight", [1.0, -1.0])
+    def test_extreme_scores_stay_byte_equal(self, weight, n):
+        """Weights that underflow to zero, so a negative g makes -0.0 terms, and
+        a -inf transition; the leaves' gradients keep the oracle's signed zeros."""
+        em = np.array([[0.0, -800.0, 5.0], [700.0, -800.0, -700.0], [1.0, 2.0, 3.0]])[:n]
+        trans = np.zeros((4, 4))
+        trans[0, 2] = -np.inf
+        trans[3, 1] = -600.0
+        results = []
+        for partition in (log_partition, ref_log_partition):
+            t_em, t_tr = Tensor(em.copy()), Tensor(trans.copy())
+            z = partition(t_em, t_tr)
+            (z * weight).backward()
+            results.append([z.data, t_em.grad, t_tr.grad])
+        for pos, (a, b) in enumerate(zip(*results)):
+            assert a.tobytes() == b.tobytes(), pos
+        assert (results[0][1] == 0.0).any() and not np.signbit(results[0][1][results[0][1] == 0.0]).any()
+        tags = np.array([0, 0, 1])[:n]
+        got = self.run(log_partition, em, trans, [None, tags], weight)
+        want = self.run(ref_log_partition, em, trans, [None, tags], weight)
+        for pos, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), pos
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_is_one_tape_node_at_any_length(self, n):
+        em, tr = Tensor(np.zeros((n, 3))), Tensor(np.zeros((4, 4)))
+        z = log_partition(em, tr)
+        assert len(z._node.parents) == 2
+        assert tape_nodes(z) == 3  # the op and its two leaves
+        assert tape_nodes(ref_log_partition(em, tr)) > 5 * (n - 1)
+
+    def test_both_gradients_come_from_one_backward_pass(self):
+        rng = np.random.default_rng(7)
+        z = log_partition(Tensor(rng.standard_normal((5, 3))), Tensor(rng.standard_normal((4, 4))))
+        g = np.ones(())
+        d_em, d_trans = (vjp(g) for vjp in z._node.vjps)
+        # the second VJP is handed what the first one made; a new g is a new pass
+        assert z._node.vjps[0](g) is d_em and z._node.vjps[1](g) is d_trans
+        assert z._node.vjps[1](np.full((), 2.0)) is not d_trans
+
+    def test_transition_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        em = rng.standard_normal((4, 3))
+        trans = rng.standard_normal((4, 4)) * 0.5
+        t_tr = Tensor(trans.copy())
+        log_partition(Tensor(em), t_tr).backward()
+        h = 1e-6
+        for i in range(4):
+            for j in range(4):
+                tp, tm = trans.copy(), trans.copy()
+                tp[i, j] += h
+                tm[i, j] -= h
+                fp = float(log_partition(Tensor(em), Tensor(tp)).data)
+                fm = float(log_partition(Tensor(em), Tensor(tm)).data)
+                assert t_tr.grad[i, j] == pytest.approx((fp - fm) / (2 * h), abs=1e-6)
+        # START -> STOP is on no path of at least one character
+        assert t_tr.grad[3, 3] == 0.0
 
 
 class TestNllLoss:

@@ -1,12 +1,13 @@
 """Fusion layers against independent scalar reference implementations."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from lexner import fusion
-from lexner.autograd import Tensor, layer_norm
+from lexner.autograd import Tensor, concat, layer_norm, no_grad
 from lexner.encoding import initial_states
 from lexner.fusion import (
     FusionLayerParams,
@@ -17,7 +18,7 @@ from lexner.fusion import (
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
 from lexner.model import EncodedSentence, ModelDims, ModelParams, forward_states
-from test_autograd import check_op, concat, masked_softmax
+from test_autograd import check_op, masked_softmax
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):
@@ -402,6 +403,30 @@ class TestInterSourceFusion:
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.dtype == b.dtype == dtype, k
             assert a.tobytes() == b.tobytes(), k
+
+    def test_without_a_tape_each_block_sigmoid_dies_before_the_next(self, monkeypatch):
+        """In prediction a block's (k, m, d) sigmoid output is freed once its
+        edge rows are taken, so two such blocks are never alive at once."""
+        monkeypatch.setattr(fusion, "_GATE_BLOCK", 64)
+        rng = np.random.default_rng(64)
+        words = HALL_WORDS + [MatchedWord("dd", 9, 10), MatchedWord("e", 15, 15)]
+        graph = build_graph(20, words)
+        p = make_params(6, 8, 2, seed=65)
+        t_c, t_w = Tensor(rng.standard_normal((20, 6))), Tensor(rng.standard_normal((5, 6)))
+        outputs, alive_at_call = [], []
+        sigmoid = Tensor.sigmoid
+
+        def recording_sigmoid(x):
+            alive_at_call.append(sum(ref() is not None for ref in outputs))
+            out = sigmoid(x)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(Tensor, "sigmoid", recording_sigmoid)
+        with no_grad():
+            inter_source_fusion(t_c, t_w, graph, p)
+        assert len(alive_at_call) > 4
+        assert alive_at_call == [0] * len(alive_at_call)
 
     @pytest.mark.parametrize("budget", [1, 100, 1 << 18])
     def test_row_blocks_tile_the_pair_grid_once(self, monkeypatch, budget):

@@ -42,6 +42,7 @@ from lexner.trainer import (
     train,
     train_step,
 )
+from test_autograd import tape_nodes
 
 TINY = dict(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
 DATA = Path(__file__).parent / "data"
@@ -1090,6 +1091,20 @@ class TestTrainingTape:
             assert sum(shape[0] for shape, *_ in blocks) == rows
             assert {shape[1:] for shape, *_ in blocks} == {(cols, d)}
         self.assert_outputs_live_until_backward(losses, gates)
+
+    def test_tape_node_count_of_a_fixed_sentence(self, setup):
+        """The nodes behind one tiny sentence's losses: a fused op shows here as
+        a drop, an op split in two as a rise. Per layer and direction the gate
+        is 12 nodes when one block holds the sentence; the CRF partition is one
+        node at any length."""
+        corpus, trie, _ = setup
+        model = tiny_model(setup, seed=4)
+        s = corpus.sentences[0]
+        sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
+        assert (len(sent.chars), sent.graph.m, model.dims.layers) == (14, 16, 2)
+        l_ner, l_lec = sentence_losses(model, sent)
+        assert tape_nodes(l_ner) == 291
+        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 340
 
 
 class TestModelDtype:
