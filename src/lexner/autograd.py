@@ -139,8 +139,8 @@ class Tensor:
     # keep numpy from absorbing us into object arrays; reflected ops run instead
     __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), vjps=(), dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, parents=(), vjps=()):
+        self.data = np.asarray(data)
         if not _grad_enabled:
             parents, vjps = (), ()
         self._node = _Node(tuple([p._node for p in parents]) if parents else (), vjps)
@@ -464,11 +464,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return x * (keep / np.asarray(1.0 - rate, dtype=x.data.dtype))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gain + bias
+    return centered / (var + 1e-5).sqrt() * gain + bias
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float64) -> Tensor:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +20,8 @@ from .data import (
     corpus_stats,
     evaluate,
     load_corpus,
+    read_lines,
+    read_sentences,
     spans_to_tags,
     tags_to_spans,
 )
@@ -95,38 +96,40 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
 
 
-def _cmd_match(args) -> int:
+def _each_line(args, render) -> int:
+    """Write ``render(sid, line, trie)`` for each non-empty line of ``--input``,
+    where ``sid`` is the line's 0-based number."""
     trie = build_trie(load_lexicon(args.lexicon))
+    lines = [(lineno - 1, line) for lineno, line in read_lines(args.input) if line]
     with _output(args.out) as out:
-        for sid, line in enumerate(Path(args.input).read_text(encoding="utf-8").splitlines()):
-            if not line:
-                continue
-            words, _ = match_sentence(trie, line)
-            for w in words:
-                out.write(f"{sid}\t{w.head}\t{w.tail}\t{w.surface}\n")
+        for sid, line in lines:
+            out.write(render(sid, line, trie))
     return 0
+
+
+def _cmd_match(args) -> int:
+    def render(sid, line, trie):
+        words, _ = match_sentence(trie, line)
+        return "".join(f"{sid}\t{w.head}\t{w.tail}\t{w.surface}\n" for w in words)
+
+    return _each_line(args, render)
 
 
 def _cmd_graph(args) -> int:
-    trie = build_trie(load_lexicon(args.lexicon))
-    with _output(args.out) as out:
-        for sid, line in enumerate(Path(args.input).read_text(encoding="utf-8").splitlines()):
-            if not line:
-                continue
-            graph = graph_variant(prepare_sentence(line, trie).graph, args.variant)
-            out.write(f"sentence {sid}\n")
-            out.write(serialize_graph(graph))
-            out.write("\n")
-    return 0
+    def render(sid, line, trie):
+        graph = graph_variant(prepare_sentence(line, trie).graph, args.variant)
+        return f"sentence {sid}\n{serialize_graph(graph)}\n"
+
+    return _each_line(args, render)
 
 
-def _load_embeddings(path: str, vocab, dim: int, rng, dtype):
+def _load_embeddings(path: str, vocab, dim: int, rng):
     if path:
-        table = EmbeddingTable.from_file(path, vocab=vocab, rng=rng, dtype=dtype)
+        table = EmbeddingTable.from_file(path, vocab=vocab, rng=rng, dtype=np.float32)
         if table.dim != dim:
             raise CorpusError(f"{path}: embedding dim {table.dim} does not match config {dim}")
         return table
-    return EmbeddingTable.random(vocab, dim, rng, dtype=dtype)
+    return EmbeddingTable.random(vocab, dim, rng, dtype=np.float32)
 
 
 def _cmd_train(args) -> int:
@@ -145,10 +148,10 @@ def _cmd_train(args) -> int:
     char_vocab = sorted({c for s in corpus.sentences for c in s.chars})
     types = set(corpus.entity_types()) | (set(dev.entity_types()) if dev else set())
     rng = np.random.default_rng(cfg.seed)
-    char_table = _load_embeddings(cfg.char_emb_file, char_vocab, cfg.d_c, rng, np.float32)
-    word_table = _load_embeddings(cfg.word_emb_file, trie.words, cfg.d_w, rng, np.float32)
+    char_table = _load_embeddings(cfg.char_emb_file, char_vocab, cfg.d_c, rng)
+    word_table = _load_embeddings(cfg.word_emb_file, trie.words, cfg.d_w, rng)
     model = ModelParams.build(
-        cfg.dims(), char_vocab, trie.words, sorted(types), rng, dtype=np.float32,
+        cfg.dims(), char_vocab, trie.words, sorted(types), rng,
         char_table=char_table, word_table=word_table,
     )
     train_sents = prepare_corpus(corpus, trie, model.tagset)
@@ -165,28 +168,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _read_prediction_input(path: str) -> list[list[str]]:
-    """Corpus-format input; tags optional and ignored."""
-    sentences: list[list[str]] = []
-    chars: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if not raw.strip():
-            if chars:
-                sentences.append(chars)
-                chars = []
-            continue
-        chars.append(raw.split("\t", 1)[0])
-    if chars:
-        sentences.append(chars)
-    return sentences
-
-
 def _cmd_predict(args) -> int:
     model = ModelParams.load(args.checkpoint)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else model.word_table.tokens
     # match as the model was trained; the model applies its variant and constraints itself
     trie = build_trie(lexicon, model.dims.max_word_len)
-    sentences = _read_prediction_input(args.input)
+    # the corpus format, split as load_corpus splits it; a tag column is ignored
+    sentences = [[line.split("\t", 1)[0] for _, line in s] for s in read_sentences(args.input)]
     with _output(args.out) as out:
         for chars in sentences:
             tags = model_mod.decode_tags(model, prepare_sentence(chars, trie))
@@ -205,17 +193,11 @@ def _cmd_gradcheck(args) -> int:
     sent_src = max(corpus.sentences, key=lambda s: len(match_sentence(trie, s.chars)[0]))
     spans = tags_to_spans(sent_src.tags, corpus.scheme)
     gold = spans_to_tags(spans, len(sent_src), dims.tag_scheme)
+    chars = sorted({c for s in corpus.sentences for c in s.chars})
     report = None
     for attempt in range(8):  # re-seed if a relu input sits on its kink
         rng = np.random.default_rng(cfg.seed + attempt)
-        model = ModelParams.build(
-            dims,
-            sorted({c for s in corpus.sentences for c in s.chars}),
-            trie.words,
-            corpus.entity_types(),
-            rng,
-            dtype=np.float64,
-        )
+        model = ModelParams.build(dims, chars, trie.words, corpus.entity_types(), rng, np.float64)
         sent = prepare_sentence(sent_src.chars, trie, model.tagset, gold, dims.tag_scheme)
         try:
             report = grad_check(model, sent, lam=0.3)

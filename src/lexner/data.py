@@ -10,8 +10,9 @@ Every scheme rule here is derived from that table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,6 +129,23 @@ def tags_to_spans(tags: Sequence[str], scheme: str = "bio") -> list[tuple[int, i
     return spans
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The 1-based number and text of each line of a UTF-8 file. Lines end only
+    at `\n`, `\r\n` or `\r`: a U+2028 or `\x0c`, which `str.splitlines` breaks at,
+    is a character of its line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            yield lineno, raw.rstrip("\n")
+
+
+def read_sentences(path: str | Path) -> Iterator[list[tuple[int, str]]]:
+    """The sentences of a corpus-format file, each as its (line number, line)
+    pairs; blank or whitespace-only lines separate sentences."""
+    for filled, lines in groupby(read_lines(path), key=lambda item: bool(item[1].strip())):
+        if filled:
+            yield list(lines)
+
+
 def load_corpus(path: str | Path, scheme: str = "bio") -> Corpus:
     """Parse a two-column corpus file.
 
@@ -139,23 +157,11 @@ def load_corpus(path: str | Path, scheme: str = "bio") -> Corpus:
     """
     prefixes = set(_prefixes(scheme))
     sentences: list[Sentence] = []
-    chars: list[str] = []
-    tags: list[str] = []
     repaired = 0
-
-    def flush() -> None:
-        nonlocal chars, tags, repaired
-        if chars:
-            repaired += _repair_tags(tags, scheme)
-            sentences.append(Sentence(chars, tags))
-            chars, tags = [], []
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
+    for block in read_sentences(path):
+        chars: list[str] = []
+        tags: list[str] = []
+        for lineno, line in block:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise CorpusError(f"{path}:{lineno}: expected `char<TAB>tag`, got {line!r}")
@@ -166,7 +172,8 @@ def load_corpus(path: str | Path, scheme: str = "bio") -> Corpus:
                     raise CorpusError(f"{path}:{lineno}: unknown tag {tag!r} for scheme {scheme}")
             chars.append(char)
             tags.append(tag)
-    flush()
+        repaired += _repair_tags(tags, scheme)
+        sentences.append(Sentence(chars, tags))
     return Corpus(sentences, scheme, repaired)
 
 

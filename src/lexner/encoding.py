@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .autograd import Tensor, glorot
+from .data import read_lines
 from .matching import MatchedWord
 
 
@@ -36,6 +37,9 @@ def encode_position(positions, dim: int) -> np.ndarray:
     out[..., 0::2] = np.sin(angle)
     out[..., 1::2] = np.cos(angle)
     return out
+
+
+INIT_SCALE = 0.1  # rows not read from a file are drawn uniformly from [-0.1, 0.1]
 
 
 class EmbeddingTable:
@@ -61,15 +65,11 @@ class EmbeddingTable:
 
     @classmethod
     def random(
-        cls,
-        tokens: Sequence[str],
-        dim: int,
-        rng: np.random.Generator,
-        scale: float = 0.1,
-        dtype=np.float64,
+        cls, tokens: Sequence[str], dim: int, rng: np.random.Generator, dtype=np.float64
     ) -> "EmbeddingTable":
-        matrix = rng.uniform(-scale, scale, size=(len(tokens) + 1, dim)).astype(dtype)
-        return cls(tokens, matrix)
+        """Every row, UNK included, drawn uniformly from [-INIT_SCALE, INIT_SCALE]."""
+        matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(tokens) + 1, dim))
+        return cls(tokens, matrix.astype(dtype))
 
     @classmethod
     def from_file(
@@ -77,18 +77,19 @@ class EmbeddingTable:
         path: str | Path,
         vocab: Sequence[str] | None = None,
         rng: np.random.Generator | None = None,
-        scale: float = 0.1,
         dtype=np.float64,
     ) -> "EmbeddingTable":
         """Load `token v1 .. vd` lines; an optional `count dim` header is skipped.
 
         When ``vocab`` is given, the table covers exactly those tokens and
         tokens missing from the file are initialized uniformly in
-        [-scale, scale] (requires ``rng``).
+        [-INIT_SCALE, INIT_SCALE] (requires ``rng``). A value that is not
+        finite in ``dtype`` (nan, inf, or one that overflows it) is an error
+        naming its line.
         """
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = [line for _, line in read_lines(path)]
         start = 0
         if lines:
             head = lines[0].split()
@@ -102,9 +103,13 @@ class EmbeddingTable:
                 continue
             token, values = parts[0], parts[1:]
             try:
-                vec = np.array([float(v) for v in values], dtype=dtype)
+                with np.errstate(over="ignore"):  # an overflow is refused below, by name
+                    vec = np.array([float(v) for v in values], dtype=dtype)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(vec).all():
+                bad = values[np.isfinite(vec).argmin()]
+                raise ValueError(f"{path}:{lineno}: value {bad!r} is not finite in {vec.dtype}")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
@@ -120,7 +125,7 @@ class EmbeddingTable:
             else:
                 if rng is None:
                     raise ValueError(f"token {tok!r} missing from {path} and no rng given")
-                matrix[i] = rng.uniform(-scale, scale, size=dim).astype(dtype)
+                matrix[i] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=dim).astype(dtype)
         return cls(tokens, matrix)
 
 

@@ -169,7 +169,8 @@ class ModelParams:
                 fh.write(t.data.astype("<f4").tobytes())
 
     @classmethod
-    def load(cls, path: str | Path, dtype=np.float32) -> "ModelParams":
+    def load(cls, path: str | Path) -> "ModelParams":
+        """The float32 model a checkpoint holds; every malformed field is a ValueError."""
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
@@ -230,13 +231,14 @@ class ModelParams:
             entity_types = sorted(
                 {t.partition("-")[2] for t in header["tagset"] if t != "O"}
             )
+            # zero tables stand in for the embeddings, read below like every other tensor
+            char_table, word_table = (
+                EmbeddingTable(header[key], np.zeros((len(header[key]) + 1, dim), np.float32))
+                for key, dim in (("char_vocab", dims.d_c), ("word_vocab", dims.d_w))
+            )
             model = cls.build(
-                dims,
-                header["char_vocab"],
-                header["word_vocab"],
-                entity_types,
-                np.random.default_rng(0),
-                dtype=dtype,
+                dims, header["char_vocab"], header["word_vocab"], entity_types,
+                np.random.default_rng(0), char_table=char_table, word_table=word_table,
             )
             if header["tagset"] != model.tagset:
                 raise ValueError(
@@ -277,7 +279,7 @@ class ModelParams:
                     values = np.delete(values[: k + 1], k, axis=1)
                     raw = values.tobytes()
                 checked.append(raw)
-                tensor.data = values.astype(dtype)
+                tensor.data = values.astype(np.float32)
             trailing = len(fh.read())
             if trailing:
                 raise ValueError(f"{path}: {trailing} trailing bytes after the last tensor")

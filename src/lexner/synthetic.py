@@ -30,16 +30,15 @@ CROSSING_WORDS = ["za", "ze", "zi", "ct", "dt", "gt", "ht", "kt"]
 OVERFIT_LEXICON = list(ENTITY_TYPES) + COVER_WORDS + FILLER_WORDS + CROSSING_WORDS
 
 
-def _filler(rng: np.random.Generator, lo: int = 2, hi: int = 4) -> str:
-    length = int(rng.integers(lo, hi + 1))
+def _filler(rng: np.random.Generator) -> str:
+    """A run of 2 to 4 consecutive filler characters."""
+    length = int(rng.integers(2, 5))
     start = int(rng.integers(0, len(FILLER) - length + 1))
     return FILLER[start : start + length]
 
 
-def make_overfit_corpus(
-    seed: int = 7, sentences: int = 50
-) -> tuple[Corpus, list[str]]:
-    """Corpus an expressive-enough model can memorize perfectly.
+def make_overfit_corpus(seed: int = 7) -> tuple[Corpus, list[str]]:
+    """50 sentences an expressive-enough model can memorize perfectly.
 
     Every entity surface is in the lexicon (a Match word per entity), cover
     and crossing/filler words are present, and at least five distinct
@@ -48,7 +47,7 @@ def make_overfit_corpus(
     rng = np.random.default_rng(seed)
     surfaces = list(ENTITY_TYPES)
     sents: list[Sentence] = []
-    for k in range(sentences):
+    for k in range(50):
         parts: list[str] = []
         spans: list[tuple[int, int, str]] = []
         n_entities = 1 + int(rng.integers(0, 2))
@@ -105,17 +104,16 @@ AMBIGUOUS_LEXICON = (
 )
 
 
-def make_ambiguous_corpus(
-    seed: int = 11, per_case: int = 9
-) -> tuple[Corpus, Corpus, list[str]]:
+def make_ambiguous_corpus() -> tuple[Corpus, Corpus, list[str]]:
     """Train/held-out corpora whose entities are positionally ambiguous.
 
     The same surface is a gold entity in stand-alone contexts and a
     non-entity (covered by a longer entity) elsewhere, so resolving it needs
-    the lattice context. Returns (train, heldout, lexicon); contexts differ
-    between the two splits only by filler choice and position.
+    the lattice context. Returns (train, heldout, lexicon): nine sentences
+    per case, drawn with seed 11 and split 2:1; contexts differ between the
+    two splits only by filler choice and position.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     cases: list[tuple[str, str, str]] = []  # (surface, type, kind)
     for short, long in AMBIGUOUS_FAMILIES:
         cases.append((short, "PER", "standalone"))
@@ -124,7 +122,7 @@ def make_ambiguous_corpus(
 
     sents: list[Sentence] = []
     for surface, etype, _ in cases:
-        for _ in range(per_case):
+        for _ in range(9):
             before, mid, after = _filler(rng), _filler(rng), _filler(rng)
             # one extra filler word region keeps several disturb words per sentence
             head = len(before)

@@ -64,13 +64,16 @@ class TrainConfig(model_mod.ModelDims):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        for name, least in (("batch_size", 1), ("epochs", 0)):
+        for name, least in (("batch_size", 1), ("epochs", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not self.weight_decay >= 0.0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        for name in ("lr", "weight_decay"):  # inf would only surface as a non-finite loss
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def dims(self) -> model_mod.ModelDims:
         """The ModelDims fields alone, as a model and its checkpoint hold them."""

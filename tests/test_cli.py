@@ -115,7 +115,7 @@ def checkpoint(workspace):
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        assert "subcommand" in capsys.readouterr().out
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -156,6 +156,17 @@ class TestMatch:
                     "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").count("\n") > 0
 
+    def test_sentence_ids_are_line_numbers_and_u2028_is_a_character(
+        self, workspace, tmp_path, capsys
+    ):
+        text = tmp_path / "in.txt"
+        text.write_text("abc\n\nx\u2028abc\n", encoding="utf-8")
+        assert run(["match", "--lexicon", str(workspace / "lexicon.txt"),
+                    "--input", str(text)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "0\t0\t2\tabc" in out and "2\t2\t4\tabc" in out
+        assert {line.split("\t")[0] for line in out} == {"0", "2"}
+
 
 class TestGraph:
     def test_standard_and_variant(self, workspace, capsys):
@@ -167,6 +178,14 @@ class TestGraph:
                     "--input", str(workspace / "sentences.txt"),
                     "--variant", "wo_word_edge"]) == 0
         assert "word_edge" not in capsys.readouterr().out
+
+    def test_sentence_ids_are_line_numbers(self, workspace, tmp_path, capsys):
+        text = tmp_path / "in.txt"
+        text.write_text("abc\n\nx\u2028abc\n", encoding="utf-8")
+        assert run(["graph", "--lexicon", str(workspace / "lexicon.txt"),
+                    "--input", str(text)]) == 0
+        heads = [l for l in capsys.readouterr().out.splitlines() if l.startswith("sentence ")]
+        assert heads == ["sentence 0", "sentence 2"]
 
     def test_bad_variant_is_usage_error(self, workspace):
         assert run(["graph", "--lexicon", str(workspace / "lexicon.txt"),
@@ -337,6 +356,9 @@ class TestTrainPredictEval:
     @pytest.mark.parametrize("line, message", [
         ("heads = 0", "heads must be at least 1, found 0"),
         ("tag_scheme = bmeo", "unknown tag scheme 'bmeo'; expected one of ('bio', 'bmes')"),
+        ("lr = inf", "lr must be finite, got inf"),
+        ("weight_decay = inf", "weight_decay must be finite, got inf"),
+        ("seed = -1", "seed must be at least 0, got -1"),
     ])
     def test_train_config_out_of_range_names_the_file(
         self, workspace, tmp_path, capsys, line, message
@@ -344,6 +366,41 @@ class TestTrainPredictEval:
         cfg = config_with(workspace, tmp_path, f"{line}\n")
         assert run(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: {message}"]
+
+    @pytest.mark.parametrize("command, seed", [("train", "-5"), ("gradcheck", "-1")])
+    def test_negative_seed_flag_names_the_file(
+        self, workspace, tmp_path, capsys, command, seed
+    ):
+        cfg = config_with(workspace, tmp_path)
+        assert run([command, "--config", str(cfg), "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {cfg}: seed must be at least 0, got {seed}"]
+
+    def test_non_finite_embedding_value_is_data_error(self, workspace, tmp_path, capsys):
+        emb = tmp_path / "chars.emb"
+        emb.write_text("a " + "0.5 " * 7 + "1e39\n", encoding="utf-8")
+        cfg = config_with(workspace, tmp_path, f"char_emb_file = {emb}\n")
+        assert run(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {emb}:1: value '1e39' is not finite in float32"
+        ]
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_predict_splits_sentences_as_load_corpus_does(
+        self, workspace, checkpoint, tmp_path
+    ):
+        # str.splitlines breaks at each of these; the corpus format does not
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("a\tO\n\u2028\tO\n\x0c\tO\n\x1c\tO\n\x85\tO\nc\tO\n\nd\tO\n",
+                        encoding="utf-8")
+        pred = tmp_path / "pred.tsv"
+        assert run(["predict", "--checkpoint", str(checkpoint),
+                    "--input", str(gold), "--out", str(pred)]) == 0
+        want = [["a", "\u2028", "\x0c", "\x1c", "\x85", "c"], ["d"]]
+        assert [s.chars for s in load_corpus(gold).sentences] == want
+        assert [s.chars for s in load_corpus(pred).sentences] == want
+        assert run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
 
     def test_predict_decodes_on_the_trained_graph_variant(self, workspace, tmp_path, capsys):
         # at this learning rate the 2-epoch model's tags depend on the word-word edges

@@ -1,5 +1,7 @@
 """Position encodings, embedding tables, and initial node states."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,33 @@ class TestEmbeddingTable:
         path.write_text("foo 1 2\na 1 x\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"emb\.txt:2: could not convert string to float: 'x'"):
             EmbeddingTable.from_file(path)
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [("nan", np.float64), ("inf", np.float64), ("-inf", np.float32),
+         ("1e309", np.float64), ("1e39", np.float32)],
+    )
+    def test_non_finite_value_names_the_line(self, tmp_path, value, dtype):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"foo 1 2\nbar 3 {value}\n", encoding="utf-8")
+        message = rf"emb\.txt:2: value '{value}' is not finite in {np.dtype(dtype).name}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the float32 overflow warns nothing either
+            with pytest.raises(ValueError, match=message):
+                EmbeddingTable.from_file(path, dtype=dtype)
+
+    def test_u2028_is_a_token_not_a_line_break(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("\u2028 0.5 2\nbar 3 4\n", encoding="utf-8")
+        table = EmbeddingTable.from_file(path)
+        assert table.tokens == ["\u2028", "bar"]
+        np.testing.assert_array_equal(table.rows.data[0], [0.5, 2])
+
+    def test_largest_finite_float32_loads(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("foo 3e38 -3e38\n", encoding="utf-8")
+        table = EmbeddingTable.from_file(path, dtype=np.float32)
+        assert np.isfinite(table.rows.data).all()
 
 
 def zero_table(tokens, dim):

@@ -17,7 +17,7 @@ from lexner import model as model_mod
 from lexner import trainer as trainer_mod
 from lexner.autograd import Tensor, no_grad
 from lexner.data import Corpus, Sentence, evaluate, spans_to_tags, tags_to_spans
-from lexner.encoding import initial_states
+from lexner.encoding import EmbeddingTable, initial_states
 from lexner.matching import build_trie
 from lexner.model import (
     CHECKPOINT_MAGIC,
@@ -538,6 +538,9 @@ class TestTrainConfigFile:
          ("lr", -1.0, "lr must be positive, got -1.0"),
          ("lr", 0.0, "lr must be positive, got 0.0"),
          ("weight_decay", -0.1, "weight_decay must be non-negative, got -0.1"),
+         ("lr", float("inf"), "lr must be finite, got inf"),
+         ("weight_decay", float("inf"), "weight_decay must be finite, got inf"),
+         ("seed", -1, "seed must be at least 0, got -1"),
          ("max_word_len", -3, "max_word_len must be at least 0, found -3")],
     )
     def test_out_of_range_value_names_key_and_value(self, key, value, message):
@@ -646,6 +649,17 @@ class TestCheckpoint:
         assert model.dims.tag_scheme == scheme
         assert model.dims.constrained_decode is (scheme == "bmes")
         assert model.tagset == read_header(golden)[0]["tagset"]
+        model.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == golden.read_bytes()
+
+    def test_load_draws_no_embedding_tables(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load drew a random embedding table")
+
+        monkeypatch.setattr(EmbeddingTable, "random", refuse)
+        golden = DATA / "tiny_bio.ckpt"
+        model = ModelParams.load(golden)
+        assert model.char_table.rows.data.dtype == np.float32
         model.save(tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == golden.read_bytes()
 
