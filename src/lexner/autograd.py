@@ -471,7 +471,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return centered / (var + 1e-5).sqrt() * gain + bias
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float64) -> Tensor:
-    """A (fan_in, fan_out) weight drawn uniformly from +-sqrt(6 / (fan_in + fan_out))."""
+def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int, dtype=np.float64) -> Tensor:
+    """A (fan_in, fan_out) weight drawn uniformly from +-sqrt(6 / (fan_in + fan_out)),
+    or zeros without an rng: a shape to read stored values into."""
+    if rng is None:
+        return Tensor(np.zeros((fan_in, fan_out), dtype))
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))

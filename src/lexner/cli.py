@@ -20,6 +20,7 @@ from .data import (
     corpus_stats,
     evaluate,
     load_corpus,
+    malformed_line,
     read_lines,
     read_sentences,
     spans_to_tags,
@@ -174,7 +175,12 @@ def _cmd_predict(args) -> int:
     # match as the model was trained; the model applies its variant and constraints itself
     trie = build_trie(lexicon, model.dims.max_word_len)
     # the corpus format, split as load_corpus splits it; a tag column is ignored
-    sentences = [[line.split("\t", 1)[0] for _, line in s] for s in read_sentences(args.input)]
+    sentences = []
+    for block in read_sentences(args.input):
+        chars = [line.split("\t", 1)[0] for _, line in block]
+        if "" in chars:
+            raise malformed_line(args.input, *block[chars.index("")])
+        sentences.append(chars)
     with _output(args.out) as out:
         for chars in sentences:
             tags = model_mod.decode_tags(model, prepare_sentence(chars, trie))

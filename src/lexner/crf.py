@@ -12,34 +12,32 @@ of at least one character uses.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .autograd import Tensor, _logsumexp, glorot
 
 
+@dataclass
 class CrfParams:
     """Emission map and transition table, including virtual START/STOP."""
 
-    def __init__(self, weight: Tensor, bias: Tensor, transitions: Tensor):
-        self.weight = weight          # (d_c, K): maps final char states to label scores
-        self.bias = bias              # (K,)
-        self.transitions = transitions  # (K+1, K+1) [from, to]: row K is START, column K is STOP
-        self.num_labels = bias.data.shape[0]
+    weight: Tensor       # (d_c, K): maps final char states to label scores
+    bias: Tensor         # (K,)
+    transitions: Tensor  # (K+1, K+1) [from, to]: row K is START, column K is STOP
+
+    @property
+    def num_labels(self) -> int:
+        return self.bias.data.shape[0]
 
     @classmethod
     def init(
-        cls, d_c: int, num_labels: int, rng: np.random.Generator, dtype=np.float64
+        cls, d_c: int, num_labels: int, rng: np.random.Generator | None, dtype=np.float64
     ) -> "CrfParams":
         weight = glorot(rng, d_c, num_labels, dtype)
         trans = np.zeros((num_labels + 1, num_labels + 1), dtype=dtype)
         return cls(weight, Tensor(np.zeros(num_labels, dtype=dtype)), Tensor(trans))
-
-    def named(self, prefix: str = "crf") -> dict[str, Tensor]:
-        return {
-            f"{prefix}.weight": self.weight,
-            f"{prefix}.bias": self.bias,
-            f"{prefix}.transitions": self.transitions,
-        }
 
 
 def emission_scores(h_c: Tensor, params: CrfParams) -> Tensor:

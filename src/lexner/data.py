@@ -146,6 +146,10 @@ def read_sentences(path: str | Path) -> Iterator[list[tuple[int, str]]]:
             yield list(lines)
 
 
+def malformed_line(path: str | Path, lineno: int, line: str) -> CorpusError:
+    return CorpusError(f"{path}:{lineno}: expected `char<TAB>tag`, got {line!r}")
+
+
 def load_corpus(path: str | Path, scheme: str = "bio") -> Corpus:
     """Parse a two-column corpus file.
 
@@ -164,7 +168,7 @@ def load_corpus(path: str | Path, scheme: str = "bio") -> Corpus:
         for lineno, line in block:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise CorpusError(f"{path}:{lineno}: expected `char<TAB>tag`, got {line!r}")
+                raise malformed_line(path, lineno, line)
             char, tag = parts
             if tag != "O":
                 prefix, sep, etype = tag.partition("-")

@@ -8,6 +8,7 @@ projection onto the character dimension so both sources share one space.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -80,6 +81,7 @@ class EmbeddingTable:
         dtype=np.float64,
     ) -> "EmbeddingTable":
         """Load `token v1 .. vd` lines; an optional `count dim` header is skipped.
+        Both split at single spaces only: a tab or U+2028 is part of a token.
 
         When ``vocab`` is given, the table covers exactly those tokens and
         tokens missing from the file are initialized uniformly in
@@ -89,16 +91,13 @@ class EmbeddingTable:
         """
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
-        lines = [line for _, line in read_lines(path)]
+        lines = [line.rstrip().split(" ") for _, line in read_lines(path)]
         start = 0
-        if lines:
-            head = lines[0].split()
-            if len(head) == 2 and all(p.isdigit() for p in head):
-                start = 1
-        for lineno, line in enumerate(lines[start:], start=start + 1):
-            parts = line.rstrip().split(" ")
+        if lines and len(lines[0]) == 2 and all(p.isdigit() for p in lines[0]):
+            start = 1
+        for lineno, parts in enumerate(lines[start:], start=start + 1):
             if len(parts) < 2:
-                if line.strip():
+                if parts[0].strip():
                     raise ValueError(f"{path}:{lineno}: malformed embedding line")
                 continue
             token, values = parts[0], parts[1:]
@@ -129,6 +128,7 @@ class EmbeddingTable:
         return cls(tokens, matrix)
 
 
+@dataclass
 class WordProjection:
     """Relative-position mixer plus the two-layer map from d_w to d_c.
 
@@ -136,16 +136,15 @@ class WordProjection:
     encodings (4*d_w -> d_w), then tanh(v @ w1 + b1) @ w2 + b2 lands in d_c.
     """
 
-    def __init__(self, w_r: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-        self.w_r = w_r
-        self.w1 = w1
-        self.b1 = b1
-        self.w2 = w2
-        self.b2 = b2
+    w_r: Tensor
+    w1: Tensor
+    b1: Tensor
+    w2: Tensor
+    b2: Tensor
 
     @classmethod
     def init(
-        cls, d_w: int, d_c: int, rng: np.random.Generator, dtype=np.float64
+        cls, d_w: int, d_c: int, rng: np.random.Generator | None, dtype=np.float64
     ) -> "WordProjection":
         return cls(
             glorot(rng, 4 * d_w, d_w, dtype),
@@ -154,15 +153,6 @@ class WordProjection:
             glorot(rng, d_c, d_c, dtype),
             Tensor(np.zeros(d_c, dtype=dtype)),
         )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.w_r": self.w_r,
-            f"{prefix}.w1": self.w1,
-            f"{prefix}.b1": self.b1,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.b2": self.b2,
-        }
 
 
 def char_states(chars: Sequence[str], table: EmbeddingTable) -> Tensor:

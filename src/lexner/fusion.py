@@ -65,7 +65,7 @@ class FusionLayerParams:
 
     @classmethod
     def init(
-        cls, d_c: int, d_ff: int, heads: int, rng: np.random.Generator, dtype=np.float64
+        cls, d_c: int, d_ff: int, heads: int, rng: np.random.Generator | None, dtype=np.float64
     ) -> "FusionLayerParams":
         if d_c % heads != 0:
             raise ValueError(f"model dimension {d_c} not divisible by {heads} heads")
@@ -92,28 +92,6 @@ class FusionLayerParams:
 
         # arguments draw in order: attention, the four gate weights, then FFN
         return cls(att(), att(), *[glorot(rng, d_c, d_c, dtype) for _ in range(4)], ffn(), ffn())
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for src, att in (("char", self.char_att), ("word", self.word_att)):
-            out[f"{prefix}.{src}.wq"] = att.wq
-            out[f"{prefix}.{src}.wk"] = att.wk
-            out[f"{prefix}.{src}.wv"] = att.wv
-            out[f"{prefix}.{src}.wt"] = att.wt
-            out[f"{prefix}.{src}.att_ln_gain"] = att.ln_gain
-            out[f"{prefix}.{src}.att_ln_bias"] = att.ln_bias
-        out[f"{prefix}.gate.w_c1"] = self.w_c1
-        out[f"{prefix}.gate.w_c2"] = self.w_c2
-        out[f"{prefix}.gate.w_w1"] = self.w_w1
-        out[f"{prefix}.gate.w_w2"] = self.w_w2
-        for src, ffn in (("char", self.char_ffn), ("word", self.word_ffn)):
-            out[f"{prefix}.{src}.ffn_w1"] = ffn.w1
-            out[f"{prefix}.{src}.ffn_b1"] = ffn.b1
-            out[f"{prefix}.{src}.ffn_w2"] = ffn.w2
-            out[f"{prefix}.{src}.ffn_b2"] = ffn.b2
-            out[f"{prefix}.{src}.ffn_ln_gain"] = ffn.ln_gain
-            out[f"{prefix}.{src}.ffn_ln_bias"] = ffn.ln_bias
-        return out
 
 
 def intra_source_attention(

@@ -402,6 +402,22 @@ class TestTrainPredictEval:
         assert [s.chars for s in load_corpus(pred).sentences] == want
         assert run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
 
+    def test_predict_refuses_an_empty_character_column(
+        self, workspace, checkpoint, tmp_path, capsys
+    ):
+        text = tmp_path / "in.tsv"
+        text.write_text("a\tO\n\tO\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        assert run(["predict", "--checkpoint", str(checkpoint),
+                    "--input", str(text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {text}:2: expected `char<TAB>tag`, got '\\tO'"
+        ]
+        assert run(["eval", "--gold", str(text), "--pred", str(text)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {text}:2: expected `char<TAB>tag`, got '\\tO'"
+        ]
+
     def test_predict_decodes_on_the_trained_graph_variant(self, workspace, tmp_path, capsys):
         # at this learning rate the 2-epoch model's tags depend on the word-word edges
         cfg = config_with(workspace, tmp_path, "lr = 0.05\n")

@@ -153,6 +153,13 @@ class TestEmbeddingTable:
         assert table.tokens == ["\u2028", "bar"]
         np.testing.assert_array_equal(table.rows.data[0], [0.5, 2])
 
+    def test_u2028_token_with_two_integers_is_not_a_header(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("\u2028 1 2\nbar 3 4\n", encoding="utf-8")
+        table = EmbeddingTable.from_file(path)
+        assert table.tokens == ["\u2028", "bar"]
+        np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
+
     def test_largest_finite_float32_loads(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 3e38 -3e38\n", encoding="utf-8")

@@ -927,6 +927,54 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"m\.ckpt: tensor lec\.bias is truncated"):
             ModelParams.load(path)
 
+    def test_tensor_cut_short_names_itself_and_the_bytes_found(self, setup, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = tiny_model(setup, seed=3)
+        model.save(path)
+        header, data = read_header(path)
+        before = 0
+        for entry in header["tensors"]:
+            if entry["name"] == "layer0.char.wq":
+                break
+            before += 4 * int(np.prod(entry["shape"]))
+        path.write_bytes(path.read_bytes()[: len(path.read_bytes()) - len(data) + before + 10])
+        with pytest.raises(
+            ValueError,
+            match=r"m\.ckpt: tensor layer0\.char\.wq is truncated: "
+            rf"expected {4 * TINY['d_c'] ** 2} bytes, found 10$",
+        ):
+            ModelParams.load(path)
+
+    def test_load_makes_no_random_draw(self, setup, monkeypatch, tmp_path):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        loaded = ModelParams.load(path)
+        loaded.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_a_loaded_model_trains_like_the_model_it_was_saved_from(self, setup, tmp_path):
+        """Catches tensors loaded as read-only or overlapping buffers."""
+        corpus, trie, _ = setup
+        cfg = tiny_config(weight_decay=1e-3)
+        model = tiny_model(setup, seed=3)
+        trans = model.crf.transitions.data
+        trans[:] = np.random.default_rng(4).standard_normal(trans.shape)
+        model.save(tmp_path / "m.ckpt")
+        loaded = ModelParams.load(tmp_path / "m.ckpt")
+        for net in (model, loaded):
+            sents = prepare_corpus(corpus, trie, net.tagset)
+            opt = Adam(net.parameters(), cfg.lr, weight_decay=cfg.weight_decay)
+            train_step(sents[:4], net, opt, 0, cfg, None)
+        src, dst = model.parameters(), loaded.parameters()
+        assert list(src) == list(dst)
+        for name in src:
+            assert src[name].data.tobytes() == dst[name].data.tobytes(), name
+
     def test_truncated_header_length_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + b"\x10\x00\x00")
