@@ -9,7 +9,7 @@ sentence = "北京人民大会堂于70年代末面向公众开放"
 lexicon = ["北京", "北京人", "人民", "人民大会堂", "公众", "会堂", "年代"]
 
 trie = build_trie(lexicon)
-print(f"lexicon holds {trie.word_count} words, longest {trie.max_word_len} chars")
+print(f"lexicon holds {len(trie.words)} words, longest {trie.max_word_len} chars")
 
 words, subsets = match_sentence(trie, sentence)
 print(f"\nsentence: {sentence}")

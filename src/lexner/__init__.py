@@ -14,6 +14,7 @@ from .data import (
     corpus_stats,
     evaluate,
     load_corpus,
+    load_lexicon,
     make_tagset,
     spans_to_tags,
     tags_to_spans,
@@ -29,10 +30,9 @@ from .matching import (
     MatchedWord,
     build_trie,
     label_lec,
-    load_lexicon,
     match_sentence,
 )
-from .model import EncodedSentence, ModelParams, prepare_corpus, prepare_sentence
+from .model import EncodedSentence, ModelParams, predict_lec, prepare_corpus, prepare_sentence
 from .trainer import Adam, TrainConfig, grad_check, lambda_schedule, total_loss, train
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from .data import (
     corpus_stats,
     evaluate,
     load_corpus,
+    load_lexicon,
     malformed_line,
     read_lines,
     read_sentences,
@@ -28,7 +29,7 @@ from .data import (
 )
 from .encoding import EmbeddingTable
 from .graph import GRAPH_VARIANTS, graph_variant, serialize_graph
-from .matching import build_trie, load_lexicon, match_sentence
+from .matching import build_trie, match_sentence
 from .model import ModelParams, prepare_corpus, prepare_sentence
 from .synthetic import make_overfit_corpus
 from .trainer import NumericError, ReluKinkError, TrainConfig, grad_check, train

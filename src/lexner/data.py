@@ -1,10 +1,11 @@
-"""Corpus ingestion, tag/span conversion, strict-match evaluation, statistics.
+"""Input files, tag/span conversion, strict-match evaluation, statistics.
 
-Corpus files are UTF-8, one `character<TAB>tag` pair per line, blank line
-between sentences. `SCHEMES` is the only declaration of a tag scheme (BIO,
-the default everywhere, or BMES): the `prefix-type` tag prefixes of a
-one-character entity and of an entity's first, inner and last characters.
-Every scheme rule here is derived from that table.
+`read_lines` splits every input file into lines. Corpus files are UTF-8, one
+`character<TAB>tag` pair per line, blank line between sentences. `SCHEMES` is
+the only declaration of a tag scheme (BIO, the default everywhere, or BMES):
+the `prefix-type` tag prefixes of a one-character entity and of an entity's
+first, inner and last characters. Every scheme rule here is derived from that
+table.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class Corpus:
     sentences: list[Sentence]
     scheme: str = "bio"
     repaired_tags: int = 0
-
-    def __len__(self) -> int:
-        return len(self.sentences)
 
     def entity_types(self) -> list[str]:
         types = set()
@@ -144,6 +142,16 @@ def read_sentences(path: str | Path) -> Iterator[list[tuple[int, str]]]:
     for filled, lines in groupby(read_lines(path), key=lambda item: bool(item[1].strip())):
         if filled:
             yield list(lines)
+
+
+def load_lexicon(path: str | Path) -> list[str]:
+    """The words of a lexicon file: the first column of each non-blank line.
+    Columns split at ASCII spaces and tabs, so a frequency column is ignored
+    and a U+2028, `\x0c` or U+0085 is a character of its word."""
+    words: list[str] = []
+    for _, line in read_lines(path):
+        words.extend([c for c in line.replace("\t", " ").split(" ") if c][:1])
+    return words
 
 
 def malformed_line(path: str | Path, lineno: int, line: str) -> CorpusError:

@@ -9,7 +9,6 @@ gold entity spans (Match / Cover / Disturb).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 # Word property labels: exact entity span / strictly inside an entity / neither.
@@ -37,18 +36,6 @@ class LexiconTrie:
         self.words: list[str] = []
         self.max_word_len = 0
 
-    @property
-    def word_count(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        node = self.root
-        for ch in word:
-            node = node.children.get(ch)
-            if node is None:
-                return False
-        return node.word_id is not None
-
     def _insert(self, word: str) -> None:
         node = self.root
         for ch in word:
@@ -75,13 +62,6 @@ class MatchedWord:
     head: int
     tail: int
 
-    @property
-    def length(self) -> int:
-        return self.tail - self.head + 1
-
-    def span(self) -> tuple[int, int]:
-        return (self.head, self.tail)
-
 
 def build_trie(lexicon: Iterable[str], max_word_len: int = 0) -> LexiconTrie:
     """Build a trie from lexicon words, de-duplicating entries.
@@ -101,17 +81,6 @@ def build_trie(lexicon: Iterable[str], max_word_len: int = 0) -> LexiconTrie:
             continue
         trie._insert(word)
     return trie
-
-
-def load_lexicon(path: str | Path) -> list[str]:
-    """Read a lexicon file: one word per line, optional frequency column ignored."""
-    words: list[str] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        words.append(parts[0])
-    return words
 
 
 def match_sentence(

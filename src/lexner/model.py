@@ -327,6 +327,10 @@ def prepare_sentence(
     if gold_tags is not None:
         if tagset is None:
             raise ValueError("tagset required when gold tags are given")
+        types = {t.partition("-")[2] for t in tagset if t != "O"}
+        if list(tagset) != make_tagset(types, scheme):
+            theirs = next((s for s in SCHEMES if make_tagset(types, s) == list(tagset)), "none")
+            raise ValueError(f"gold tags use scheme {scheme}, tagset {list(tagset)} uses {theirs}")
         tag_ids = {t: i for i, t in enumerate(tagset)}
         try:
             tags = np.array([tag_ids[t] for t in gold_tags], dtype=np.int64)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import model as model_mod
 from .autograd import Tensor, no_grad, watch_relu_kinks
-from .data import Corpus, Sentence, evaluate
+from .data import Corpus, Sentence, evaluate, read_lines
 from .model import EncodedSentence, ModelParams, sentence_losses
 
 
@@ -86,7 +86,7 @@ class TrainConfig(model_mod.ModelDims):
         """Parse a `key = value` config file; '#' starts a comment. Every error,
         a value out of range included, starts with the file's path."""
         values: dict = {}
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in read_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -16,7 +16,7 @@ from lexner.fusion import FusionLayerParams, intra_source_attention
 from lexner.graph import build_graph
 from lexner.matching import MatchedWord, build_trie, match_sentence
 from lexner.model import ModelDims, ModelParams, predict_lec, prepare_corpus, prepare_sentence
-from lexner.synthetic import make_ambiguous_corpus, make_overfit_corpus
+from lexner.synthetic import make_overfit_corpus
 from lexner.trainer import (
     ReluKinkError,
     TrainConfig,
@@ -25,6 +25,7 @@ from lexner.trainer import (
     lambda_schedule,
     train,
 )
+from ambiguous_corpus import make_ambiguous_corpus
 
 TINY = dict(d_c=16, d_w=16, d_ff=64, heads=2, layers=2)
 

@@ -147,7 +147,7 @@ class TestMatch:
             sid, head, tail, surface = line.split("\t")
             sent = sentences[int(sid)]
             assert sent[int(head) : int(tail) + 1] == surface
-            assert surface in trie
+            assert surface in trie.words
 
     def test_out_file(self, workspace, tmp_path):
         out = tmp_path / "matches.tsv"
@@ -155,6 +155,14 @@ class TestMatch:
                     "--input", str(workspace / "sentences.txt"),
                     "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").count("\n") > 0
+
+    def test_matches_a_lexicon_word_holding_a_u2028(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("x\u2028y 5\n", encoding="utf-8")
+        text = tmp_path / "in.txt"
+        text.write_text("ax\u2028yb\n", encoding="utf-8")
+        assert run(["match", "--lexicon", str(lexicon), "--input", str(text)]) == 0
+        assert capsys.readouterr().out == "0\t1\t3\tx\u2028y\n"
 
     def test_sentence_ids_are_line_numbers_and_u2028_is_a_character(
         self, workspace, tmp_path, capsys

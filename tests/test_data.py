@@ -32,7 +32,7 @@ class TestLoadCorpus:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("", encoding="utf-8")
-        assert len(load_corpus(path)) == 0
+        assert load_corpus(path).sentences == []
 
     def test_two_sentence_fixture(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -41,7 +41,7 @@ class TestLoadCorpus:
             [("北京", ["B-GPE", "I-GPE"]), ("公众开放", ["O", "O", "O", "O"])],
         )
         corpus = load_corpus(path)
-        assert len(corpus) == 2
+        assert len(corpus.sentences) == 2
         assert [len(s) for s in corpus.sentences] == [2, 4]
         assert corpus.sentences[0].tags == ["B-GPE", "I-GPE"]
         assert corpus.entity_types() == ["GPE"]

@@ -73,7 +73,7 @@ class TestBuildGraph:
             (i, j) for i in range(7) for j, w in enumerate(HALL_WORDS) if w.head <= i <= w.tail
         ]
         assert pairs(g.char_word) == expect
-        assert g.char_word.shape[1] == sum(w.length for w in HALL_WORDS)
+        assert g.char_word.shape[1] == sum(w.tail - w.head + 1 for w in HALL_WORDS)
 
     def test_out_of_range_span_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ word-property labeling."""
 import numpy as np
 import pytest
 
+from lexner import load_lexicon
 from lexner.matching import (
     COVER,
     DISTURB,
@@ -11,7 +12,6 @@ from lexner.matching import (
     MatchedWord,
     build_trie,
     label_lec,
-    load_lexicon,
     match_sentence,
 )
 
@@ -36,14 +36,16 @@ def naive_matches(lexicon: list[str], sentence: str) -> set[tuple[str, int, int]
 class TestBuildTrie:
     def test_empty_lexicon(self):
         trie = build_trie([])
-        assert trie.word_count == 0
+        assert trie.words == []
         assert match_sentence(trie, "abc")[0] == []
 
     def test_prefix_words_coexist(self):
         trie = build_trie(["北京", "北京人", "人民", "人民大会堂"])
-        assert trie.word_count == 4
-        assert "北京" in trie and "北京人" in trie
-        assert "北" not in trie  # prefix of a word is not itself a word
+        assert len(trie.words) == 4
+        # the matcher reports only nodes marked as word ends: 北, 人民大 and
+        # 人民大会 are prefixes of words but not words themselves
+        words, _ = match_sentence(trie, "北京人民大会堂")
+        assert [w.surface for w in words] == ["北京", "北京人", "人民", "人民大会堂"]
 
     def test_deduplication_matches_set_oracle(self):
         rng = np.random.default_rng(0)
@@ -53,7 +55,7 @@ class TestBuildTrie:
             for _ in range(1000)
         ]
         trie = build_trie(words)
-        assert trie.word_count == len(set(words))
+        assert len(trie.words) == len(set(words))
 
     def test_empty_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -61,12 +63,13 @@ class TestBuildTrie:
 
     def test_single_char_entries_skipped(self):
         trie = build_trie(["a", "ab", "b"])
-        assert trie.word_count == 1
-        assert "a" not in trie
+        assert trie.words == ["ab"]
+        # no word end at the node for "a": the matcher finds only "ab"
+        assert [(w.head, w.tail) for w in match_sentence(trie, "ab")[0]] == [(0, 1)]
 
     def test_max_word_len_cap(self):
         trie = build_trie(["ab", "abcd"], max_word_len=3)
-        assert trie.word_count == 1
+        assert len(trie.words) == 1
         words, _ = match_sentence(trie, "abcd")
         assert [w.surface for w in words] == ["ab"]
         # 0 caps nothing
@@ -200,3 +203,11 @@ def test_load_lexicon_ignores_frequency_column(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("北京 123\n人民\n\n人民大会堂 7 extra\n", encoding="utf-8")
     assert load_lexicon(path) == ["北京", "人民", "人民大会堂"]
+
+
+@pytest.mark.parametrize("inside", ["\u2028", "\x0c", "\x85"])
+def test_load_lexicon_splits_lines_only_at_line_ends(tmp_path, inside):
+    # str.splitlines breaks at each of these; a lexicon word keeps them
+    path = tmp_path / "lex.txt"
+    path.write_text(f"x{inside}y 5\nab\t7\r\n \tcd 3\t9\r\n", encoding="utf-8")
+    assert load_lexicon(path) == [f"x{inside}y", "ab", "cd"]

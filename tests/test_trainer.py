@@ -390,6 +390,22 @@ class TestTrainLoop:
         assert all(after[k].data.tobytes() == v.tobytes() for k, v in before.items())
         assert not (tmp_path / "ckpt").exists()
 
+    def test_gold_tag_scheme_must_match_the_tagset(self, setup):
+        corpus, trie, chars = setup
+        model = ModelParams.build(
+            ModelDims(**TINY, tag_scheme="bmes"), chars, trie.words, corpus.entity_types(),
+            np.random.default_rng(2),
+        )
+        # B-PER is a bmes tag too, but a bmes model tags this one-character entity S-PER
+        bio = Corpus([Sentence(list("xay"), ["O", "B-PER", "O"])], "bio")
+        with pytest.raises(ValueError, match="gold tags use scheme bio, tagset .* uses bmes"):
+            prepare_corpus(bio, trie, model.tagset)
+        with pytest.raises(ValueError, match=r"tagset \['O', 'B-PER'\] uses none"):
+            prepare_sentence(list("xa"), trie, ["O", "B-PER"], ["O", "B-PER"])
+        bmes = Corpus([Sentence(list("xay"), ["O", "S-PER", "O"])], "bmes")
+        want = [0, model.tagset.index("S-PER"), 0]
+        assert prepare_corpus(bmes, trie, model.tagset)[0].tags.tolist() == want
+
     def test_config_variant_must_match_the_model(self, setup, tmp_path):
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=2)
@@ -521,6 +537,17 @@ class TestTrainConfigFile:
         path = tmp_path / "t.cfg"
         path.write_text("d_c = abc\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"t\.cfg: d_c: invalid literal for int\(\)"):
+            TrainConfig.from_file(path)
+
+    def test_line_separator_characters_stay_in_their_line(self, tmp_path):
+        # str.splitlines breaks at each of these; a config line keeps them
+        path = tmp_path / "t.cfg"
+        path.write_text("train_file = a\u2028b.tsv\nlexicon_file = c\x0cd\x85e\n",
+                        encoding="utf-8")
+        cfg = TrainConfig.from_file(path)
+        assert cfg.train_file == "a\u2028b.tsv" and cfg.lexicon_file == "c\x0cd\x85e"
+        path.write_text("train_file = a\u2028b.tsv\njust some words\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"t\.cfg:2: expected `key = value`, got 'just"):
             TrainConfig.from_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
