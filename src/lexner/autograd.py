@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "concat",
     "dropout",
     "glorot",
     "layer_norm",
@@ -415,24 +414,6 @@ def softmax(scores: Tensor, axis: int = -1) -> Tensor:
         return y * (g - dot)
 
     return Tensor(y, (scores,), (vjp,))
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """The tensors joined along ``axis``; each one's VJP is its slice of g.
-
-    A single tensor is returned as it is: tensors are never written in place.
-    """
-    if len(tensors) == 1:
-        return tensors[0]
-    datas = [t.data for t in tensors]
-    ends = np.cumsum([d.shape[axis] for d in datas]).tolist()
-    lead = (slice(None),) * (axis % datas[0].ndim)
-
-    def part(lo: int, hi: int):
-        return lambda g: g[(*lead, slice(lo, hi))]
-
-    vjps = tuple(part(lo, hi) for lo, hi in zip([0, *ends], ends))
-    return Tensor(np.concatenate(datas, axis=axis), tuple(tensors), vjps)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -83,17 +83,19 @@ class TrainConfig(model_mod.ModelDims):
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "TrainConfig":
-        """Parse a `key = value` config file; '#' starts a comment. Every error,
-        a value out of range included, starts with the file's path."""
+        """Parse a `key = value` config file; '#' starts a comment. Keys and
+        values are stripped of ASCII spaces and tabs only, as lexicon columns
+        are split, so a U+2028, `\x0c` or U+0085 at either end is kept. Every
+        error, a value out of range included, starts with the file's path."""
         values: dict = {}
         for lineno, raw in read_lines(path):
-            line = raw.split("#", 1)[0].strip()
+            line = raw.split("#", 1)[0].strip(" \t")
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip(" \t")] = value.strip(" \t")
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
         known = {f.name: f.type for f in fields(cls)}

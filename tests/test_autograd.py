@@ -11,7 +11,6 @@ from lexner.autograd import (
     _scatter_rows,
     _sigmoid,
     _sigmoid_vjp,
-    concat,
     dropout,
     layer_norm,
     logsumexp,
@@ -44,6 +43,54 @@ def tape_nodes(t: Tensor) -> int:
             seen.add(id(node))
             stack.extend(node.parents)
     return len(seen)
+
+
+def held_arrays(t: Tensor) -> list[np.ndarray]:
+    """The ndarrays the VJP closures of the nodes reachable from t hold: in their
+    cells and default arguments, in functions, lists and tuples found there."""
+    found, seen, nodes, done = [], set(), [t._node], set()
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif hasattr(obj, "__code__"):
+            for cell in obj.__closure__ or ():
+                walk(cell.cell_contents)
+            for item in obj.__defaults__ or ():
+                walk(item)
+
+    while nodes:
+        node = nodes.pop()
+        if id(node) not in done:
+            done.add(id(node))
+            nodes.extend(node.parents)
+            for vjp in node.vjps:
+                walk(vjp)
+    return found
+
+
+def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """The tensors joined along ``axis``; each one's VJP is its slice of g.
+
+    A single tensor is returned as it is: tensors are never written in place.
+    """
+    if len(tensors) == 1:
+        return tensors[0]
+    datas = [t.data for t in tensors]
+    ends = np.cumsum([d.shape[axis] for d in datas]).tolist()
+    lead = (slice(None),) * (axis % datas[0].ndim)
+
+    def part(lo: int, hi: int):
+        return lambda g: g[(*lead, slice(lo, hi))]
+
+    vjps = tuple(part(lo, hi) for lo, hi in zip([0, *ends], ends))
+    return Tensor(np.concatenate(datas, axis=axis), tuple(tensors), vjps)
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lexner import fusion
-from lexner.autograd import Tensor, concat, layer_norm, no_grad
+from lexner.autograd import Tensor, layer_norm, no_grad
 from lexner.encoding import initial_states
 from lexner.fusion import (
     FusionLayerParams,
@@ -18,7 +18,7 @@ from lexner.fusion import (
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
 from lexner.model import EncodedSentence, ModelDims, ModelParams, forward_states
-from test_autograd import check_op, masked_softmax
+from test_autograd import check_op, concat, masked_softmax
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):
@@ -404,9 +404,10 @@ class TestInterSourceFusion:
             assert a.dtype == b.dtype == dtype, k
             assert a.tobytes() == b.tobytes(), k
 
-    def test_without_a_tape_each_block_sigmoid_dies_before_the_next(self, monkeypatch):
-        """In prediction a block's (k, m, d) sigmoid output is freed once its
-        edge rows are taken, so two such blocks are never alive at once."""
+    @staticmethod
+    def sigmoids_alive_at_each_call(monkeypatch, taped):
+        """For each gate block sigmoid of one inter_source_fusion, with or without
+        a tape, how many earlier block outputs were alive when it was called."""
         monkeypatch.setattr(fusion, "_GATE_BLOCK", 64)
         rng = np.random.default_rng(64)
         words = HALL_WORDS + [MatchedWord("dd", 9, 10), MatchedWord("e", 15, 15)]
@@ -423,8 +424,26 @@ class TestInterSourceFusion:
             return out
 
         monkeypatch.setattr(Tensor, "sigmoid", recording_sigmoid)
-        with no_grad():
-            inter_source_fusion(t_c, t_w, graph, p)
+        if taped:
+            fused = inter_source_fusion(t_c, t_w, graph, p)
+        else:
+            with no_grad():
+                fused = inter_source_fusion(t_c, t_w, graph, p)
+        # the fused states, and their tape if there is one, hold no block output
+        assert fused[0].shape == (20, 6) and all(ref() is None for ref in outputs)
+        return alive_at_call
+
+    def test_without_a_tape_each_block_sigmoid_dies_before_the_next(self, monkeypatch):
+        """In prediction a block's (k, m, d) sigmoid output is freed once its
+        edge rows are taken, so two such blocks are never alive at once."""
+        alive_at_call = self.sigmoids_alive_at_each_call(monkeypatch, taped=False)
+        assert len(alive_at_call) > 4
+        assert alive_at_call == [0] * len(alive_at_call)
+
+    def test_with_a_tape_each_block_sigmoid_dies_before_the_next(self, monkeypatch):
+        """The tape keeps the gate at the edges only: in training too a block's
+        (k, m, d) sigmoid output is freed once its edge rows are taken."""
+        alive_at_call = self.sigmoids_alive_at_each_call(monkeypatch, taped=True)
         assert len(alive_at_call) > 4
         assert alive_at_call == [0] * len(alive_at_call)
 

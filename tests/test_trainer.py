@@ -42,7 +42,7 @@ from lexner.trainer import (
     train,
     train_step,
 )
-from test_autograd import tape_nodes
+from test_autograd import held_arrays, tape_nodes
 
 TINY = dict(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
 DATA = Path(__file__).parent / "data"
@@ -548,6 +548,17 @@ class TestTrainConfigFile:
         assert cfg.train_file == "a\u2028b.tsv" and cfg.lexicon_file == "c\x0cd\x85e"
         path.write_text("train_file = a\u2028b.tsv\njust some words\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"t\.cfg:2: expected `key = value`, got 'just"):
+            TrainConfig.from_file(path)
+
+    def test_only_spaces_and_tabs_are_stripped_from_keys_and_values(self, tmp_path):
+        # as lexicon columns: a U+2028, `\x0c` or U+0085 at either end is kept
+        path = tmp_path / "t.cfg"
+        path.write_text("\t train_file =\ta.tsv\u2028 \nlexicon_file = \x0cc\x85\t# x\n",
+                        encoding="utf-8")
+        cfg = TrainConfig.from_file(path)
+        assert cfg.train_file == "a.tsv\u2028" and cfg.lexicon_file == "\x0cc\x85"
+        path.write_text("train_file\u2028 = a.tsv\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"unknown config key 'train_file\\u2028'"):
             TrainConfig.from_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -1125,75 +1136,121 @@ class TestTapeFreeInference:
 class TestTrainingTape:
     @staticmethod
     def gate_blocks(setup, monkeypatch):
-        """(n, m, d) of the longest sentence, its two losses, and per _gated_sum
-        call the (input shape, input ref, output ref) of each gate sigmoid it made."""
+        """(n, m, d) of the longest sentence, its two losses, per _gated_sum call
+        the (input shape, input ref, output ref) of each gate sigmoid it made,
+        and per call a ref to the array on the tape equal to its edges' gates."""
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=4)
         s = max(corpus.sentences, key=len)
         sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
-        calls, gates = [], []
+        calls, outputs, gates, edge_gates = [], [], [], []
         sigmoid, gated_sum = Tensor.sigmoid, fusion._gated_sum
 
         def recording_sigmoid(self):
             out = sigmoid(self)
             calls.append((self.data.shape, weakref.ref(self.data), weakref.ref(out.data)))
+            outputs.append(out.data.copy())
             return out
 
         def recording_gated_sum(*args, **kwargs):
             start = len(calls)
             out = gated_sum(*args, **kwargs)
             gates.append(calls[start:])
+            # the blocks tile the dense grid by rows; the gate is its edge rows, by dst
+            dst, src = args[4][:, np.argsort(args[4][0], kind="stable")]
+            want = np.concatenate(outputs[start:])[dst, src]
+            held = [x for x in held_arrays(out) if x.tobytes() == want.tobytes()]
+            assert len(held) == 1 and held[0].shape == want.shape
+            edge_gates.append(weakref.ref(held[0]))
             return out
 
         monkeypatch.setattr(Tensor, "sigmoid", recording_sigmoid)
         monkeypatch.setattr(fusion, "_gated_sum", recording_gated_sum)
         losses = sentence_losses(model, sent)
         n, m, d = len(sent.chars), len(sent.graph.words), model.dims.d_c
-        assert m and len(gates) == 2 * model.dims.layers
-        return (n, m, d), losses, gates
+        assert m and len(gates) == len(edge_gates) == 2 * model.dims.layers
+        return (n, m, d), losses, gates, edge_gates
 
     @staticmethod
-    def assert_outputs_live_until_backward(losses, gates):
-        _, pre_refs, gate_refs = zip(*(call for blocks in gates for call in blocks))
-        # no VJP reads a pre-activation block; the sigmoid VJP reads its output
+    def assert_blocks_die_and_edge_gates_live_until_backward(losses, gates, edge_gates):
+        _, pre_refs, block_refs = zip(*(call for blocks in gates for call in blocks))
+        # no VJP reads a dense block, its pre-activation or its sigmoid output
         assert all(ref() is None for ref in pre_refs)
-        assert all(ref() is not None for ref in gate_refs)
+        assert all(ref() is None for ref in block_refs)
+        # the gate op's VJP reads its (E, d) output, the gate at the edges
+        assert all(ref() is not None for ref in edge_gates)
         (losses[0] + losses[1]).backward()
-        assert all(ref() is None for ref in gate_refs)
+        assert all(ref() is None for ref in edge_gates)
 
-    def test_gate_pre_activations_die_and_gate_outputs_live_until_backward(
-        self, setup, monkeypatch
-    ):
-        (n, m, d), losses, gates = self.gate_blocks(setup, monkeypatch)
+    def test_gate_blocks_die_and_edge_gates_live_until_backward(self, setup, monkeypatch):
+        (n, m, d), losses, gates, edge_gates = self.gate_blocks(setup, monkeypatch)
         # the default budget holds a whole sentence's gate: one dense block each way
         shapes = [[shape for shape, *_ in blocks] for blocks in gates]
         assert shapes == [[(n, m, d)], [(m, n, d)]] * (len(gates) // 2)
-        self.assert_outputs_live_until_backward(losses, gates)
+        self.assert_blocks_die_and_edge_gates_live_until_backward(losses, gates, edge_gates)
 
-    def test_gate_row_blocks_cover_each_direction_and_live_until_backward(
+    def test_gate_row_blocks_cover_each_direction_and_die_before_backward(
         self, setup, monkeypatch
     ):
         monkeypatch.setattr(fusion, "_GATE_BLOCK", 1 << 8)
-        (n, m, d), losses, gates = self.gate_blocks(setup, monkeypatch)
+        (n, m, d), losses, gates, edge_gates = self.gate_blocks(setup, monkeypatch)
         for blocks, (rows, cols) in zip(gates, [(n, m), (m, n)] * (len(gates) // 2)):
             assert len(blocks) > 1
             assert sum(shape[0] for shape, *_ in blocks) == rows
             assert {shape[1:] for shape, *_ in blocks} == {(cols, d)}
-        self.assert_outputs_live_until_backward(losses, gates)
+        self.assert_blocks_die_and_edge_gates_live_until_backward(losses, gates, edge_gates)
 
-    def test_tape_node_count_of_a_fixed_sentence(self, setup):
-        """The nodes behind one tiny sentence's losses: a fused op shows here as
-        a drop, an op split in two as a rise. Per layer and direction the gate
-        is 12 nodes when one block holds the sentence; the CRF partition is one
-        node at any length."""
+    @staticmethod
+    def fixed_sentence(setup):
+        """The tiny model of seed 4 and the first corpus sentence: 14 characters."""
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=4)
         s = corpus.sentences[0]
         sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
         assert (len(sent.chars), sent.graph.m, model.dims.layers) == (14, 16, 2)
+        return model, sent
+
+    def test_tape_node_count_of_a_fixed_sentence(self, setup):
+        """The nodes behind one tiny sentence's losses: a fused op shows here as
+        a drop, an op split in two as a rise. Per layer and direction the gate
+        is 7 nodes: two matmuls, the gate op, the neighbor gather, the
+        product, the segment sum and the residual add. The last layer's word
+        gate reaches l_lec only. The CRF partition is one node at any length."""
+        model, sent = self.fixed_sentence(setup)
         l_ner, l_lec = sentence_losses(model, sent)
-        assert tape_nodes(l_ner) == 291
-        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 340
+        assert tape_nodes(l_ner) == 276
+        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 320
+
+    def test_no_vjp_holds_an_array_as_large_as_the_dense_gate(self, setup):
+        """The tape keeps the gate at the lattice edges, not at every (char, word) pair."""
+        model, sent = self.fixed_sentence(setup)
+        losses = sentence_losses(model, sent)
+        n, m, d = len(sent.chars), sent.graph.m, model.dims.d_c
+        held = held_arrays(total_loss(*losses, 0.5))
+        assert held and max(x.size for x in held) < n * m * d
+
+    def test_backward_runs_one_sigmoid_vjp_per_gate_op_on_its_edges(self, setup, monkeypatch):
+        model, sent = self.fixed_sentence(setup)
+        edge_counts, shapes = [], []
+        gated_sum, sigmoid_vjp = fusion._gated_sum, autograd._sigmoid_vjp
+
+        def recording_gated_sum(*args, **kwargs):
+            edge_counts.append(args[4].shape[1])
+            return gated_sum(*args, **kwargs)
+
+        def recording_sigmoid_vjp(g, y):
+            shapes.append(y.shape)
+            return sigmoid_vjp(g, y)
+
+        monkeypatch.setattr(fusion, "_gated_sum", recording_gated_sum)
+        monkeypatch.setattr(autograd, "_sigmoid_vjp", recording_sigmoid_vjp)
+        monkeypatch.setattr(fusion, "_sigmoid_vjp", recording_sigmoid_vjp, raising=False)
+        l_ner, l_lec = sentence_losses(model, sent)
+        assert not shapes
+        total_loss(l_ner, l_lec, 0.5).backward()
+        d = model.dims.d_c
+        assert len(edge_counts) == 2 * model.dims.layers
+        assert sorted(shapes) == sorted((e, d) for e in edge_counts)
 
 
 class TestModelDtype:
