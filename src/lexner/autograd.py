@@ -2,16 +2,17 @@
 
 The tape is made of graph nodes, kept apart from the tensors, as PyTorch
 keeps ``grad_fn`` nodes apart from its tensors. Each :class:`Tensor` holds
-its ndarray and one :class:`_Node`; the node holds the parents' nodes, one
-vector-Jacobian closure per parent and the gradient flowing into it, but no
-forward array. The tape therefore keeps only the arrays a VJP closure
+its ndarray and one :class:`_Node`; the node holds the parents' nodes, the
+gradient flowing into it and one vector-Jacobian closure that returns every
+parent's gradient from one call, as PyTorch's ``Function.backward`` does,
+but no forward array. The tape therefore keeps only the arrays a VJP
 captured: an array no VJP reads, such as a sigmoid's input, is freed as soon
 as the model code drops its Tensor. ``backward()`` on a scalar walks the
 nodes once in reverse topological order, accumulates gradients into the
 leaves (nodes with no parents) and uses the tape up as it goes, like
-PyTorch's default: once a node's VJPs have run, its grad, parents and
-closures are dropped, so a training step holds at most one sentence's tape.
-Grad arrays are never mutated in place, so closures may alias their upstream
+PyTorch's default: once a node's VJP has run, its grad, parents and closure
+are dropped, so a training step holds at most one sentence's tape. Grad
+arrays are never mutated in place, so closures may alias their upstream
 gradient safely.
 
 Only the operations the model needs are implemented. A non-Tensor operand of
@@ -57,7 +58,7 @@ def watch_relu_kinks():
         _relu_margins = prev
 
 
-# False inside no_grad(): new tensors then record no parents and no VJPs.
+# False inside no_grad(): new tensors then record no parents and no VJP.
 _grad_enabled = True
 
 
@@ -97,12 +98,10 @@ def _binary(out: np.ndarray, operands: tuple, vjps: tuple) -> Tensor:
     Only Tensor operands become parents; a constant gets no gradient. Each VJP
     result is summed down to the shape of its operand, undoing broadcasting.
     """
-    parents, closures = [], []
-    for x, vjp in zip(operands, vjps):
-        if isinstance(x, Tensor):
-            parents.append(x)
-            closures.append(lambda g, vjp=vjp, shape=x.data.shape: _unbroadcast(vjp(g), shape))
-    return Tensor(out, tuple(parents), tuple(closures))
+    parents = tuple(x for x in operands if isinstance(x, Tensor))
+    # the shapes, not the Tensors: the tape holds only the arrays a VJP reads
+    kept = [(vjp, x.data.shape) for x, vjp in zip(operands, vjps) if isinstance(x, Tensor)]
+    return Tensor(out, parents, lambda g: [_unbroadcast(vjp(g), shape) for vjp, shape in kept])
 
 
 def _matmul(a, b) -> Tensor:
@@ -121,15 +120,16 @@ def _axis_tuple(axis, ndim: int) -> tuple[int, ...]:
 
 
 class _Node:
-    """A Tensor's place on the tape: its parents' nodes, one VJP per parent and
-    the gradient flowing in. It holds no forward array, only what the VJPs captured."""
+    """A Tensor's place on the tape: its parents' nodes, the gradient flowing in
+    and one VJP, which maps that gradient to one gradient per parent, in parent
+    order. It holds no forward array, only what the VJP captured."""
 
-    __slots__ = ("grad", "parents", "vjps")
+    __slots__ = ("grad", "parents", "vjp")
 
-    def __init__(self, parents: tuple[_Node, ...], vjps: tuple):
+    def __init__(self, parents: tuple[_Node, ...], vjp):
         self.grad: np.ndarray | None = None
         self.parents = parents
-        self.vjps = vjps
+        self.vjp = vjp
 
 
 class Tensor:
@@ -138,11 +138,11 @@ class Tensor:
     # keep numpy from absorbing us into object arrays; reflected ops run instead
     __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), vjps=()):
+    def __init__(self, data, parents=(), vjp=None):
         self.data = np.asarray(data)
         if not _grad_enabled:
-            parents, vjps = (), ()
-        self._node = _Node(tuple([p._node for p in parents]) if parents else (), vjps)
+            parents, vjp = (), None
+        self._node = _Node(tuple([p._node for p in parents]) if parents else (), vjp)
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -171,9 +171,9 @@ class Tensor:
         self must be scalar-shaped. The walk runs over nodes, not tensors,
         so it reaches only the arrays the VJP closures captured. The tape
         is used up, as PyTorch's default ``retain_graph=False`` does: each
-        non-leaf node, self's included, ends with grad None and no parents
-        or VJPs, so its closures and the arrays they hold are freed as soon
-        as the walk passes it. Only leaves, the tensors whose node has no
+        non-leaf node, self's included, ends with grad None, no parents and
+        no VJP, so its closure and the arrays it holds are freed as soon as
+        the walk passes it. Only leaves, the tensors whose node has no
         parents, keep ``.grad``. Leaf grads add up across repeated backward
         calls on fresh graphs; set them to None between steps.
         """
@@ -201,11 +201,10 @@ class Tensor:
             node = order.pop()
             if not node.parents:
                 continue
-            for parent, vjp in zip(node.parents, node.vjps):
-                contrib = vjp(node.grad)
+            for parent, contrib in zip(node.parents, node.vjp(node.grad)):
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
-            # every consumer of node has run: free its closures and grad
-            node.grad, node.parents, node.vjps = None, (), ()
+            # every consumer of node has run: free its closure and grad
+            node.grad, node.parents, node.vjp = None, (), None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -244,25 +243,25 @@ class Tensor:
 
         def vjp(g):
             if isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu":
-                return _scatter_rows(g, idx, src_shape[0])
+                return (_scatter_rows(g, idx, src_shape[0]),)
             out = np.zeros(src_shape, dtype=src_dtype)
             np.add.at(out, idx, g)
-            return out
+            return (out,)
 
-        return Tensor(self.data[idx], (self,), (vjp,))
+        return Tensor(self.data[idx], (self,), vjp)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], tuple):
             shape = shape[0]
         src = self.data.shape
-        return Tensor(self.data.reshape(shape), (self,), (lambda g: g.reshape(src),))
+        return Tensor(self.data.reshape(shape), (self,), lambda g: (g.reshape(src),))
 
     def transpose(self, *axes):
         """Permute the axes, reversing them when none are given."""
         ndim = self.data.ndim
         axes = tuple(a % ndim for a in axes) if axes else tuple(reversed(range(ndim)))
         inverse = tuple(int(a) for a in np.argsort(axes))
-        return Tensor(self.data.transpose(axes), (self,), (lambda g: g.transpose(inverse),))
+        return Tensor(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     @property
     def T(self):
@@ -280,9 +279,9 @@ class Tensor:
             if not keepdims:
                 for a in sorted(axes):
                     gg = np.expand_dims(gg, a)
-            return np.broadcast_to(gg, src)
+            return (np.broadcast_to(gg, src),)
 
-        return Tensor(out, (self,), (vjp,))
+        return Tensor(out, (self,), vjp)
 
     def mean(self, axis=None, keepdims=False):
         axes = _axis_tuple(axis, self.data.ndim)
@@ -295,23 +294,23 @@ class Tensor:
         if _relu_margins is not None and self.data.size:
             _relu_margins.append(float(np.abs(self.data).min()))
         mask = self.data > 0
-        return Tensor(np.where(mask, self.data, 0.0), (self,), (lambda g: g * mask,))
+        return Tensor(np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,))
 
     def tanh(self):
         y = np.tanh(self.data)
-        return Tensor(y, (self,), (lambda g: g * (1.0 - y * y),))
+        return Tensor(y, (self,), lambda g: (g * (1.0 - y * y),))
 
     def sigmoid(self):
         y = _sigmoid(self.data)
-        return Tensor(y, (self,), (lambda g: _sigmoid_vjp(g, y),))
+        return Tensor(y, (self,), lambda g: (_sigmoid_vjp(g, y),))
 
     def exp(self):
         y = np.exp(self.data)
-        return Tensor(y, (self,), (lambda g: g * y,))
+        return Tensor(y, (self,), lambda g: (g * y,))
 
     def sqrt(self):
         y = np.sqrt(self.data)
-        return Tensor(y, (self,), (lambda g: g * (0.5 / y),))
+        return Tensor(y, (self,), lambda g: (g * (0.5 / y),))
 
     def item(self) -> float:
         return float(self.data)
@@ -399,7 +398,7 @@ def segment_sum(x: Tensor, segments: np.ndarray, n: int) -> Tensor:
     Rows are added in their order in x, onto zeros, so a row that no segment
     names stays zero. The VJP gathers the upstream gradient: g[segments].
     """
-    return Tensor(_scatter_rows(x.data, segments, n), (x,), (lambda g: g[segments],))
+    return Tensor(_scatter_rows(x.data, segments, n), (x,), lambda g: (g[segments],))
 
 
 def softmax(scores: Tensor, axis: int = -1) -> Tensor:
@@ -411,9 +410,9 @@ def softmax(scores: Tensor, axis: int = -1) -> Tensor:
 
     def vjp(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        return y * (g - dot)
+        return (y * (g - dot),)
 
-    return Tensor(y, (scores,), (vjp,))
+    return Tensor(y, (scores,), vjp)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,9 +431,9 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
     def vjp(g):
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (e / z) * gg
+        return ((e / z) * gg,)
 
-    return Tensor(out, (x,), (vjp,))
+    return Tensor(out, (x,), vjp)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

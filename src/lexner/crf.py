@@ -58,7 +58,7 @@ def log_partition(emissions: Tensor, transitions: Tensor) -> Tensor:
     em_t and the W_t add up, latest step first, into the inner transitions.
     These are the operations, in the order, that the recursion written as
     logsumexp tape ops would take, so log Z and both gradients equal that
-    tape's bytes. Both gradients are made by one pass per backward().
+    tape's bytes. One VJP call makes both gradients.
     """
     em, trans = emissions.data, transitions.data
     n, k = em.shape
@@ -71,12 +71,8 @@ def log_partition(emissions: Tensor, transitions: Tensor) -> Tensor:
         alpha = np.squeeze(lse, axis=0) + em[t]
     lse, e, z = _logsumexp(alpha + trans[:k, k], axis=0)
     stop = e / z
-    grads: list = []
 
-    def both_grads(g):
-        """(d em, d trans), made once for the g both parents' VJPs are given."""
-        if grads and grads[0] is g:
-            return grads[1]
+    def vjp(g):
         d_em = np.zeros(em.shape, dtype=em.dtype)
         d_trans = np.zeros(trans.shape, dtype=trans.dtype)
         a = stop * np.expand_dims(g, 0)
@@ -91,11 +87,9 @@ def log_partition(emissions: Tensor, transitions: Tensor) -> Tensor:
         d_trans[k, :k] += a
         if d_inner is not None:
             d_trans[:k, :k] += d_inner
-        grads[:] = [g, (d_em, d_trans)]
-        return grads[1]
+        return d_em, d_trans
 
-    vjps = (lambda g: both_grads(g)[0], lambda g: both_grads(g)[1])
-    return Tensor(np.squeeze(lse, axis=0), (emissions, transitions), vjps)
+    return Tensor(np.squeeze(lse, axis=0), (emissions, transitions), vjp)
 
 
 def path_score(emissions: Tensor, transitions: Tensor, tags: np.ndarray) -> Tensor:

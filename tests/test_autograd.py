@@ -1,6 +1,8 @@
 """The tape engine: every op's gradient against central finite differences."""
 
+import gc
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -47,36 +49,48 @@ def tape_nodes(t: Tensor) -> int:
 
 def held_arrays(t: Tensor) -> list[np.ndarray]:
     """The ndarrays the VJP closures of the nodes reachable from t hold: in their
-    cells and default arguments, in functions, lists and tuples found there."""
-    found, seen, nodes, done = [], set(), [t._node], set()
+    cells and default arguments, in functions, lists and tuples found there.
 
-    def walk(obj):
-        if id(obj) in seen:
-            return
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            found.append(obj)
-        elif isinstance(obj, (list, tuple)):
-            for item in obj:
-                walk(item)
-        elif hasattr(obj, "__code__"):
-            for cell in obj.__closure__ or ():
-                walk(cell.cell_contents)
-            for item in obj.__defaults__ or ():
-                walk(item)
-
+    Both walks are loops: a nested function that calls itself is a reference
+    cycle, and it would keep what it found alive until a gc pass."""
+    nodes, done, objs = [t._node], set(), []
     while nodes:
         node = nodes.pop()
         if id(node) not in done:
             done.add(id(node))
             nodes.extend(node.parents)
-            for vjp in node.vjps:
-                walk(vjp)
+            objs.append(node.vjp)
+    found, seen = [], set()
+    while objs:
+        obj = objs.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            objs.extend(obj)
+        elif hasattr(obj, "__code__"):
+            objs.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            objs.extend(obj.__defaults__ or ())
     return found
 
 
+@contextmanager
+def gc_off():
+    """Cyclic gc paused, so an array a lifetime test watches must die by its
+    reference count alone, not by whenever a collection happens to run."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """The tensors joined along ``axis``; each one's VJP is its slice of g.
+    """The tensors joined along ``axis``; the VJP hands each one its slice of g.
 
     A single tensor is returned as it is: tensors are never written in place.
     """
@@ -85,12 +99,9 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     datas = [t.data for t in tensors]
     ends = np.cumsum([d.shape[axis] for d in datas]).tolist()
     lead = (slice(None),) * (axis % datas[0].ndim)
-
-    def part(lo: int, hi: int):
-        return lambda g: g[(*lead, slice(lo, hi))]
-
-    vjps = tuple(part(lo, hi) for lo, hi in zip([0, *ends], ends))
-    return Tensor(np.concatenate(datas, axis=axis), tuple(tensors), vjps)
+    slices = [(*lead, slice(lo, hi)) for lo, hi in zip([0, *ends], ends)]
+    out = np.concatenate(datas, axis=axis)
+    return Tensor(out, tuple(tensors), lambda g: [g[s] for s in slices])
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -233,8 +244,7 @@ class TestIndexingAndShape:
         np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis))
         g = rng.standard_normal(out.shape).astype(np.float32)
         g.reshape(-1)[::3] = -0.0
-        for part, vjp, want in zip(parts, out._node.vjps, np.split(g, 3, axis=axis)):
-            got = vjp(g)
+        for got, want in zip(out._node.vjp(g), np.split(g, 3, axis=axis), strict=True):
             assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
             assert np.shares_memory(got, g)  # a view: nothing is copied
 
@@ -524,7 +534,7 @@ class TestNoGrad:
             y = (x * 2.0 + x).sigmoid().sum(axis=1)
             z = softmax(x @ x.T)
         for t in (y, z):
-            assert t._node.parents == () and t._node.vjps == ()
+            assert t._node.parents == () and t._node.vjp is None
         np.testing.assert_array_equal(y.data, (x * 2.0 + x).sigmoid().sum(axis=1).data)
 
     def test_recording_resumes_after_nesting(self):
@@ -678,9 +688,10 @@ class TestBackward:
         assert len(inner) == 6
         loss.backward()
         for n in inner:
-            assert n.grad is None and n.parents == () and n.vjps == ()
+            assert n.grad is None and n.parents == () and n.vjp is None
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
+    @gc_off()
     def test_backward_frees_intermediate_arrays(self):
         x = Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4))
         y = x.sigmoid()
@@ -692,6 +703,7 @@ class TestBackward:
         assert ref() is None
         assert x.grad is not None
 
+    @gc_off()
     def test_arrays_no_vjp_reads_die_before_backward(self):
         xv = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
 
@@ -709,6 +721,18 @@ class TestBackward:
 
         y = _sigmoid(xv + 1.0)
         assert leaf_grad(True) == leaf_grad(False) == (y * (1.0 - y)).tobytes()
+
+    @gc_off()
+    def test_a_binary_op_keeps_its_operands_shapes_not_their_tensors(self):
+        x = Tensor(np.linspace(-2.0, 2.0, 12).reshape(3, 4))
+        h = x * 2.0
+        ref = weakref.ref(h.data)
+        loss = (h + 1.0).sum()
+        del h
+        # the add's VJP reads neither operand, so the tape does not hold h's array
+        assert ref() is None
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, np.full((3, 4), 2.0))
 
     def test_leaf_grads_are_the_byte_exact_chain_rule(self):
         rng = np.random.default_rng(61)
@@ -729,6 +753,25 @@ class TestBackward:
         x = Tensor(xv.copy())
         (segment_sum(x[idx], segments, 3) * c).sum().backward()
         assert x.grad.tobytes() == add_at(c[segments], idx, 5).tobytes()
+
+    def test_one_vjp_call_per_node_even_with_a_parent_named_twice(self):
+        """An op with parents (x, w, x), as x * w * x in one node: backward()
+        calls its VJP once, and each leaf's gradient is the sum of what that
+        one call returned for its slots, in parent order."""
+        rng = np.random.default_rng(63)
+        xv, wv, c = (rng.standard_normal((3, 4)) for _ in range(3))
+        x, w = Tensor(xv.copy()), Tensor(wv.copy())
+        returned = []
+
+        def vjp(g):
+            returned.append((g * wv * xv, g * xv * xv, g * xv * wv))
+            return returned[-1]
+
+        (Tensor(xv * wv * xv, (x, w, x), vjp) * c).sum().backward()
+        assert len(returned) == 1
+        first, middle, last = returned[0]
+        assert x.grad.tobytes() == (first + last).tobytes()
+        assert w.grad.tobytes() == middle.tobytes()
 
     def test_numpy_left_operands_defer_to_tensor(self):
         x = Tensor(np.ones(3))

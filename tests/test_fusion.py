@@ -18,7 +18,7 @@ from lexner.fusion import (
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
 from lexner.model import EncodedSentence, ModelDims, ModelParams, forward_states
-from test_autograd import check_op, concat, masked_softmax
+from test_autograd import check_op, concat, gc_off, masked_softmax
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):
@@ -393,18 +393,21 @@ class TestInterSourceFusion:
         graph, _, got, want = run_against_the_dense_gate(dtype, variant)
         gated = blocks[: len(blocks) - 2]  # the dense reference makes the last two
         n, m = graph.n, graph.m
-        if variant == "fc_inter":
-            # one lattice segment: one dense block each way, whatever the budget
-            assert gated == [(n, m, 8), (m, n, 8)]
-        else:
-            assert len(gated) > 4
-            # some segment is longer than the rows the budget allows: a block of its own
-            assert any(k > max(1, budget // (cols * d)) for k, cols, d in gated)
+        assert len(gated) > 4
+        assert all(k <= max(1, budget // (cols * d)) for k, cols, d in gated)
+        # some cut between character blocks falls inside a word's span of edges
+        chars, words = graph.char_word
+        first, last = np.full(m, n), np.full(m, -1)
+        np.minimum.at(first, words, chars)
+        np.maximum.at(last, words, chars)
+        cuts = np.cumsum([k for k, cols, _ in gated if cols == m])[:-1]
+        assert any(((first < r) & (r <= last)).any() for r in cuts)
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.dtype == b.dtype == dtype, k
             assert a.tobytes() == b.tobytes(), k
 
     @staticmethod
+    @gc_off()
     def sigmoids_alive_at_each_call(monkeypatch, taped):
         """For each gate block sigmoid of one inter_source_fusion, with or without
         a tape, how many earlier block outputs were alive when it was called."""

@@ -42,7 +42,7 @@ from lexner.trainer import (
     train,
     train_step,
 )
-from test_autograd import held_arrays, tape_nodes
+from test_autograd import gc_off, held_arrays, tape_nodes
 
 TINY = dict(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
 DATA = Path(__file__).parent / "data"
@@ -1134,6 +1134,11 @@ class TestTapeFreeInference:
 
 
 class TestTrainingTape:
+    @pytest.fixture(autouse=True)
+    def _gc_off(self):
+        with gc_off():
+            yield
+
     @staticmethod
     def gate_blocks(setup, monkeypatch):
         """(n, m, d) of the longest sentence, its two losses, per _gated_sum call
