@@ -316,54 +316,22 @@ class Tensor:
         return float(self.data)
 
 
-# Elements per block of the blocked elementwise kernels below. A block's
-# scratch arrays stay in cache between passes; 2**15 to 2**17 measured alike.
-_BLOCK = 1 << 16
-
-
-def _blocks(size: int):
-    """Flat C-order slices of at most _BLOCK elements covering range(size)."""
-    return (slice(lo, lo + _BLOCK) for lo in range(0, size, _BLOCK))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, branch-free.
 
     exp(-|x|) lies in [0, 1], so it never overflows; the numerator is 1 or
-    that same exp. The passes run block by block over flat C-order slices,
-    with scratch the size of one block, and write into one new C-contiguous
-    array; x is not modified.
+    that same exp. The result is a new C-contiguous array; x is not modified.
     """
-    x = np.asarray(x)
-    out = np.empty(x.shape, dtype=x.dtype)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    e = np.empty(min(x.size, _BLOCK), dtype=x.dtype)
-    nonneg = np.empty(e.shape, dtype=bool)
-    for b in _blocks(x.size):
-        xb, ob = flat_x[b], flat_out[b]
-        eb, nb = e[: len(xb)], nonneg[: len(xb)]
-        np.abs(xb, out=eb)
-        np.negative(eb, out=eb)
-        np.exp(eb, out=eb)
-        np.greater_equal(xb, 0, out=nb)
-        np.maximum(eb, nb, out=ob)
-        eb += 1
-        ob /= eb
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0, order="C")
+    e += 1
+    out /= e
     return out
 
 
 def _sigmoid_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """g * y * (1.0 - y), block by block as in _sigmoid; neither input is modified."""
-    out = np.empty(y.shape, dtype=np.result_type(g, y))
-    flat_g, flat_y, flat_out = g.reshape(-1), y.reshape(-1), out.reshape(-1)
-    t = np.empty(min(y.size, _BLOCK), dtype=y.dtype)
-    for b in _blocks(y.size):
-        yb, ob = flat_y[b], flat_out[b]
-        tb = t[: len(yb)]
-        np.multiply(flat_g[b], yb, out=ob)
-        np.subtract(1.0, yb, out=tb)
-        ob *= tb
-    return out
+    """The sigmoid's input gradient, from its output y; neither input is modified."""
+    return g * y * (1.0 - y)
 
 
 def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:

@@ -130,10 +130,18 @@ def tags_to_spans(tags: Sequence[str], scheme: str = "bio") -> list[tuple[int, i
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The 1-based number and text of each line of a UTF-8 file. Lines end only
     at `\n`, `\r\n` or `\r`: a U+2028 or `\x0c`, which `str.splitlines` breaks at,
-    is a character of its line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            yield lineno, raw.rstrip("\n")
+    is a character of its line. A byte that is not UTF-8 is a CorpusError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.rstrip("\n")
+    except UnicodeDecodeError:
+        # name the line: surrogateescape decodes each bad byte to one of U+DC80..U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if any("\udc80" <= c <= "\udcff" for c in raw):
+                    raise CorpusError(f"{path}:{lineno}: not valid UTF-8") from None
+        raise
 
 
 def read_sentences(path: str | Path) -> Iterator[list[tuple[int, str]]]:

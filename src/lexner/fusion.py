@@ -12,14 +12,10 @@ per sentence: words attend by an edge softmax along ``graph.word_word``
 (characters, fully connected, use a dense kernel with the heads as one batch
 axis), and the gate is summed along ``graph.char_word`` both ways, with one
 :func:`segment_sum` per direction. Each direction's gate is one tape op
-holding the (E, d) gate at the E edges, and its VJP reads those rows only.
-Its value is still made by evaluating the sigmoid for every (dst, src)
-pair, in fixed blocks of destination rows of at most ``_GATE_BLOCK``
-elements, outside the tape: the benchmark harness's tests pin that pair
-count, and an edge-list forward waits on the ROADMAP's counting and
-edge-gate items. No full (n, m, d) array is ever held at once, and the
-results equal the dense gate's bit for bit. Every constant is a
-Python float, so a float32 model computes in float32 throughout.
+holding the (E, d) gate at the E edges, and its VJP reads those rows only;
+its value is made densely, in row blocks outside the tape (see
+:func:`_gated_sum`), and equals the dense gate's bit for bit. Every constant
+is a Python float, so a float32 model computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -160,10 +156,11 @@ def intra_source_attention(
     return layer_norm(h + o, params.ln_gain, params.ln_bias)
 
 
-# Elements in one block of the gate: a block of k destination rows makes a
-# (k, m, d) pre-activation and sigmoid. On 500-character sentences 2**17 and
-# 2**18 decoded fastest; from 2**20 up, blocks held 12-25 MB more and ran slower.
-_GATE_BLOCK = 1 << 18
+# Elements in one block of the gate, the only cache blocking of its sigmoid: a
+# block of k destination rows makes a (k, m, d) pre-activation and sigmoid. In
+# process, 500-character sentences decoded fastest at 2**16 (49-52 ms median,
+# against 55-57 at 2**15 and 51-56 at 2**17; 2-core Xeon, 4 MB L2, numpy 2.4).
+_GATE_BLOCK = 1 << 16
 
 
 def _gated_sum(
@@ -180,31 +177,29 @@ def _gated_sum(
     do the product with the gathered neighbor states and the segment sum
     after it, so outputs and gradients equal the dense gate's bytes.
 
-    The value is made densely, one fixed block of destination rows at a time
-    and outside the tape, and each block keeps only its edges' rows. Since no
-    block is on the tape, a cut may fall anywhere, even inside a lattice
-    segment. It is dense because the benchmark harness's tests pin the number
-    of pairs the gate sigmoid evaluates; once the program counts its own work
-    (ROADMAP items 1 and 2), only this loop becomes a sigmoid of
-    a[dst] + b[src], and the op and its VJP stay as they are.
+    The value is made densely and outside the tape, in fixed blocks of
+    destination rows of at most ``_GATE_BLOCK`` elements that each write
+    their edges' rows in place, so a cut may fall anywhere, even inside a
+    lattice segment. It is dense because the benchmark harness's tests pin the
+    pair count; once the program counts its own work (ROADMAP items 1 and 2),
+    only this loop becomes a sigmoid of a[dst] + b[src].
     """
     n, d = t_dst.data.shape
     m = t_src.data.shape[0]
     dst, src = edges[:, np.argsort(edges[0], kind="stable")]
     a, b = t_dst @ w_dst, t_src @ w_src
-    rows, step = [], max(1, _GATE_BLOCK // max(m * d, 1))
+    y = np.empty((len(dst), d), np.result_type(a.data, b.data))
+    step = max(1, _GATE_BLOCK // max(m * d, 1))
     with no_grad():
-        # max(n, 1): a side with no nodes still makes one (empty) block to concatenate
-        for lo in range(0, max(n, 1), step):
+        for lo in range(0, n, step):
             hi = min(lo + step, n)
             e = slice(*np.searchsorted(dst, [lo, hi]))
             # one expression: the block's pre-activation and sigmoid output die here
-            rows.append(
+            y[e] = (
                 Tensor(a.data[lo:hi].reshape(hi - lo, 1, d) + b.data.reshape(1, m, d))
                 .sigmoid()
                 .data[dst[e] - lo, src[e]]
             )
-    y = np.concatenate(rows)
 
     def vjp(g):
         d = _sigmoid_vjp(g, y)
@@ -227,9 +222,8 @@ def inter_source_fusion(
     edges, each node's neighbors in index order, so the result equals a sum
     over the dense (node, neighbor) grid bit for bit. Each direction's gate
     is one tape op over the lattice edges, so ``backward()`` reads no pair
-    that is not an edge. Its value is still made densely, in blocks of
-    destination rows, because the benchmark harness's tests pin the pair
-    count (see :func:`_gated_sum`).
+    that is not an edge. Its value is still made densely, in row blocks (see
+    :func:`_gated_sum`).
     """
     s_c = _gated_sum(t_c, t_w, params.w_c1, params.w_c2, graph.char_word)
     # as (word, char) pairs each word's chars come in index order, so sums match a by-word list

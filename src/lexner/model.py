@@ -193,7 +193,10 @@ class ModelParams:
             # the whole tensor block in one read
             block = np.empty(left - hlen, np.uint8)
             block = block[: fh.readinto(block)]
-        header = json.loads(raw.decode("utf-8"))
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise ValueError(f"{path}: header is not valid UTF-8 JSON") from None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is not a JSON object")
         missing = [key for key in HEADER_TYPES if key not in header]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from lexner.autograd import (
-    _BLOCK,
     Tensor,
     _scatter_rows,
     _sigmoid,
@@ -453,11 +452,16 @@ def multiscale(shape, dtype, seed=0) -> np.ndarray:
     return x.astype(dtype)
 
 
-class TestBlockedSigmoid:
-    """_sigmoid and _sigmoid_vjp run in blocks of _BLOCK elements: the oracles
-    must hold across block boundaries, on partial last blocks and on views."""
+# a large size for the sigmoid kernels: their cases run at and around it
+N = 1 << 16
 
-    SIZES = [0, 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK // 2 + 3]
+
+class TestBlockedSigmoid:
+    """_sigmoid and _sigmoid_vjp at many sizes, from empty to about 2.5 * N
+    elements: the oracles hold at every size, with special values at fixed
+    positions deep inside the array and at its end, and on views."""
+
+    SIZES = [0, 1, N, N + 1, 5 * N // 2 + 3]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("size", SIZES)
@@ -468,15 +472,15 @@ class TestBlockedSigmoid:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_special_values_at_block_boundaries(self, dtype):
-        x = multiscale(5 * _BLOCK // 2, dtype)
+        x = multiscale(5 * N // 2, dtype)
         for value in SPECIAL:
-            x[[_BLOCK - 1, _BLOCK, _BLOCK + 1, -1]] = value
+            x[[N - 1, N, N + 1, -1]] = value
             assert_same_bits(_sigmoid(x), two_branch_sigmoid(x))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_views_read_in_logical_order(self, dtype):
-        x = multiscale((80, 64, 64), dtype)  # 5 blocks
-        x.flat[_BLOCK - 1 : _BLOCK - 1 + len(SPECIAL)] = SPECIAL
+        x = multiscale((80, 64, 64), dtype)  # 5 * N elements
+        x.flat[N - 1 : N - 1 + len(SPECIAL)] = SPECIAL
         zero_d = x[5:6, 6, 7].reshape(())
         views = (x.transpose(2, 0, 1), x[:, ::2], x[::-1, 3:, ::5], x.T[:7], x[5, 6, 7], zero_d)
         for view in views:
@@ -507,16 +511,16 @@ class TestBlockedSigmoid:
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_vjp_of_a_float64_gradient_through_a_float32_output(self):
-        y = _sigmoid(multiscale(_BLOCK + 5, np.float32, seed=1))
-        g = multiscale(_BLOCK + 5, np.float64, seed=2)
+        y = _sigmoid(multiscale(N + 5, np.float32, seed=1))
+        g = multiscale(N + 5, np.float64, seed=2)
         want = g * y * (1.0 - y)
         got = _sigmoid_vjp(g, y)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_neither_kernel_writes_to_its_inputs(self, dtype):
-        x = multiscale(5 * _BLOCK // 2, dtype)
-        x[_BLOCK - 1 : _BLOCK - 1 + len(SPECIAL)] = SPECIAL
+        x = multiscale(5 * N // 2, dtype)
+        x[N - 1 : N - 1 + len(SPECIAL)] = SPECIAL
         g = multiscale(x.shape, dtype, seed=3)
         y = _sigmoid(x)
         before = [a.tobytes() for a in (x, y, g)]

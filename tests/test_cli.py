@@ -133,6 +133,38 @@ class TestUsage:
                     "--input", str(workspace / "sentences.txt")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "reader", ["corpus", "lexicon", "config", "embeddings", "predict", "match", "graph"]
+    )
+    def test_a_file_that_is_not_utf8_names_its_line(
+        self, workspace, checkpoint, tmp_path, capsys, reader
+    ):
+        """Each input file is read through one line reader: a byte that is not
+        UTF-8 is a data error naming the file and the line it sits on."""
+        lexicon, text = workspace / "lexicon.txt", workspace / "sentences.txt"
+        emb = tmp_path / "chars.emb"
+        emb.write_text("a" + " 0.5" * 8 + "\n", encoding="utf-8")
+        bad = tmp_path / f"bad-{reader}"
+        cfg = config_with(
+            workspace, tmp_path, f"char_emb_file = {bad if reader == 'embeddings' else emb}\n"
+        )
+        # each command, and the good file that its spoilt copy replaces
+        argv, good = {
+            "corpus": (["stats", "--corpus", bad, "--lexicon", lexicon], workspace / "train.tsv"),
+            "lexicon": (["match", "--lexicon", bad, "--input", text], lexicon),
+            "config": (["train", "--config", bad], cfg),
+            "embeddings": (["train", "--config", cfg], emb),
+            "predict": (["predict", "--checkpoint", checkpoint, "--input", bad], text),
+            "match": (["match", "--lexicon", lexicon, "--input", bad], text),
+            "graph": (["graph", "--lexicon", lexicon, "--input", bad], text),
+        }[reader]
+        raw = good.read_bytes()
+        # an empty line ended by a lone \r, then the bad byte on the line after it
+        bad.write_bytes(raw + b"\r\xff\n")
+        assert run([str(arg) for arg in argv]) == 2
+        lineno = raw.count(b"\n") + 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}:{lineno}: not valid UTF-8"]
+
 
 class TestMatch:
     def test_output_format(self, workspace, capsys):
@@ -576,6 +608,20 @@ class TestTrainPredictEval:
         assert run(["predict", "--checkpoint", str(ckpt),
                     "--input", str(workspace / "dev.tsv")]) == 2
         assert "cut.ckpt: header length is truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first", [b"\xff", b"x"])
+    def test_checkpoint_header_that_is_not_utf8_json_is_data_error(
+        self, workspace, checkpoint, tmp_path, capsys, first
+    ):
+        raw = bytearray(checkpoint.read_bytes())
+        raw[len(CHECKPOINT_MAGIC) + 8] = first[0]  # the header's first byte
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(raw)
+        assert run(["predict", "--checkpoint", str(ckpt),
+                    "--input", str(workspace / "dev.tsv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ckpt}: header is not valid UTF-8 JSON"
+        ]
 
     @pytest.mark.parametrize("hlen", [2**64 - 1, 2**45])
     def test_checkpoint_header_length_past_the_end_is_data_error(

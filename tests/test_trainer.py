@@ -780,6 +780,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"m\.ckpt: header is not a JSON object"):
             ModelParams.load(path)
 
+    @pytest.mark.parametrize("first", [b"\xff", b"x"])
+    def test_header_that_is_not_utf8_json_rejected(self, setup, tmp_path, first):
+        path = tmp_path / "m.ckpt"
+        tiny_model(setup, seed=3).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[len(CHECKPOINT_MAGIC) + 8] = first[0]  # the header's first byte
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"m\.ckpt: header is not valid UTF-8 JSON$"):
+            ModelParams.load(path)
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
