@@ -334,38 +334,28 @@ def _sigmoid_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return g * y * (1.0 - y)
 
 
+_PAIRS = {np.dtype(np.float32): np.complex64, np.dtype(np.float64): np.complex128}
+
+
 def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """Zeros of n rows with rows[k] added into row idx[k]: np.add.at, exactly.
 
-    Rows are added level by level: one vectorised pass adds the first
-    occurrence of every index, the next pass the second, and so on. Each row
-    of the output thus receives its rows in their order in ``rows``, as
-    np.add.at adds them, so the two agree byte for byte.
+    One np.add.at on the flat output, in ``rows`` order. Even-width float32 and
+    float64 rows go as complex pairs, whose halves round as the floats do.
     """
-    out = np.zeros((n,) + rows.shape[1:], dtype=rows.dtype)
-    if not len(idx):
-        return out
-    idx = np.where(idx < 0, idx + n, idx)
-    order = np.argsort(idx, kind="stable")
-    ranked = idx[order]
-    pos = np.arange(len(idx))
-    # rank of each occurrence among equal indices: its distance from the run start
-    starts = np.r_[True, ranked[1:] != ranked[:-1]]
-    rank = pos - np.maximum.accumulate(np.where(starts, pos, 0))
-    by_level = order[np.argsort(rank, kind="stable")]
-    sizes = np.bincount(rank)
-    for hi, size in zip(np.cumsum(sizes), sizes):
-        level = by_level[hi - size : hi]
-        out[idx[level]] += rows[level]
-    return out
+    flat = np.ascontiguousarray(rows).reshape(len(idx), math.prod(rows.shape[1:]))
+    pair = _PAIRS.get(flat.dtype)
+    if pair is not None and flat.shape[1] % 2 == 0:
+        flat = flat.view(pair)
+    width = flat.shape[1]
+    out = np.zeros(n * width, flat.dtype)
+    np.add.at(out, (idx[:, None] * width + np.arange(width)).reshape(-1), flat.reshape(-1))
+    return out.view(rows.dtype).reshape((n,) + rows.shape[1:])
 
 
 def segment_sum(x: Tensor, segments: np.ndarray, n: int) -> Tensor:
-    """Add row k of x into output row segments[k]; the output has n rows.
-
-    Rows are added in their order in x, onto zeros, so a row that no segment
-    names stays zero. The VJP gathers the upstream gradient: g[segments].
-    """
+    """Zeros of n rows with row k of x added into row segments[k], in x's order,
+    by :func:`_scatter_rows`. The VJP gathers the upstream gradient: g[segments]."""
     return Tensor(_scatter_rows(x.data, segments, n), (x,), lambda g: (g[segments],))
 
 

@@ -165,6 +165,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     gold = load_corpus(args.gold, args.scheme)
     pred = load_corpus(args.pred, args.scheme)
+    for k, (p, g) in enumerate(zip(pred.sentences, gold.sentences), start=1):
+        if p.chars != g.chars:
+            raise CorpusError(f"{args.pred}: sentence {k}: characters differ from the gold file's")
     report = evaluate([s.tags for s in pred.sentences], gold)
     print(report.format())
     return 0
@@ -265,3 +268,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """The tape engine: every op's gradient against central finite differences."""
 
 import gc
+import itertools
 import weakref
 from contextlib import contextmanager
 
@@ -299,20 +300,28 @@ def add_at(rows, idx, n):
 
 
 class TestScatterRows:
-    """The level-by-level row scatter behind segment_sum and row-gather VJPs
-    is byte-equal to np.add.at."""
+    """The flat, complex-paired row scatter behind segment_sum and row-gather
+    VJPs is byte-equal to np.add.at on the rows."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("trailing", [(), (5,), (3, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16])
+    @pytest.mark.parametrize("trailing", [(), (5,), (3, 4), (2,), (304,)])
     def test_byte_equal_to_add_at(self, dtype, trailing):
         rng = np.random.default_rng(52)
-        for n, e in ((6, 40), (50, 30), (1, 9), (4, 0)):
+        cases = ((6, 40), (50, 30), (1, 9), (4, 0))
+        for (n, e), layout in itertools.product(cases, ("finite", "inf", "strided")):
             idx = rng.integers(0, n, e)
             rows = (rng.standard_normal((e,) + trailing) * 1e3).astype(dtype)
-            rows[::4] = -0.0  # 0.0 + -0.0 is +0.0; so must the helper's first level be
-            got = _scatter_rows(rows, idx, n)
+            rows[::4] = -0.0  # 0.0 + -0.0 is +0.0, in each half of a complex pair too
+            if layout == "inf":  # inf + -inf is NaN, with the same bytes
+                rows[1::5] = np.inf
+                rows[2::3] = -np.inf
+            if layout == "strided":  # every other element of wider rows
+                rows = np.repeat(rows, 2, axis=-1)[..., ::2]
+                assert e == 0 or not rows.flags.c_contiguous
+            with np.errstate(invalid="ignore"):
+                got, want = _scatter_rows(rows, idx, n), add_at(rows, idx, n)
             assert got.dtype == dtype and got.shape == (n,) + trailing
-            assert got.tobytes() == add_at(rows, idx, n).tobytes()
+            assert got.tobytes() == want.tobytes()
 
     def test_negative_indices_and_heavy_repeats(self):
         rng = np.random.default_rng(53)

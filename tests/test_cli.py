@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,17 @@ class TestUsage:
         assert run([str(arg) for arg in argv]) == 2
         lineno = raw.count(b"\n") + 2
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}:{lineno}: not valid UTF-8"]
+
+    def test_python_m_runs_the_command(self, workspace):
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "lexner.cli", "stats", "--corpus", str(workspace / "train.tsv"),
+             "--lexicon", str(workspace / "lexicon.txt")],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "sentences 40" in result.stdout
 
 
 class TestMatch:
@@ -648,6 +663,15 @@ class TestTrainPredictEval:
         assert run(args) == 2
         assert "unknown tag 'E-LOC' for scheme bio" in capsys.readouterr().err
         assert run(args + ["--scheme", "bmeo"]) == 1
+
+    def test_eval_refuses_a_prediction_of_other_text(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        gold.write_text("q\tO\n\na\tB-PER\nb\tI-PER\nc\tO\n", encoding="utf-8")
+        pred.write_text("q\tO\n\nx\tB-PER\ny\tI-PER\nz\tO\n", encoding="utf-8")
+        assert run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {pred}: sentence 2: characters differ from the gold file's"
+        ]
 
     def test_empty_input_gives_empty_output(self, workspace, checkpoint, tmp_path):
         empty = tmp_path / "empty.tsv"

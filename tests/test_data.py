@@ -13,11 +13,13 @@ from lexner.data import (
     corpus_stats,
     evaluate,
     load_corpus,
+    load_lexicon,
     make_tagset,
     spans_to_tags,
     tags_to_spans,
 )
 from lexner.matching import build_trie
+from lexner.trainer import TrainConfig
 
 
 def write_corpus(path, sentences):
@@ -94,6 +96,19 @@ class TestLoadCorpus:
             assert corpus.repaired_tags == 0
             for sent, spans in zip(corpus.sentences, expected):
                 assert tags_to_spans(sent.tags, scheme) == spans
+
+
+@pytest.mark.parametrize("reader", ["corpus", "lexicon", "config"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, reader):
+    text, load = {
+        "corpus": ("a\tB-PER\nb\tI-PER\n\nc\tO\n", lambda path: load_corpus(path).sentences),
+        "lexicon": ("abc\nab\n", load_lexicon),
+        "config": ("d_c = 8\nheads = 2\n", TrainConfig.from_file),
+    }[reader]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load(marked) == load(plain)
 
 
 class TestSpanConversion:
