@@ -147,8 +147,9 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 def read_sentences(path: str | Path) -> Iterator[list[tuple[int, str]]]:
     """The sentences of a corpus-format file, each as its (line number, line)
-    pairs; blank or whitespace-only lines separate sentences."""
-    for filled, lines in groupby(read_lines(path), key=lambda item: bool(item[1].strip())):
+    pairs. A line empty after stripping ASCII spaces and tabs separates
+    sentences; one holding only a U+3000 or U+2028 is a line of its sentence."""
+    for filled, lines in groupby(read_lines(path), key=lambda item: bool(item[1].strip(" \t"))):
         if filled:
             yield list(lines)
 
@@ -249,24 +250,18 @@ def evaluate(pred_tags: Sequence[Sequence[str]], gold: Corpus) -> EvalReport:
         raise CorpusError(
             f"prediction has {len(pred_tags)} sentences, gold has {len(gold.sentences)}"
         )
-    total_gold = total_pred = total_correct = 0
     by_type: dict[str, list[int]] = {}
     for pred, sent in zip(pred_tags, gold.sentences):
         if len(pred) != len(sent.chars):
             raise CorpusError("prediction/gold sentence length mismatch")
         gold_spans = set(tags_to_spans(sent.tags, gold.scheme))
         pred_spans = set(tags_to_spans(pred, gold.scheme))
-        total_gold += len(gold_spans)
-        total_pred += len(pred_spans)
-        total_correct += len(gold_spans & pred_spans)
         for spans, slot in ((gold_spans, 0), (pred_spans, 1), (gold_spans & pred_spans, 2)):
             for _, _, etype in spans:
                 by_type.setdefault(etype, [0, 0, 0])[slot] += 1
-    p, r, f1 = _prf(total_correct, total_pred, total_gold)
-    per_type = {
-        etype: _prf(c, pr, g) for etype, (g, pr, c) in by_type.items()
-    }
-    return EvalReport(p, r, f1, total_gold, total_pred, total_correct, per_type)
+    gold_n, pred_n, correct = map(sum, zip([0, 0, 0], *by_type.values()))
+    per_type = {etype: _prf(c, pr, g) for etype, (g, pr, c) in by_type.items()}
+    return EvalReport(*_prf(correct, pred_n, gold_n), gold_n, pred_n, correct, per_type)
 
 
 @dataclass

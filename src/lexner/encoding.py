@@ -91,13 +91,13 @@ class EmbeddingTable:
         """
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
-        lines = [line.rstrip().split(" ") for _, line in read_lines(path)]
+        lines = [line.rstrip(" \t").split(" ") for _, line in read_lines(path)]
         start = 0
         if lines and len(lines[0]) == 2 and all(p.isdigit() for p in lines[0]):
             start = 1
         for lineno, parts in enumerate(lines[start:], start=start + 1):
             if len(parts) < 2:
-                if parts[0].strip():
+                if parts[0]:
                     raise ValueError(f"{path}:{lineno}: malformed embedding line")
                 continue
             token, values = parts[0], parts[1:]

@@ -16,38 +16,18 @@ MATCH, COVER, DISTURB = 0, 1, 2
 LEC_LABEL_NAMES = ("Match", "Cover", "Disturb")
 
 
-class _TrieNode:
-    __slots__ = ("children", "word_id")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.word_id: int | None = None
-
-
 class LexiconTrie:
-    """Prefix tree over multi-character lexicon words.
+    """Prefix tree over multi-character lexicon words, as nested dicts keyed
+    by character; the key ``None`` marks the end of a word.
 
     Immutable after :func:`build_trie`; matching only reads it, so one trie
     may serve many sentences concurrently.
     """
 
     def __init__(self) -> None:
-        self.root = _TrieNode()
+        self.root: dict = {}
         self.words: list[str] = []
         self.max_word_len = 0
-
-    def _insert(self, word: str) -> None:
-        node = self.root
-        for ch in word:
-            nxt = node.children.get(ch)
-            if nxt is None:
-                nxt = _TrieNode()
-                node.children[ch] = nxt
-            node = nxt
-        if node.word_id is None:
-            node.word_id = len(self.words)
-            self.words.append(word)
-            self.max_word_len = max(self.max_word_len, len(word))
 
 
 @dataclass(frozen=True)
@@ -79,7 +59,13 @@ def build_trie(lexicon: Iterable[str], max_word_len: int = 0) -> LexiconTrie:
             continue
         if max_word_len and len(word) > max_word_len:
             continue
-        trie._insert(word)
+        node = trie.root
+        for ch in word:
+            node = node.setdefault(ch, {})
+        if None not in node:
+            node[None] = True
+            trie.words.append(word)
+            trie.max_word_len = max(trie.max_word_len, len(word))
     return trie
 
 
@@ -102,10 +88,10 @@ def match_sentence(
         node = trie.root
         limit = min(n, head + trie.max_word_len)
         for tail in range(head, limit):
-            node = node.children.get(sentence[tail])
+            node = node.get(sentence[tail])
             if node is None:
                 break
-            if node.word_id is not None:
+            if None in node:
                 surface = "".join(sentence[head : tail + 1])
                 words.append(MatchedWord(surface, head, tail))
     subsets: list[list[int]] = [[] for _ in range(n)]
@@ -129,12 +115,12 @@ def label_lec(
     for (h1, t1), (h2, t2) in zip(spans, spans[1:]):
         if h2 <= t1:
             raise ValueError(f"gold entity spans overlap: ({h1},{t1}) and ({h2},{t2})")
-    exact = {s for s in spans}
+    exact = set(spans)
     labels = []
     for w in words:
         if (w.head, w.tail) in exact:
             labels.append(MATCH)
-        elif any(h <= w.head and w.tail <= t and (w.head, w.tail) != (h, t) for h, t in spans):
+        elif any(h <= w.head and w.tail <= t for h, t in spans):
             labels.append(COVER)
         else:
             labels.append(DISTURB)

@@ -457,6 +457,16 @@ class TestTrainPredictEval:
         assert [s.chars for s in load_corpus(pred).sentences] == want
         assert run(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
 
+    def test_predict_keeps_an_ideographic_space_line_in_its_sentence(
+        self, workspace, checkpoint, tmp_path
+    ):
+        text = tmp_path / "in.txt"
+        text.write_text("a\n\u3000\nb\n", encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        assert run(["predict", "--checkpoint", str(checkpoint),
+                    "--input", str(text), "--out", str(out)]) == 0
+        assert [s.chars for s in load_corpus(out).sentences] == [["a", "\u3000", "b"]]
+
     def test_predict_refuses_an_empty_character_column(
         self, workspace, checkpoint, tmp_path, capsys
     ):

@@ -54,6 +54,15 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=":2"):
             load_corpus(path)
 
+    def test_a_line_of_one_ideographic_space_is_malformed(self, tmp_path):
+        # only a line empty after stripping ASCII spaces and tabs ends a sentence
+        path = tmp_path / "bad.tsv"
+        path.write_text("a\tO\n\u3000\nb\tO\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"bad\.tsv:2: expected `char<TAB>tag`, got '\\u3000'"):
+            load_corpus(path)
+        path.write_text("a\tO\n \t \nb\tO\n", encoding="utf-8")
+        assert [s.chars for s in load_corpus(path).sentences] == [["a"], ["b"]]
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tQ-PER\n", encoding="utf-8")

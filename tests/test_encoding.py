@@ -160,6 +160,21 @@ class TestEmbeddingTable:
         assert table.tokens == ["\u2028", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("token", ["\u2028", "\u3000"])
+    def test_a_line_of_one_unicode_space_is_malformed(self, tmp_path, token):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"foo 1 2\n{token}\nbar 3 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.txt:2: malformed embedding line"):
+            EmbeddingTable.from_file(path)
+
+    def test_a_trailing_space_still_loads(self, tmp_path):
+        # fastText's .vec files end each line with a space
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2 \nfoo 1 2 \nbar 3 4 \n", encoding="utf-8")
+        table = EmbeddingTable.from_file(path)
+        assert table.tokens == ["foo", "bar"]
+        np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
+
     def test_largest_finite_float32_loads(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 3e38 -3e38\n", encoding="utf-8")

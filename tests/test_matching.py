@@ -75,6 +75,10 @@ class TestBuildTrie:
         # 0 caps nothing
         assert build_trie(["ab", "abcd"], max_word_len=0).words == ["ab", "abcd"]
 
+    def test_first_occurrence_wins(self):
+        # the word vocabulary, and so the checkpoint, follow this order
+        assert build_trie(["bc", "ab", "bc"]).words == ["bc", "ab"]
+
 
 class TestMatchSentence:
     def test_word_subset_of_shared_character(self):
@@ -133,6 +137,10 @@ class TestMatchSentence:
         words, _ = match_sentence(build_trie(["ab"]), "abab")
         assert [(w.head, w.tail) for w in words] == [(0, 1), (2, 3)]
         assert words[0] != words[1]
+
+    def test_a_multi_character_element_matches_no_word(self):
+        # each sentence element is one step of the trie, never a spelled-out prefix
+        assert match_sentence(build_trie(["abc"]), ["ab", "c"])[0] == []
 
     def test_surface_equals_slice(self):
         words, _ = match_sentence(build_trie(HALL_LEXICON), HALL_SENTENCE)
