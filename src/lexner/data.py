@@ -11,7 +11,7 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -131,17 +131,21 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The 1-based number and text of each line of a UTF-8 file; a leading
     byte-order mark is skipped. Lines end only at `\n`, `\r\n` or `\r`: a U+2028
     or `\x0c`, which `str.splitlines` breaks at, is a character of its line. A
-    byte that is not UTF-8 is a CorpusError."""
+    byte that is not UTF-8 is a CorpusError, raised when its line is reached,
+    so a caller that checks each line as it comes names the first fault."""
+    done = 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw.rstrip("\n")
+            for done, raw in enumerate(fh, start=1):
+                yield done, raw.rstrip("\n")
     except UnicodeDecodeError:
-        # name the line: surrogateescape decodes each bad byte to one of U+DC80..U+DCFF
+        # decoding fails a whole chunk at once: resume after the last line given,
+        # and name the bad line (surrogateescape decodes each bad byte to U+DC80..U+DCFF)
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+            for lineno, raw in islice(enumerate(fh, start=1), done, None):
                 if any("\udc80" <= c <= "\udcff" for c in raw):
                     raise CorpusError(f"{path}:{lineno}: not valid UTF-8") from None
+                yield lineno, raw.rstrip("\n")
         raise
 
 

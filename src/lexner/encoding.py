@@ -80,22 +80,24 @@ class EmbeddingTable:
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ) -> "EmbeddingTable":
-        """Load `token v1 .. vd` lines; an optional `count dim` header is skipped.
+        """Load `token v1 .. vd` lines; an optional `count dim` first line is skipped.
         Both split at single spaces only: a tab or U+2028 is part of a token.
 
         When ``vocab`` is given, the table covers exactly those tokens and
         tokens missing from the file are initialized uniformly in
-        [-INIT_SCALE, INIT_SCALE] (requires ``rng``). A value that is not
-        finite in ``dtype`` (nan, inf, or one that overflows it) is an error
-        naming its line.
+        [-INIT_SCALE, INIT_SCALE] (requires ``rng``). The file is read once,
+        line by line, and only the vectors of ``vocab`` tokens are kept; every
+        line is still checked, and the first fault in file order is an error
+        naming its line: a malformed line, a value that is not finite in
+        ``dtype`` (nan, inf, or one that overflows it), or a wrong width.
         """
+        wanted = None if vocab is None else set(vocab)
         vectors: dict[str, np.ndarray] = {}
         dim: int | None = None
-        lines = [line.rstrip(" \t").split(" ") for _, line in read_lines(path)]
-        start = 0
-        if lines and len(lines[0]) == 2 and all(p.isdigit() for p in lines[0]):
-            start = 1
-        for lineno, parts in enumerate(lines[start:], start=start + 1):
+        for lineno, line in read_lines(path):
+            parts = line.rstrip(" \t").split(" ")
+            if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+                continue
             if len(parts) < 2:
                 if parts[0]:
                     raise ValueError(f"{path}:{lineno}: malformed embedding line")
@@ -113,7 +115,8 @@ class EmbeddingTable:
                 dim = vec.size
             elif vec.size != dim:
                 raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
-            vectors[token] = vec
+            if wanted is None or token in wanted:
+                vectors[token] = vec
         if dim is None:
             raise ValueError(f"{path}: no embedding vectors found")
         tokens = list(vocab) if vocab is not None else list(vectors)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Corpus, Sentence, spans_to_tags
-from .matching import DISTURB, build_trie, label_lec, match_sentence
 
 FILLER = "tuvwxyz"
 
@@ -42,7 +41,10 @@ def make_overfit_corpus(seed: int = 7) -> tuple[Corpus, list[str]]:
 
     Every entity surface is in the lexicon (a Match word per entity), cover
     and crossing/filler words are present, and at least five distinct
-    surfaces match only as disturbances.
+    surfaces match only as disturbances. Both hold by construction: each
+    entity is a lexicon word, and every third sentence, the first included,
+    wraps its entities in "xyz" ... "tuv", whose six filler words only
+    disturb. The corpus is not re-matched here; the tests check it.
     """
     rng = np.random.default_rng(seed)
     surfaces = list(ENTITY_TYPES)
@@ -66,26 +68,5 @@ def make_overfit_corpus(seed: int = 7) -> tuple[Corpus, list[str]]:
                 parts.append(after)
         chars = list("".join(parts))
         sents.append(Sentence(chars, spans_to_tags(spans, len(chars))))
-    corpus = Corpus(sents)
-    _check_word_roles(corpus, OVERFIT_LEXICON, min_disturb=5)
-    return corpus, list(OVERFIT_LEXICON)
+    return Corpus(sents), list(OVERFIT_LEXICON)
 
-
-def _check_word_roles(corpus: Corpus, lexicon: list[str], min_disturb: int) -> None:
-    trie = build_trie(lexicon)
-    disturb: set[str] = set()
-    matched_entities = 0
-    total_entities = 0
-    for sent, spans in zip(corpus.sentences, corpus.gold_spans()):
-        words, _ = match_sentence(trie, sent.chars)
-        labels = label_lec(words, spans)
-        for w, lab in zip(words, labels):
-            if lab == DISTURB:
-                disturb.add(w.surface)
-        exact = {(w.head, w.tail) for w in words}
-        matched_entities += sum(1 for h, t, _ in spans if (h, t) in exact)
-        total_entities += len(spans)
-    if matched_entities != total_entities:
-        raise AssertionError("some gold entity has no exact lexicon match")
-    if len(disturb) < min_disturb:
-        raise AssertionError(f"only {len(disturb)} distinct disturb words, need {min_disturb}")

@@ -15,6 +15,7 @@ from lexner.data import (
     load_corpus,
     load_lexicon,
     make_tagset,
+    read_lines,
     spans_to_tags,
     tags_to_spans,
 )
@@ -118,6 +119,22 @@ def test_a_leading_byte_order_mark_is_skipped(tmp_path, reader):
     plain.write_text(text, encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert load(marked) == load(plain)
+
+
+def test_the_lines_before_a_bad_byte_are_read_first(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\nb\r\nc \xff\nd\n")  # one decoding chunk
+    lines = read_lines(path)
+    assert [next(lines), next(lines)] == [(1, "a"), (2, "b")]
+    with pytest.raises(CorpusError, match=r"f\.txt:3: not valid UTF-8"):
+        next(lines)
+
+
+def test_a_malformed_sentence_before_a_bad_byte_is_named_first(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"a\tO\nbroken\n\nb\tO\n\xff\tO\n")
+    with pytest.raises(CorpusError, match=r"c\.tsv:2: expected"):
+        load_corpus(path)
 
 
 class TestSpanConversion:

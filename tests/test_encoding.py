@@ -1,5 +1,6 @@
 """Position encodings, embedding tables, and initial node states."""
 
+import re
 import warnings
 
 import numpy as np
@@ -180,6 +181,48 @@ class TestEmbeddingTable:
         path.write_text("foo 3e38 -3e38\n", encoding="utf-8")
         table = EmbeddingTable.from_file(path, dtype=np.float32)
         assert np.isfinite(table.rows.data).all()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("bar", "malformed embedding line"),
+         ("bar 3 nan", "value 'nan' is not finite in float64"),
+         ("bar 1 x", "could not convert string to float: 'x'"),
+         ("bar 1 2 3", "expected 2 values, got 3")],
+        ids=["malformed", "non-finite", "non-numeric", "wrong-width"],
+    )
+    def test_a_fault_outside_the_vocab_still_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"foo 1 2\n{line}\nbaz 3 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"emb\.txt:2: {re.escape(message)}"):
+            EmbeddingTable.from_file(path, vocab=["foo"])
+
+    def test_only_the_first_line_can_be_a_header(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 1\na 1\n2 3\n", encoding="utf-8")
+        table = EmbeddingTable.from_file(path)
+        assert table.tokens == ["a", "2"]
+        np.testing.assert_array_equal(table.rows.data[:2], [[1], [3]])
+
+    def test_vocab_rows_equal_the_full_table(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nfoo 1 2\nbar 3 4\nfoo 5 6\n", encoding="utf-8")
+        full = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, vocab=["foo", "new"], rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(table.rows.data[0], full.rows.data[full.lookup_index("foo")])
+        np.testing.assert_array_equal(table.rows.data[0], [5, 6])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(b"foo 1 2\nbar\nbaz \xff 1\n", r"emb\.txt:2: malformed embedding line"),
+         (b"foo 1 2\nbaz \xff 1\nbar\n", r"emb\.txt:2: not valid UTF-8"),
+         (b"foo 1 2\nbar 3 nan\nbaz \xff 1\n", r"emb\.txt:2: value 'nan' is not finite")],
+        ids=["malformed-then-utf8", "utf8-then-malformed", "non-finite-then-utf8"],
+    )
+    def test_the_first_fault_in_file_order_is_named(self, tmp_path, body, message):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable.from_file(path, vocab=["foo"])
 
 
 def zero_table(tokens, dim):

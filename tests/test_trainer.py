@@ -210,6 +210,24 @@ class TestTrainStep:
         with pytest.raises(ValueError):
             train_step([], model, Adam(model.parameters(), 0.1), 0, tiny_config(), None)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_one_backward_per_sentence_and_one_adam_step(self, setup, monkeypatch, batch):
+        corpus, trie, _ = setup
+        model = tiny_model(setup)
+        sents = prepare_corpus(corpus, trie, model.tagset)[:batch]
+        calls = {"backward": 0, "step": 0}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Tensor, "backward", counting("backward", Tensor.backward))
+        monkeypatch.setattr(Adam, "step", counting("step", Adam.step))
+        train_step(sents, model, Adam(model.parameters(), 1e-2), 0, tiny_config(), None)
+        assert calls == {"backward": batch, "step": 1}
+
     def test_lambda_zero_blocks_auxiliary_gradient(self, setup):
         """The auxiliary loss is still computed but moves nothing."""
         corpus, trie, _ = setup
