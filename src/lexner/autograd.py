@@ -31,13 +31,13 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "attention",
     "dropout",
     "glorot",
     "layer_norm",
     "logsumexp",
     "no_grad",
     "segment_sum",
-    "softmax",
     "watch_relu_kinks",
 ]
 
@@ -263,10 +263,6 @@ class Tensor:
         inverse = tuple(int(a) for a in np.argsort(axes))
         return Tensor(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
-    @property
-    def T(self):
-        return self.transpose()
-
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -282,11 +278,6 @@ class Tensor:
             return (np.broadcast_to(gg, src),)
 
         return Tensor(out, (self,), vjp)
-
-    def mean(self, axis=None, keepdims=False):
-        axes = _axis_tuple(axis, self.data.ndim)
-        count = math.prod(self.data.shape[a] for a in axes) if self.data.ndim else 1
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- elementwise nonlinearities -------------------------------------------
 
@@ -307,10 +298,6 @@ class Tensor:
     def exp(self):
         y = np.exp(self.data)
         return Tensor(y, (self,), lambda g: (g * y,))
-
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        return Tensor(y, (self,), lambda g: (g * (0.5 / y),))
 
     def item(self) -> float:
         return float(self.data)
@@ -359,18 +346,33 @@ def segment_sum(x: Tensor, segments: np.ndarray, n: int) -> Tensor:
     return Tensor(_scatter_rows(x.data, segments, n), (x,), lambda g: (g[segments],))
 
 
-def softmax(scores: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``. Non-finite scores give non-finite weights, for the
-    loss check to report."""
-    y = scores.data - np.max(scores.data, axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+def attention(q: Tensor, kt: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
+    """softmax(q @ kt * scale) @ v as one tape op, and its softmax weights.
+
+    The heads are the leading axes: q is (..., n, d_z), kt (..., d_z, n), v
+    (..., n, d_v). The scores are one (..., n, n) buffer that becomes the
+    weights in place (scale, shift by the row max, exp, divide by the row
+    sum), so no other n x n array is made; the VJP holds it. The VJP runs the
+    op-by-op chain's steps in its order, so output and gradients are its
+    bytes. Non-finite scores give non-finite weights, for the loss check.
+    """
+    x, y, z = q.data, kt.data, v.data
+    a = x @ y
+    a *= scale
+    a -= np.max(a, axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        g_a = g @ np.swapaxes(z, -1, -2)
+        g_v = np.swapaxes(a, -1, -2) @ g
+        # the softmax VJP a * (g_a - sum(g_a * a)), then the scale, on g_a's own buffer
+        g_a -= (g_a * a).sum(axis=-1, keepdims=True)
+        g_a *= a
+        g_a *= scale
+        return g_a @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g_a, g_v
 
-    return Tensor(y, (scores,), vjp)
+    return Tensor(a @ z, (q, kt, v), vjp), a
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -403,10 +405,29 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + 1e-5).sqrt() * gain + bias
+    """(x - mean) / sqrt(var + 1e-5) * gain + bias over the last axis, one tape op.
+
+    The VJP is closed-form in the op-by-op chain's order, so output and
+    gradients are its bytes: c = x - mean gets g_ĉ/s, then t twice (one per
+    factor of c * c), and the mean's gradient comes last. It holds c, c/s
+    and s, never x.
+    """
+    xd, gd = x.data, gain.data
+    k = 1.0 / xd.shape[-1]
+    c = xd - xd.sum(axis=-1, keepdims=True) * k
+    s = np.sqrt((c * c).sum(axis=-1, keepdims=True) * k + 1e-5)
+    c_hat = c / s
+
+    def vjp(g):
+        g_hat = g * gd
+        g_s = (-g_hat * c / (s * s)).sum(axis=-1, keepdims=True)
+        t = g_s * (0.5 / s) * k * c
+        g_c = g_hat / s + t + t
+        lead = tuple(range(g.ndim - 1))
+        g_x = g_c + np.negative(g_c).sum(axis=-1, keepdims=True) * k
+        return g_x, (g * c_hat).sum(axis=lead), g.sum(axis=lead)
+
+    return Tensor(c_hat * gd + bias.data, (x, gain, bias), vjp)
 
 
 def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int, dtype=np.float64) -> Tensor:

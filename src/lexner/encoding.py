@@ -92,7 +92,9 @@ class EmbeddingTable:
         ``dtype`` (nan, inf, or one that overflows it), or a wrong width.
         """
         wanted = None if vocab is None else set(vocab)
-        vectors: dict[str, np.ndarray] = {}
+        # each kept vector is written straight into a matrix that grows as it fills
+        row_of: dict[str, int] = {}
+        found = np.zeros((0, 0), dtype)
         dim: int | None = None
         for lineno, line in read_lines(path):
             parts = line.rstrip(" \t").split(" ")
@@ -116,14 +118,22 @@ class EmbeddingTable:
             elif vec.size != dim:
                 raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
             if wanted is None or token in wanted:
-                vectors[token] = vec
+                i = row_of.setdefault(token, len(row_of))
+                if i == len(found):
+                    # in place where realloc can: no second copy of the rows read so far
+                    found.resize((2 * i + 1, dim), refcheck=False)
+                found[i] = vec
         if dim is None:
             raise ValueError(f"{path}: no embedding vectors found")
-        tokens = list(vocab) if vocab is not None else list(vectors)
+        if vocab is None:
+            # rows past the last token were never written: the UNK row is zeros
+            found.resize((len(row_of) + 1, dim), refcheck=False)
+            return cls(list(row_of), found)
+        tokens = list(vocab)
         matrix = np.zeros((len(tokens) + 1, dim), dtype=dtype)
         for i, tok in enumerate(tokens):
-            if tok in vectors:
-                matrix[i] = vectors[tok]
+            if tok in row_of:
+                matrix[i] = found[row_of[tok]]
             else:
                 if rng is None:
                     raise ValueError(f"token {tok!r} missing from {path} and no rng given")

@@ -9,13 +9,15 @@ same architecture with disjoint parameters.
 
 Every lattice step reads the edge lists :func:`graph.build_graph` made once
 per sentence: words attend by an edge softmax along ``graph.word_word``
-(characters, fully connected, use a dense kernel with the heads as one batch
-axis), and the gate is summed along ``graph.char_word`` both ways, with one
-:func:`segment_sum` per direction. Each direction's gate is one tape op
-holding the (E, d) gate at the E edges, and its VJP reads those rows only;
-its value is made densely, in row blocks outside the tape (see
-:func:`_gated_sum`), and equals the dense gate's bit for bit. Every constant
-is a Python float, so a float32 model computes in float32 throughout.
+(characters, fully connected, use :func:`autograd.attention`, one tape op
+over one (heads, n, n) buffer with the heads as a batch axis), and the gate
+is summed along ``graph.char_word`` both ways, with one :func:`segment_sum`
+per direction. Each direction's gate is one tape op holding the (E, d) gate
+at the E edges, and its VJP reads those rows only; its value is made
+densely, in row blocks outside the tape (see :func:`_gated_sum`), and equals
+the dense gate's bit for bit. The post-norm is :func:`layer_norm`, one tape
+op. Every constant is a Python float, so a float32 model computes in
+float32 throughout.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .autograd import (
     Tensor,
     _scatter_rows,
     _sigmoid_vjp,
+    attention,
     dropout,
     glorot,
     layer_norm,
     no_grad,
     segment_sum,
-    softmax,
 )
 from .graph import LatticeGraph
 
@@ -121,7 +123,8 @@ def intra_source_attention(
     graph attention, so a pair without an edge gets no weight at all.
     Scores are scaled by 1/sqrt(d) with d the width of ``h``, the full model
     dimension, not the per-head width. When ``weights_out`` is a list, each
-    head's weights are appended: an (n, n) matrix, or one weight per edge.
+    head's weights are appended: an (n, n) matrix, a view of the one score
+    buffer :func:`autograd.attention` turns into weights, or one weight per edge.
     """
     n, d = h.data.shape
     d_z = d // heads
@@ -133,10 +136,10 @@ def intra_source_attention(
     if edges is None:
         # heads as a batch axis: q and v as (heads, n, d_z), k as (heads, d_z, n)
         q, v = (x.reshape(n, heads, d_z).transpose(1, 0, 2) for x in (q, v))
-        att = softmax((q @ k.reshape(n, heads, d_z).transpose(1, 2, 0)) * scale)
+        o, att = attention(q, k.reshape(n, heads, d_z).transpose(1, 2, 0), v, scale)
         if weights_out is not None:
-            weights_out.extend(att.data)
-        o = (att @ v).transpose(1, 0, 2).reshape(n, d)
+            weights_out.extend(att)
+        o = o.transpose(1, 0, 2).reshape(n, d)
     else:
         dst, src = edges
         fan_in = np.bincount(dst, minlength=n)

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import weakref
 from contextlib import contextmanager
 
@@ -13,13 +14,53 @@ from lexner.autograd import (
     _scatter_rows,
     _sigmoid,
     _sigmoid_vjp,
+    attention,
     dropout,
     layer_norm,
     logsumexp,
     no_grad,
     segment_sum,
-    softmax,
 )
+
+
+def softmax(scores: Tensor, axis: int = -1) -> Tensor:
+    """Softmax along ``axis`` as its own tape op: the step of the attention chain
+    that :func:`attention` fuses. Non-finite scores give non-finite weights."""
+    y = scores.data - np.max(scores.data, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - dot),)
+
+    return Tensor(y, (scores,), vjp)
+
+
+def mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
+    """The sum times 1/count, two tape ops: a step of the layer_norm chain."""
+    axes = range(x.data.ndim) if axis is None else np.atleast_1d(axis)
+    count = math.prod(x.data.shape[a] for a in axes)
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+def sqrt(x: Tensor) -> Tensor:
+    y = np.sqrt(x.data)
+    return Tensor(y, (x,), lambda g: (g * (0.5 / y),))
+
+
+def chain_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """layer_norm as the 11 tape ops it was before it became one."""
+    mu = mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = mean(centered * centered, axis=-1, keepdims=True)
+    return centered / sqrt(var + 1e-5) * gain + bias
+
+
+def chain_attention(q: Tensor, kt: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
+    """attention as the four tape ops it was before it became one."""
+    att = softmax((q @ kt) * scale)
+    return att @ v, att.data
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray | None, axis: int = -1) -> Tensor:
@@ -211,17 +252,16 @@ class TestIndexingAndShape:
     def test_reshape_transpose(self):
         check_op(lambda ts: ts[0].reshape(6, 2), [(3, 4)])
         check_op(lambda ts: ts[0].reshape(3, 1, 4), [(3, 4)])
-        check_op(lambda ts: ts[0].T, [(3, 4)])
+        check_op(lambda ts: ts[0].transpose(), [(3, 4)])
 
     def test_transpose(self):
         check_op(lambda ts: ts[0].transpose(1, 0, 2), [(2, 3, 4)])
         check_op(lambda ts: ts[0].transpose(2, 0, 1), [(2, 3, 4)])
         check_op(lambda ts: ts[0].transpose(0, -1, 1), [(2, 3, 4)])
         check_op(lambda ts: ts[0].transpose(), [(2, 3, 4)])
-        check_op(lambda ts: ts[0].T, [(2, 3, 4)])
         x = np.arange(24.0).reshape(2, 3, 4)
         np.testing.assert_array_equal(Tensor(x).transpose(2, 0, 1).data, x.transpose(2, 0, 1))
-        np.testing.assert_array_equal(Tensor(x).T.data, x.T)
+        np.testing.assert_array_equal(Tensor(x).transpose().data, x.T)
 
     def test_concat(self):
         check_op(lambda ts: concat([ts[0], ts[1]], axis=1), [(3, 2), (3, 4)])
@@ -347,10 +387,10 @@ class TestReductions:
         check_op(lambda ts: ts[0].sum(axis=(0, 2)), [(2, 3, 4)])
 
     def test_mean(self):
-        check_op(lambda ts: ts[0].mean(), [(3, 4)])
-        check_op(lambda ts: ts[0].mean(axis=-1, keepdims=True), [(3, 4)])
+        check_op(lambda ts: mean(ts[0]), [(3, 4)])
+        check_op(lambda ts: mean(ts[0], axis=-1, keepdims=True), [(3, 4)])
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_allclose(x.mean(axis=1).data, [1.0, 4.0])
+        np.testing.assert_allclose(mean(x, axis=1).data, [1.0, 4.0])
 
     def test_logsumexp_matches_numpy(self):
         rng = np.random.default_rng(5)
@@ -371,7 +411,7 @@ class TestNonlinearities:
         check_op(lambda ts: ts[0].tanh(), [(3, 4)])
         check_op(lambda ts: ts[0].sigmoid(), [(3, 4)])
         check_op(lambda ts: ts[0].exp(), [(3, 4)])
-        check_op(lambda ts: (ts[0] * ts[0] + 0.5).sqrt(), [(3, 4)])
+        check_op(lambda ts: sqrt(ts[0] * ts[0] + 0.5), [(3, 4)])
         # keep relu inputs away from the kink
         check_op(lambda ts: (ts[0] + 5.0).relu() + (ts[0] - 5.0).relu(), [(3, 4)])
 
@@ -545,7 +585,7 @@ class TestNoGrad:
         x = Tensor(np.arange(6.0).reshape(2, 3))
         with no_grad():
             y = (x * 2.0 + x).sigmoid().sum(axis=1)
-            z = softmax(x @ x.T)
+            z = softmax(x @ x.transpose())
         for t in (y, z):
             assert t._node.parents == () and t._node.vjp is None
         np.testing.assert_array_equal(y.data, (x * 2.0 + x).sigmoid().sum(axis=1).data)
@@ -631,6 +671,81 @@ class TestLayerNorm:
 
     def test_gradient(self):
         check_op(lambda ts: layer_norm(ts[0], ts[1], ts[2]), [(3, 8), (8,), (8,)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 16), (7, 16), (120, 16), (500, 16), (100, 304)])
+    def test_one_op_equals_the_chain_byte_for_byte(self, dtype, shape):
+        rng = np.random.default_rng(shape[0])
+        xv = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        gv, bv = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+        upstream = rng.standard_normal(shape).astype(dtype)
+        upstream.reshape(-1)[::7] = -0.0  # signed zeros must sum as the chain sums them
+
+        def run(norm):
+            x, gain, bias = Tensor(xv.copy()), Tensor(gv.copy()), Tensor(bv.copy())
+            out = norm(x, gain, bias)
+            (out * upstream).sum().backward()
+            return [out.data, x.grad, gain.grad, bias.grad]
+
+        for k, (got, want) in enumerate(zip(run(layer_norm), run(chain_layer_norm), strict=True)):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape, k
+            assert got.tobytes() == want.tobytes(), k
+
+    def test_one_node_whose_vjp_does_not_hold_x(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((6, 8)))
+        out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        assert tape_nodes(out) == 4  # the op and its three leaves
+        assert tape_nodes(chain_layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))) == 14
+        assert not any(np.shares_memory(a, x.data) for a in held_arrays(out))
+
+
+def attention_inputs(n, heads, d_z, dtype, seed=0):
+    """(n, heads * d_z) leaves for q, k and v, laid out as the model lays them
+    out: q and v as (heads, n, d_z) views, k as a (heads, d_z, n) view."""
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.standard_normal((n, heads * d_z)).astype(dtype)) for _ in range(3)]
+
+    def heads_of(leaves):
+        q, k, v = (x.reshape(n, heads, d_z) for x in leaves)
+        return q.transpose(1, 0, 2), k.transpose(1, 2, 0), v.transpose(1, 0, 2)
+
+    return leaves, heads_of
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, 120, 500])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_one_op_equals_the_chain_byte_for_byte(self, dtype, n, heads):
+        d_z = 4
+        scale = 1.0 / math.sqrt(heads * d_z)
+        upstream = multiscale((heads, n, d_z), dtype, seed=n + heads)
+        upstream.reshape(-1)[::5] = -0.0
+
+        def run(attend):
+            leaves, heads_of = attention_inputs(n, heads, d_z, dtype, seed=n)
+            out, weights = attend(*heads_of(leaves), scale)
+            (out * upstream).sum().backward()
+            return [out.data, weights] + [x.grad for x in leaves]
+
+        got, want = run(attention), run(chain_attention)
+        for k, (a, b) in enumerate(zip(got, want, strict=True)):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape, k
+            assert a.tobytes() == b.tobytes(), k
+
+    def test_gradient(self):
+        check_op(lambda ts: attention(ts[0], ts[1], ts[2], 0.7)[0], [(2, 3, 4), (2, 4, 5), (2, 5, 3)])
+        check_op(lambda ts: attention(ts[0], ts[1], ts[2], 1.3)[0], [(1, 1), (1, 1), (1, 2)], seed=1)
+
+    def test_one_node_whose_vjp_holds_the_weights_it_returned(self):
+        leaves, heads_of = attention_inputs(9, 2, 3, np.float64)
+        q, kt, v = heads_of(leaves)
+        out, weights = attention(q, kt, v, 0.5)
+        assert out._node.parents == (q._node, kt._node, v._node)
+        assert weights.shape == (2, 9, 9)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
+        assert any(a is weights for a in held_arrays(out))
 
 
 class TestDropout:

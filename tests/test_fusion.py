@@ -1,13 +1,14 @@
 """Fusion layers against independent scalar reference implementations."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from lexner import fusion
-from lexner.autograd import Tensor, layer_norm, no_grad
+from lexner.autograd import Tensor, no_grad
 from lexner.encoding import initial_states
 from lexner.fusion import (
     FusionLayerParams,
@@ -18,7 +19,7 @@ from lexner.fusion import (
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
 from lexner.model import EncodedSentence, ModelDims, ModelParams, forward_states
-from test_autograd import check_op, concat, gc_off, masked_softmax
+from test_autograd import chain_layer_norm, check_op, concat, gc_off, masked_softmax
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):
@@ -74,18 +75,18 @@ def overlap_mask(words):
 
 def ref_dense_attention(h, mask, p, heads, scale_dim, weights_out=None):
     """The dense m x m masked-softmax kernel word attention ran before the edge
-    softmax: tape ops, one masked_softmax per head."""
+    softmax: tape ops, one masked_softmax per head, and the layer_norm chain."""
     d = h.data.shape[1]
     d_z = d // heads
     q, k, v = h @ p.wq, h @ p.wk, h @ p.wv
     outputs = []
     for i in range(heads):
         cols = slice(i * d_z, (i + 1) * d_z)
-        att = masked_softmax((q[:, cols] @ k[:, cols].T) * scale_dim**-0.5, mask)
+        att = masked_softmax((q[:, cols] @ k[:, cols].transpose()) * scale_dim**-0.5, mask)
         if weights_out is not None:
             weights_out.append(att.data)
         outputs.append(att @ v[:, cols])
-    return layer_norm(h + concat(outputs, axis=1) @ p.wt, p.ln_gain, p.ln_bias)
+    return chain_layer_norm(h + concat(outputs, axis=1) @ p.wt, p.ln_gain, p.ln_bias)
 
 
 def ref_gating(t_c, t_w, words, p):
@@ -246,6 +247,22 @@ class TestIntraSourceAttention:
         for k, (a, b) in enumerate(zip(got, want)):
             assert a.dtype == b.dtype == dtype and a.shape == b.shape, k
             assert a.tobytes() == b.tobytes(), k
+
+    def test_dense_kernel_without_a_tape_peaks_at_one_score_buffer(self):
+        """Characters at n = 500: the (heads, n, n) scores are one buffer that
+        becomes the weights in place, not one array per step of the softmax."""
+        n, d, heads = 500, 16, 2
+        p = make_params(d, 8, heads, seed=3, dtype=np.float32)
+        h = Tensor(np.random.default_rng(3).standard_normal((n, d)).astype(np.float32))
+        with no_grad():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                intra_source_attention(h, None, p.char_att, heads)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * heads * n * n * 4
 
     def test_rejects_bad_masks(self):
         d = 4

@@ -1248,11 +1248,12 @@ class TestTrainingTape:
         a drop, an op split in two as a rise. Per layer and direction the gate
         is 7 nodes: two matmuls, the gate op, the neighbor gather, the
         product, the segment sum and the residual add. The last layer's word
-        gate reaches l_lec only. The CRF partition is one node at any length."""
+        gate reaches l_lec only. The CRF partition is one node at any length, and
+        so are each layer_norm and each character attention."""
         model, sent = self.fixed_sentence(setup)
         l_ner, l_lec = sentence_losses(model, sent)
-        assert tape_nodes(l_ner) == 276
-        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 320
+        assert tape_nodes(l_ner) == 200
+        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 234
 
     def test_no_vjp_holds_an_array_as_large_as_the_dense_gate(self, setup):
         """The tape keeps the gate at the lattice edges, not at every (char, word) pair."""
