@@ -33,6 +33,8 @@ __all__ = [
     "Tensor",
     "attention",
     "dropout",
+    "edge_attention",
+    "ffn_residual",
     "glorot",
     "layer_norm",
     "logsumexp",
@@ -56,6 +58,20 @@ def watch_relu_kinks():
         yield margins
     finally:
         _relu_margins = prev
+
+
+def _watch_relu(h: np.ndarray) -> None:
+    """Record min |h| of a relu input h while a watch list is installed."""
+    if _relu_margins is not None and h.size:
+        _relu_margins.append(float(np.abs(h).min()))
+
+
+def _relu(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.where(x > 0, x, 0.0) into ``out`` (which may be x), byte for byte, without
+    a bool mask: fmax turns NaN into 0.0, and adding 0.0 turns -0.0 into +0.0."""
+    np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
 
 
 # False inside no_grad(): new tensors then record no parents and no VJP.
@@ -223,11 +239,9 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, Tensor):
-            # a / c and a * (1 / c) round differently; the model is built on the second
-            return self * (1.0 / other)
-        a, b = self.data, other.data
-        return _binary(a / b, (self, other), (lambda g: g / b, lambda g: -g * a / (b * b)))
+        """Division by a constant only. a / c and a * (1 / c) round differently;
+        the model is built on the second."""
+        return self * (1.0 / other)
 
     def __matmul__(self, other):
         return _matmul(self, other)
@@ -282,10 +296,9 @@ class Tensor:
     # -- elementwise nonlinearities -------------------------------------------
 
     def relu(self):
-        if _relu_margins is not None and self.data.size:
-            _relu_margins.append(float(np.abs(self.data).min()))
-        mask = self.data > 0
-        return Tensor(np.where(mask, self.data, 0.0), (self,), lambda g: (g * mask,))
+        _watch_relu(self.data)
+        y = _relu(self.data, np.empty(self.data.shape, self.data.dtype))
+        return Tensor(y, (self,), lambda g: (g * (y > 0),))
 
     def tanh(self):
         y = np.tanh(self.data)
@@ -294,10 +307,6 @@ class Tensor:
     def sigmoid(self):
         y = _sigmoid(self.data)
         return Tensor(y, (self,), lambda g: (_sigmoid_vjp(g, y),))
-
-    def exp(self):
-        y = np.exp(self.data)
-        return Tensor(y, (self,), lambda g: (g * y,))
 
     def item(self) -> float:
         return float(self.data)
@@ -308,9 +317,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
     exp(-|x|) lies in [0, 1], so it never overflows; the numerator is 1 or
     that same exp. The result is a new C-contiguous array; x is not modified.
+    Two float arrays and one bool mask are made: the exp runs in place and
+    the mask is cast to floats once, so max(mask, e) is a float ufunc.
     """
-    e = np.exp(-np.abs(x))
-    out = np.maximum(e, x >= 0, order="C")
+    e = np.abs(x, out=np.empty(x.shape, x.dtype))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.array(x >= 0, x.dtype, order="C")
+    np.maximum(out, e, out=out)
     e += 1
     out /= e
     return out
@@ -375,6 +389,57 @@ def attention(q: Tensor, kt: Tensor, v: Tensor, scale: float) -> tuple[Tensor, n
     return Tensor(a @ z, (q, kt, v), vjp), a
 
 
+def edge_attention(
+    q: Tensor, k: Tensor, v: Tensor, dst: np.ndarray, src: np.ndarray, heads: int, scale: float
+) -> tuple[Tensor, np.ndarray]:
+    """Graph attention along the edges (dst, src) as one tape op: the (n, d)
+    output and the (E, heads) edge weights.
+
+    q, k and v are (n, d) with the heads as column blocks of width d / heads.
+    The edges must be sorted by destination and reach every node. Each
+    destination's softmax runs over its incoming edges: the score of an edge
+    is its head's q[dst] . k[src] times ``scale``, shifted by the
+    destination's max score, which only keeps exp() finite. Its weight
+    scales v[src] into the destination's row. The forward and the VJP take
+    the op-by-op chain's steps in its order, so output and gradients are its
+    bytes. The VJP holds q, k, v, the exp'd scores, their per-destination
+    sums and the weights: (E, heads) arrays, never an (E, d) one.
+    """
+    xq, xk, xv = q.data, k.data, v.data
+    n, d = xq.shape
+    fan_in = np.bincount(dst, minlength=n)
+    if len(fan_in) != n or not fan_in.all() or np.any(dst[1:] < dst[:-1]):
+        raise ValueError(f"edges must be sorted by destination and reach each of {n} nodes")
+    e, d_z = len(dst), d // heads
+    p = xq[dst]
+    p *= xk[src]
+    w = p.reshape(e, heads, d_z).sum(axis=2)
+    del p  # (E, d): gone before v[src] is gathered
+    w *= scale
+    w -= np.maximum.reduceat(w, np.cumsum(fan_in) - fan_in, axis=0)[dst]
+    np.exp(w, out=w)
+    dd = _scatter_rows(w, dst, n)[dst]
+    att = w / dd
+    m = xv[src].reshape(e, heads, d_z)
+    np.multiply(att.reshape(e, heads, 1), m, out=m)
+
+    def vjp(g):
+        g_m = g[dst].reshape(e, heads, d_z)
+        g_att = (g_m * xv[src].reshape(e, heads, d_z)).sum(axis=2)
+        g_m *= att.reshape(e, heads, 1)
+        g_v = _scatter_rows(g_m.reshape(e, d), src, n)
+        # the division's two VJPs: w's own term and its share of the row sum dd
+        g_w = g_att / dd + _scatter_rows(-g_att * w / (dd * dd), dst, n)[dst]
+        g_w *= w
+        g_w *= scale
+        g_p = np.broadcast_to(g_w.reshape(e, heads, 1), (e, heads, d_z))
+        g_q = _scatter_rows((g_p * xk[src].reshape(e, heads, d_z)).reshape(e, d), dst, n)
+        g_k = _scatter_rows((g_p * xq[dst].reshape(e, heads, d_z)).reshape(e, d), src, n)
+        return g_q, g_k, g_v
+
+    return Tensor(_scatter_rows(m.reshape(e, d), dst, n), (q, k, v), vjp), att
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log sum exp(a), e, z) along ``axis``, keepdims: exp(a - max) is e and its sum z,
     so e / z are the softmax weights the VJP scales g by."""
@@ -396,12 +461,56 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return Tensor(out, (x,), vjp)
 
 
+def _dropout_scale(shape, dtype, rate: float, rng: np.random.Generator | None):
+    """Inverted dropout's factors, kept entries 1 / (1 - rate) and dropped ones 0;
+    None when rate is 0 or no rng is supplied, so nothing is drawn."""
+    if rate <= 0.0 or rng is None:
+        return None
+    keep = (rng.random(shape) >= rate).astype(dtype)
+    return keep / np.asarray(1.0 - rate, dtype=dtype)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when rate is 0 or no rng is supplied."""
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    return x * (keep / np.asarray(1.0 - rate, dtype=x.data.dtype))
+    scale = _dropout_scale(x.data.shape, x.data.dtype, rate, rng)
+    return x if scale is None else x * scale
+
+
+def ffn_residual(
+    x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+    rate: float = 0.0, rng: np.random.Generator | None = None,
+) -> Tensor:
+    """x + dropout(relu(x @ w1 + b1) @ w2 + b2) as one tape op.
+
+    The hidden layer h is one buffer that the relu overwrites, so the op
+    makes two arrays of its own: r = relu(h) and the output. The VJP holds
+    x, r and the dropout factors, and takes the op-by-op chain's steps in
+    its order, so output and gradients are its bytes; relu's mask h > 0 is
+    r > 0. While a watch list is installed, min |h| is recorded as
+    ``Tensor.relu`` records it.
+    """
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    r = xd @ w1d
+    r += b1.data
+    _watch_relu(r)
+    _relu(r, r)
+    y = r @ w2d
+    y += b2.data
+    scale = _dropout_scale(y.shape, y.dtype, rate, rng)
+    if scale is not None:
+        y *= scale
+    np.add(xd, y, out=y)
+
+    def vjp(g):
+        g_u = g if scale is None else g * scale
+        g_h = g_u @ np.swapaxes(w2d, -1, -2)
+        g_h *= r > 0
+        g_x = g + g_h @ np.swapaxes(w1d, -1, -2)
+        g_w1 = np.swapaxes(xd, -1, -2) @ g_h
+        g_w2 = np.swapaxes(r, -1, -2) @ g_u
+        return g_x, g_w1, g_h.sum(axis=0), g_w2, g_u.sum(axis=0)
+
+    return Tensor(y, (x, w1, b1, w2, b2), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

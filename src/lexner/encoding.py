@@ -8,6 +8,7 @@ projection onto the character dimension so both sources share one space.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -46,11 +47,13 @@ INIT_SCALE = 0.1  # rows not read from a file are drawn uniformly from [-0.1, 0.
 class EmbeddingTable:
     """Token -> vector lookup with a trailing UNK row for unknown tokens."""
 
-    def __init__(self, tokens: Sequence[str], matrix: np.ndarray):
+    def __init__(self, tokens: Sequence[str] | dict[str, int], matrix: np.ndarray):
+        """``tokens`` in row order, or a dict from each token to its row, in row
+        order, which becomes the table's index as it is."""
         if matrix.shape[0] != len(tokens) + 1:
             raise ValueError("matrix must have one row per token plus an UNK row")
         self.tokens = list(tokens)
-        self.index = {tok: i for i, tok in enumerate(self.tokens)}
+        self.index = tokens if isinstance(tokens, dict) else {t: i for i, t in enumerate(self.tokens)}
         self.unk_id = len(self.tokens)
         self.rows = Tensor(matrix)
 
@@ -90,15 +93,20 @@ class EmbeddingTable:
         line is still checked, and the first fault in file order is an error
         naming its line: a malformed line, a value that is not finite in
         ``dtype`` (nan, inf, or one that overflows it), or a wrong width.
+        A header's count sizes the matrix, but no larger than the file could
+        fill: a line of d values takes at least 2 * d + 1 bytes.
         """
         wanted = None if vocab is None else set(vocab)
-        # each kept vector is written straight into a matrix that grows as it fills
+        # each kept vector is written straight into the matrix, which grows if it fills
         row_of: dict[str, int] = {}
         found = np.zeros((0, 0), dtype)
+        count = 0
         dim: int | None = None
         for lineno, line in read_lines(path):
             parts = line.rstrip(" \t").split(" ")
             if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
+                # only a size hint, capped below: a count int() cannot read hints at no limit
+                count = int(parts[0]) if parts[0].isdecimal() and len(parts[0]) < 19 else sys.maxsize
                 continue
             if len(parts) < 2:
                 if parts[0]:
@@ -115,6 +123,10 @@ class EmbeddingTable:
                 raise ValueError(f"{path}:{lineno}: value {bad!r} is not finite in {vec.dtype}")
             if dim is None:
                 dim = vec.size
+                count = min(count, (Path(path).stat().st_size + 1) // (2 * dim + 1))
+                # with no vocab, one more row: the UNK row, zeros, so the last cut is free
+                rows = count + 1 if wanted is None else min(count, len(wanted))
+                found = np.zeros((rows, dim), dtype)
             elif vec.size != dim:
                 raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
             if wanted is None or token in wanted:
@@ -128,7 +140,7 @@ class EmbeddingTable:
         if vocab is None:
             # rows past the last token were never written: the UNK row is zeros
             found.resize((len(row_of) + 1, dim), refcheck=False)
-            return cls(list(row_of), found)
+            return cls(row_of, found)
         tokens = list(vocab)
         matrix = np.zeros((len(tokens) + 1, dim), dtype=dtype)
         for i, tok in enumerate(tokens):

@@ -8,15 +8,18 @@ step carries its own additive residual. Character and word sources use the
 same architecture with disjoint parameters.
 
 Every lattice step reads the edge lists :func:`graph.build_graph` made once
-per sentence: words attend by an edge softmax along ``graph.word_word``
+per sentence: words attend by an edge softmax along ``graph.word_word``,
+:func:`autograd.edge_attention`, one tape op holding (E, heads) arrays
 (characters, fully connected, use :func:`autograd.attention`, one tape op
 over one (heads, n, n) buffer with the heads as a batch axis), and the gate
 is summed along ``graph.char_word`` both ways, with one :func:`segment_sum`
 per direction. Each direction's gate is one tape op holding the (E, d) gate
 at the E edges, and its VJP reads those rows only; its value is made
 densely, in row blocks outside the tape (see :func:`_gated_sum`), and equals
-the dense gate's bit for bit. The post-norm is :func:`layer_norm`, one tape
-op. Every constant is a Python float, so a float32 model computes in
+the dense gate's bit for bit. Each FFN with its residual is
+:func:`autograd.ffn_residual` and the post-norm is :func:`layer_norm`, one
+tape op each. Every fused op gives the bytes of the op-by-op chain it
+replaced. Every constant is a Python float, so a float32 model computes in
 float32 throughout.
 """
 
@@ -33,6 +36,8 @@ from .autograd import (
     _sigmoid_vjp,
     attention,
     dropout,
+    edge_attention,
+    ffn_residual,
     glorot,
     layer_norm,
     no_grad,
@@ -141,20 +146,9 @@ def intra_source_attention(
             weights_out.extend(att)
         o = o.transpose(1, 0, 2).reshape(n, d)
     else:
-        dst, src = edges
-        fan_in = np.bincount(dst, minlength=n)
-        if len(fan_in) != n or not fan_in.all() or np.any(dst[1:] < dst[:-1]):
-            raise ValueError(f"edges must be sorted by destination and reach each of {n} nodes")
-        e = len(dst)
-        scores = (q[dst] * k[src]).reshape(e, heads, d_z).sum(axis=2) * scale
-        # softmax is shift-invariant: the per-destination max only keeps exp() finite
-        shift = np.maximum.reduceat(scores.data, np.cumsum(fan_in) - fan_in, axis=0)
-        w = (scores - shift[dst]).exp()
-        att = w / segment_sum(w, dst, n)[dst]
+        o, att = edge_attention(q, k, v, *edges, heads, scale)
         if weights_out is not None:
-            weights_out.extend(att.data.T)
-        messages = att.reshape(e, heads, 1) * v[src].reshape(e, heads, d_z)
-        o = segment_sum(messages.reshape(e, d), dst, n)
+            weights_out.extend(att.T)
     o = dropout(o @ params.wt, dropout_rate, rng)
     return layer_norm(h + o, params.ln_gain, params.ln_bias)
 
@@ -197,12 +191,12 @@ def _gated_sum(
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             e = slice(*np.searchsorted(dst, [lo, hi]))
-            # one expression: the block's pre-activation and sigmoid output die here
-            y[e] = (
-                Tensor(a.data[lo:hi].reshape(hi - lo, 1, d) + b.data.reshape(1, m, d))
-                .sigmoid()
-                .data[dst[e] - lo, src[e]]
-            )
+            # the sums a_i + b_j of a broadcast, but b is added over whole (m, d)
+            # blocks: one long inner loop per row, not one d-wide loop per pair
+            pre = np.repeat(a.data[lo:hi, None, :], m, axis=1)
+            pre += b.data
+            y[e] = Tensor(pre).sigmoid().data[dst[e] - lo, src[e]]
+            del pre  # the block's pre-activation and sigmoid output die here
 
     def vjp(g):
         d = _sigmoid_vjp(g, y)
@@ -237,9 +231,8 @@ def inter_source_fusion(
 def _ffn_block(
     x: Tensor, params: FfnParams, dropout_rate: float, rng: np.random.Generator | None
 ) -> Tensor:
-    inner = (x @ params.w1 + params.b1).relu() @ params.w2 + params.b2
-    inner = dropout(inner, dropout_rate, rng)
-    return layer_norm(x + inner, params.ln_gain, params.ln_bias)
+    y = ffn_residual(x, params.w1, params.b1, params.w2, params.b2, dropout_rate, rng)
+    return layer_norm(y, params.ln_gain, params.ln_bias)
 
 
 def fusion_layer(

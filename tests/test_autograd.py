@@ -11,15 +11,21 @@ import pytest
 
 from lexner.autograd import (
     Tensor,
+    _binary,
+    _relu,
     _scatter_rows,
     _sigmoid,
     _sigmoid_vjp,
+    _watch_relu,
     attention,
     dropout,
+    edge_attention,
+    ffn_residual,
     layer_norm,
     logsumexp,
     no_grad,
     segment_sum,
+    watch_relu_kinks,
 )
 
 
@@ -49,12 +55,50 @@ def sqrt(x: Tensor) -> Tensor:
     return Tensor(y, (x,), lambda g: (g * (0.5 / y),))
 
 
+def exp(x: Tensor) -> Tensor:
+    y = np.exp(x.data)
+    return Tensor(y, (x,), lambda g: (g * y,))
+
+
+def divide(a: Tensor, b: Tensor) -> Tensor:
+    """a / b of two Tensors, broadcasting: a step of the layer_norm and word
+    attention chains. ``Tensor / constant`` stays a method."""
+    x, y = a.data, b.data
+    return _binary(x / y, (a, b), (lambda g: g / y, lambda g: -g * x / (y * y)))
+
+
+def where_relu(x: Tensor) -> Tensor:
+    """relu as np.where(x > 0, x, 0.0) with a bool mask: the kernel :func:`_relu` replaced."""
+    _watch_relu(x.data)
+    mask = x.data > 0
+    return Tensor(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+
+
 def chain_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """layer_norm as the 11 tape ops it was before it became one."""
     mu = mean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = mean(centered * centered, axis=-1, keepdims=True)
-    return centered / sqrt(var + 1e-5) * gain + bias
+    return divide(centered, sqrt(var + 1e-5)) * gain + bias
+
+
+def chain_word_attention(q, k, v, dst, src, heads, scale) -> tuple[Tensor, np.ndarray]:
+    """edge_attention as the 17 tape ops it was before it became one."""
+    n, d = q.data.shape
+    e, d_z = len(dst), d // heads
+    fan_in = np.bincount(dst, minlength=n)
+    scores = (q[dst] * k[src]).reshape(e, heads, d_z).sum(axis=2) * scale
+    shift = np.maximum.reduceat(scores.data, np.cumsum(fan_in) - fan_in, axis=0)
+    w = exp(scores - shift[dst])
+    att = divide(w, segment_sum(w, dst, n)[dst])
+    messages = att.reshape(e, heads, 1) * v[src].reshape(e, heads, d_z)
+    return segment_sum(messages.reshape(e, d), dst, n), att.data
+
+
+def chain_ffn(x, w1, b1, w2, b2, rate=0.0, rng=None) -> Tensor:
+    """ffn_residual as the 6 tape ops it was (7 with dropout), relu by np.where."""
+    inner = where_relu(x @ w1 + b1) @ w2 + b2
+    return x + dropout(inner, rate, rng)
 
 
 def chain_attention(q: Tensor, kt: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
@@ -192,7 +236,7 @@ class TestArithmetic:
         check_op(lambda ts: ts[0] + ts[1], [(3, 4), (3, 4)])
         check_op(lambda ts: ts[0] - ts[1], [(3, 4), (3, 4)])
         check_op(lambda ts: ts[0] * ts[1], [(3, 4), (3, 4)])
-        check_op(lambda ts: ts[0] / (ts[1] * ts[1] + 1.0), [(3, 4), (3, 4)])
+        check_op(lambda ts: divide(ts[0], ts[1] * ts[1] + 1.0), [(3, 4), (3, 4)])
 
     def test_broadcasting(self):
         check_op(lambda ts: ts[0] + ts[1], [(3, 4), (4,)])
@@ -410,7 +454,7 @@ class TestNonlinearities:
     def test_gradients(self):
         check_op(lambda ts: ts[0].tanh(), [(3, 4)])
         check_op(lambda ts: ts[0].sigmoid(), [(3, 4)])
-        check_op(lambda ts: ts[0].exp(), [(3, 4)])
+        check_op(lambda ts: exp(ts[0]), [(3, 4)])
         check_op(lambda ts: sqrt(ts[0] * ts[0] + 0.5), [(3, 4)])
         # keep relu inputs away from the kink
         check_op(lambda ts: (ts[0] + 5.0).relu() + (ts[0] - 5.0).relu(), [(3, 4)])
@@ -746,6 +790,168 @@ class TestAttention:
         assert weights.shape == (2, 9, 9)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=1e-12)
         assert any(a is weights for a in held_arrays(out))
+
+
+def lattice_edges(n, seed):
+    """Random (dst, src) edges over n nodes, sorted by destination, each node's
+    self-loop included; node 0's self-loop is its only edge."""
+    rng = np.random.default_rng(seed)
+    adj = rng.random((n, n)) < 0.3
+    adj[0, :] = False
+    adj[:, 0] = False
+    adj[np.arange(n), np.arange(n)] = True
+    return np.stack(np.nonzero(adj))
+
+
+def assert_bytes_equal(got, want, dtype):
+    for k, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape, k
+        assert a.tobytes() == b.tobytes(), k
+
+
+class TestEdgeAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 9, 40])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_one_op_equals_the_chain_byte_for_byte(self, dtype, n, heads):
+        d = heads * 4
+        dst, src = lattice_edges(n, seed=n + heads)
+        upstream = multiscale((n, d), dtype, seed=n)
+        upstream.reshape(-1)[::5] = -0.0
+        upstream[0, :2] = 0.0
+
+        def run(attend):
+            rng = np.random.default_rng(n * heads)
+            leaves = [Tensor((rng.standard_normal((n, d)) * 2).astype(dtype)) for _ in range(3)]
+            out, weights = attend(*leaves, dst, src, heads, 1.0 / math.sqrt(d))
+            (out * upstream).sum().backward()
+            return [out.data, weights] + [x.grad for x in leaves]
+
+        assert_bytes_equal(run(edge_attention), run(chain_word_attention), dtype)
+
+    def test_gradient(self):
+        dst, src = lattice_edges(6, seed=3)
+        check_op(lambda ts: edge_attention(*ts, dst, src, 2, 0.7)[0], [(6, 4)] * 3)
+        check_op(lambda ts: edge_attention(*ts, dst, src, 1, 1.3)[0], [(6, 3)] * 3, seed=1)
+
+    def test_weights_sum_to_one_per_destination_and_a_lone_self_loop_weighs_one(self):
+        dst, src = lattice_edges(9, seed=4)
+        leaves = [Tensor(multiscale((9, 8), np.float64, seed=s)) for s in range(3)]
+        out, weights = edge_attention(*leaves, dst, src, 2, 0.5)
+        assert weights.shape == (len(dst), 2)
+        np.testing.assert_allclose(segment_sum(Tensor(weights), dst, 9).data, 1.0, rtol=1e-12)
+        assert (weights[dst == 0] == 1.0).all()
+        np.testing.assert_array_equal(out.data[0], leaves[2].data[0])
+
+    def test_one_node_that_holds_no_edge_by_width_array(self):
+        n, heads, d = 9, 2, 8
+        dst, src = lattice_edges(n, seed=5)
+        leaves = [Tensor(multiscale((n, d), np.float64, seed=s)) for s in range(3)]
+        out, weights = edge_attention(*leaves, dst, src, heads, 0.5)
+        assert out._node.parents == tuple(x._node for x in leaves)
+        assert tape_nodes(out) == 4
+        assert tape_nodes(chain_word_attention(*leaves, dst, src, heads, 0.5)[0]) == 20
+        held = held_arrays(out)
+        assert any(a is weights for a in held)
+        assert all(a.shape != (len(dst), d) for a in held)
+
+
+def ffn_inputs(n, d, d_ff, dtype, seed):
+    """x, w1, b1, w2, b2 as arrays; x's row 0 is zero and b1 holds +-0.0, so
+    some pre-activations sit exactly on relu's kink, with either sign."""
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((n, d)) * 2).astype(dtype)
+    x[0] = 0.0
+    b1 = rng.standard_normal(d_ff).astype(dtype)
+    b1[:4] = [0.0, -0.0, 0.0, -0.0][: min(4, d_ff)]
+    w1, w2 = (rng.standard_normal(s).astype(dtype) for s in ((d, d_ff), (d_ff, d)))
+    return [x, w1, b1, w2, rng.standard_normal(d).astype(dtype)]
+
+
+class TestFfnResidual:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 16, 32), (7, 16, 64), (100, 304, 1216)])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_one_op_equals_the_chain_byte_for_byte(self, dtype, shape, rate):
+        arrays = ffn_inputs(*shape, dtype, seed=shape[0])
+        upstream = multiscale(arrays[0].shape, dtype, seed=1)
+        upstream.reshape(-1)[::7] = -0.0
+
+        def run(ffn):
+            leaves = [Tensor(a.copy()) for a in arrays]
+            with watch_relu_kinks() as margins:
+                out = ffn(*leaves, rate, np.random.default_rng(2))
+            (out * upstream).sum().backward()
+            return [out.data] + [x.grad for x in leaves], margins
+
+        (got, got_margins), (want, want_margins) = run(ffn_residual), run(chain_ffn)
+        assert_bytes_equal(got, want, dtype)
+        assert got_margins == want_margins == [0.0]
+
+    def test_gradient(self):
+        shapes = [(4, 6), (6, 10), (10,), (10, 6), (6,)]
+        check_op(lambda ts: ffn_residual(*ts), shapes)
+        check_op(lambda ts: ffn_residual(*ts, 0.3, np.random.default_rng(1)), shapes, seed=1)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_one_node_whose_vjp_holds_x_r_and_the_dropout_factors(self, rate):
+        leaves = [Tensor(a) for a in ffn_inputs(6, 4, 8, np.float64, seed=5)]
+        out = ffn_residual(*leaves, rate, np.random.default_rng(6))
+        assert out._node.parents == tuple(x._node for x in leaves)
+        assert tape_nodes(out) == 6
+        assert tape_nodes(chain_ffn(*leaves, rate, np.random.default_rng(6))) == 11 + (rate > 0)
+        held = held_arrays(out)
+        assert any(a is leaves[0].data for a in held)
+        assert [a.shape for a in held if a.dtype != np.float64] == []
+        own = [a.shape for a in held if not any(a is x.data for x in leaves)]
+        assert sorted(own) == sorted([(6, 8)] + [(6, 4)] * (rate > 0))
+
+
+def relu_grid(dtype) -> np.ndarray:
+    """sigmoid_grid with subnormals of both signs and the largest finite values."""
+    x = sigmoid_grid(dtype)
+    info = np.finfo(dtype)
+    x.flat[-6:] = [info.tiny / 2, -info.tiny / 2, info.smallest_subnormal,
+                   -info.smallest_subnormal, info.max, info.min]
+    return x
+
+
+class TestReluKernel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_np_where_on_special_values_and_views(self, dtype):
+        x = relu_grid(dtype)
+        zero_d = x[0:1, 1, 1].reshape(())  # a NaN
+        assert np.isnan(zero_d)
+        views = (x, x.transpose(2, 0, 1), x[:, ::3], x[::-1, 2:, ::2], x.T[:7], x[0, 0, 1], zero_d)
+        for view in views:
+            want = np.where(view > 0, view, 0.0)
+            got = Tensor(view).relu().data
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+            inplace = np.array(view)
+            assert _relu(inplace, inplace) is inplace
+            assert inplace.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_is_the_masked_gradient_and_the_input_is_untouched(self, dtype):
+        xv = relu_grid(dtype)
+        before = xv.tobytes()
+        g = multiscale(xv.shape, dtype, seed=3)
+        g.reshape(-1)[::3] = -0.0
+        x = Tensor(xv)
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss may be inf or NaN
+            (x.relu() * g).sum().backward()
+        assert x.grad.tobytes() == (g * (xv > 0)).tobytes()
+        assert xv.tobytes() == before
+
+    def test_records_the_smallest_margin_while_watched(self):
+        x = Tensor(np.array([[-3.0, 0.25], [2.0, -0.5]]))
+        with watch_relu_kinks() as margins:
+            x.relu()
+            Tensor(np.zeros((0, 2))).relu()
+        assert margins == [0.25]
+        x.relu()
+        assert margins == [0.25]
 
 
 class TestDropout:

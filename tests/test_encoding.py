@@ -1,6 +1,7 @@
 """Position encodings, embedding tables, and initial node states."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -223,6 +224,46 @@ class TestEmbeddingTable:
         path.write_bytes(body)
         with pytest.raises(ValueError, match=message):
             EmbeddingTable.from_file(path, vocab=["foo"])
+
+
+class TestFromFileHeader:
+    """The `count dim` header sizes the matrix; the rows read are the same whatever it says."""
+
+    @staticmethod
+    def load(tmp_path, header, lines=3, dim=2):
+        path = tmp_path / "emb.txt"
+        body = "".join(f"t{i} " + " ".join(str(i + j) for j in range(dim)) + "\n" for i in range(lines))
+        path.write_text(header + body, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = EmbeddingTable.from_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = [[i + j for j in range(dim)] for i in range(lines)] + [[0] * dim]
+        assert table.tokens == [f"t{i}" for i in range(lines)]
+        assert table.index == {f"t{i}": i for i in range(lines)}
+        np.testing.assert_array_equal(table.rows.data, want)
+        return peak
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7, 1000])
+    def test_any_count_gives_the_rows_of_no_header(self, tmp_path, count):
+        self.load(tmp_path, f"{count} 2\n")
+
+    @pytest.mark.parametrize(
+        "count",
+        ["1000000000000", "9" * 5000, "\u0662\u0660", "\u00b2"],
+        ids=["trillion", "5000-digits", "arabic-indic-20", "superscript-2"],
+    )
+    def test_a_hostile_count_allocates_what_the_file_can_fill(self, tmp_path, count):
+        # 50 values per line: a header believed as it stands would ask for 400 TB
+        assert self.load(tmp_path, f"{count} 50\n", lines=2, dim=50) < 1 << 20
+
+    def test_a_vocab_keeps_only_its_rows(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1000000000000 2\na 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
+        table = EmbeddingTable.from_file(path, vocab=["c", "a"])
+        np.testing.assert_array_equal(table.rows.data, [[5, 6], [1, 2], [0, 0]])
 
 
 def zero_table(tokens, dim):

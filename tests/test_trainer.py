@@ -15,7 +15,7 @@ import pytest
 from lexner import autograd, crf, fusion
 from lexner import model as model_mod
 from lexner import trainer as trainer_mod
-from lexner.autograd import Tensor, no_grad
+from lexner.autograd import Tensor, no_grad, watch_relu_kinks
 from lexner.data import Corpus, Sentence, evaluate, spans_to_tags, tags_to_spans
 from lexner.encoding import EmbeddingTable, initial_states
 from lexner.matching import build_trie
@@ -42,7 +42,14 @@ from lexner.trainer import (
     train,
     train_step,
 )
-from test_autograd import gc_off, held_arrays, tape_nodes
+from test_autograd import (
+    chain_ffn,
+    chain_word_attention,
+    gc_off,
+    held_arrays,
+    tape_nodes,
+    where_relu,
+)
 
 TINY = dict(d_c=8, d_w=8, d_ff=32, heads=2, layers=2)
 DATA = Path(__file__).parent / "data"
@@ -1248,12 +1255,43 @@ class TestTrainingTape:
         a drop, an op split in two as a rise. Per layer and direction the gate
         is 7 nodes: two matmuls, the gate op, the neighbor gather, the
         product, the segment sum and the residual add. The last layer's word
-        gate reaches l_lec only. The CRF partition is one node at any length, and
-        so are each layer_norm and each character attention."""
+        gate and word FFN reach l_lec only. The CRF partition is one node at
+        any length, and so are each layer_norm, each attention (character
+        or word) and each FFN with its residual: a full layer is 40 op nodes
+        and 28 parameter leaves."""
         model, sent = self.fixed_sentence(setup)
         l_ner, l_lec = sentence_losses(model, sent)
-        assert tape_nodes(l_ner) == 200
-        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 234
+        assert tape_nodes(l_ner) == 153
+        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 182
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_fused_ops_give_the_chain_model_bytes_and_relu_margins(
+        self, setup, monkeypatch, dtype, rate
+    ):
+        """Losses, every parameter gradient and the watched relu margins (the
+        word states' relu, then each FFN's) equal those of the model built on
+        the op-by-op chains that edge_attention and ffn_residual replaced."""
+        corpus, trie, _ = setup
+        s = corpus.sentences[0]
+
+        def run():
+            model = tiny_model(setup, seed=4, dtype=dtype)
+            sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
+            with watch_relu_kinks() as margins:
+                losses = sentence_losses(model, sent, rate, rate, np.random.default_rng(7))
+            total_loss(*losses, 0.5).backward()
+            grads = [p.grad.tobytes() for p in model.parameters().values()]
+            return [x.data.tobytes() for x in losses], grads, margins
+
+        got = run()
+        monkeypatch.setattr(fusion, "edge_attention", chain_word_attention)
+        monkeypatch.setattr(fusion, "ffn_residual", chain_ffn)
+        monkeypatch.setattr(Tensor, "relu", where_relu)
+        want = run()
+        assert got[0] == want[0] and got[1] == want[1]
+        assert len(got[2]) == 1 + 2 * 2  # the word states, then 2 layers x 2 FFNs
+        assert got[2] == want[2]
 
     def test_no_vjp_holds_an_array_as_large_as_the_dense_gate(self, setup):
         """The tape keeps the gate at the lattice edges, not at every (char, word) pair."""
