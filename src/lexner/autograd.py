@@ -15,11 +15,12 @@ are dropped, so a training step holds at most one sentence's tape. Grad
 arrays are never mutated in place, so closures may alias their upstream
 gradient safely.
 
-Only the operations the model needs are implemented. A non-Tensor operand of
-a binary op is a constant and does not enter the graph; matmul stacks over
-leading axes, so attention heads can be a batch axis. Inside a
-:func:`no_grad` block nothing is recorded, so intermediates are freed as soon
-as the next op has used them.
+Only the operations the model needs are implemented: on Tensor, the binary
+arithmetic, matmul, indexing, sum and three nonlinearities; beside it,
+logsumexp, dropout and one op for each sublayer the model fuses. A
+non-Tensor operand of a binary op is a constant and does not enter the
+graph. Inside a :func:`no_grad` block nothing is recorded, so intermediates
+are freed as soon as the next op has used them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "layer_norm",
     "logsumexp",
     "no_grad",
-    "segment_sum",
     "watch_relu_kinks",
 ]
 
@@ -238,18 +238,13 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        """Division by a constant only. a / c and a * (1 / c) round differently;
-        the model is built on the second."""
-        return self * (1.0 / other)
-
     def __matmul__(self, other):
         return _matmul(self, other)
 
     def __rmatmul__(self, other):
         return _matmul(other, self)
 
-    # -- indexing and shape --------------------------------------------------
+    # -- indexing -------------------------------------------------------------
 
     def __getitem__(self, idx):
         src_shape = self.data.shape
@@ -263,19 +258,6 @@ class Tensor:
             return (out,)
 
         return Tensor(self.data[idx], (self,), vjp)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        src = self.data.shape
-        return Tensor(self.data.reshape(shape), (self,), lambda g: (g.reshape(src),))
-
-    def transpose(self, *axes):
-        """Permute the axes, reversing them when none are given."""
-        ndim = self.data.ndim
-        axes = tuple(a % ndim for a in axes) if axes else tuple(reversed(range(ndim)))
-        inverse = tuple(int(a) for a in np.argsort(axes))
-        return Tensor(self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),))
 
     # -- reductions -----------------------------------------------------------
 
@@ -354,23 +336,26 @@ def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return out.view(rows.dtype).reshape((n,) + rows.shape[1:])
 
 
-def segment_sum(x: Tensor, segments: np.ndarray, n: int) -> Tensor:
-    """Zeros of n rows with row k of x added into row segments[k], in x's order,
-    by :func:`_scatter_rows`. The VJP gathers the upstream gradient: g[segments]."""
-    return Tensor(_scatter_rows(x.data, segments, n), (x,), lambda g: (g[segments],))
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float
+) -> tuple[Tensor, np.ndarray]:
+    """Multi-head softmax(q @ k.T * scale) @ v as one tape op: the (n, d)
+    output and the (heads, n, n) softmax weights.
 
-
-def attention(q: Tensor, kt: Tensor, v: Tensor, scale: float) -> tuple[Tensor, np.ndarray]:
-    """softmax(q @ kt * scale) @ v as one tape op, and its softmax weights.
-
-    The heads are the leading axes: q is (..., n, d_z), kt (..., d_z, n), v
-    (..., n, d_v). The scores are one (..., n, n) buffer that becomes the
-    weights in place (scale, shift by the row max, exp, divide by the row
-    sum), so no other n x n array is made; the VJP holds it. The VJP runs the
-    op-by-op chain's steps in its order, so output and gradients are its
-    bytes. Non-finite scores give non-finite weights, for the loss check.
+    q, k and v are (n, d) with the heads as column blocks of width d / heads,
+    as in :func:`edge_attention`; the head split and merge are ndarray views,
+    and the heads are a batch axis of the products. The scores are one
+    (heads, n, n) buffer that becomes the weights in place (scale, shift by
+    the row max, exp, divide by the row sum), so no other n x n array is
+    made; the VJP holds it. The VJP runs the op-by-op chain's steps in its
+    order, so output and gradients are its bytes. Non-finite scores give
+    non-finite weights, for the loss check.
     """
-    x, y, z = q.data, kt.data, v.data
+    n, d = q.data.shape
+    split = (n, heads, d // heads)
+    # q and v as (heads, n, d_z), k as (heads, d_z, n)
+    x, z = (t.data.reshape(split).transpose(1, 0, 2) for t in (q, v))
+    y = k.data.reshape(split).transpose(1, 2, 0)
     a = x @ y
     a *= scale
     a -= np.max(a, axis=-1, keepdims=True)
@@ -378,15 +363,19 @@ def attention(q: Tensor, kt: Tensor, v: Tensor, scale: float) -> tuple[Tensor, n
     a /= a.sum(axis=-1, keepdims=True)
 
     def vjp(g):
+        g = g.reshape(split).transpose(1, 0, 2)
         g_a = g @ np.swapaxes(z, -1, -2)
         g_v = np.swapaxes(a, -1, -2) @ g
         # the softmax VJP a * (g_a - sum(g_a * a)), then the scale, on g_a's own buffer
         g_a -= (g_a * a).sum(axis=-1, keepdims=True)
         g_a *= a
         g_a *= scale
-        return g_a @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g_a, g_v
+        g_q = g_a @ np.swapaxes(y, -1, -2)
+        g_k = np.swapaxes(x, -1, -2) @ g_a
+        return (g_q.transpose(1, 0, 2).reshape(n, d), g_k.transpose(2, 0, 1).reshape(n, d),
+                g_v.transpose(1, 0, 2).reshape(n, d))
 
-    return Tensor(a @ z, (q, kt, v), vjp), a
+    return Tensor((a @ z).transpose(1, 0, 2).reshape(n, d), (q, k, v), vjp), a
 
 
 def edge_attention(

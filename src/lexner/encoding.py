@@ -104,9 +104,10 @@ class EmbeddingTable:
         dim: int | None = None
         for lineno, line in read_lines(path):
             parts = line.rstrip(" \t").split(" ")
-            if lineno == 1 and len(parts) == 2 and all(p.isdigit() for p in parts):
-                # only a size hint, capped below: a count int() cannot read hints at no limit
-                count = int(parts[0]) if parts[0].isdecimal() and len(parts[0]) < 19 else sys.maxsize
+            # isdecimal, not isdigit: a header is what int() reads, and "\u00b2" is a token
+            if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                # only a size hint, capped below: 19 digits or more hint at no limit
+                count = int(parts[0]) if len(parts[0]) < 19 else sys.maxsize
                 continue
             if len(parts) < 2:
                 if parts[0]:

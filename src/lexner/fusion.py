@@ -8,19 +8,18 @@ step carries its own additive residual. Character and word sources use the
 same architecture with disjoint parameters.
 
 Every lattice step reads the edge lists :func:`graph.build_graph` made once
-per sentence: words attend by an edge softmax along ``graph.word_word``,
-:func:`autograd.edge_attention`, one tape op holding (E, heads) arrays
-(characters, fully connected, use :func:`autograd.attention`, one tape op
-over one (heads, n, n) buffer with the heads as a batch axis), and the gate
-is summed along ``graph.char_word`` both ways, with one :func:`segment_sum`
-per direction. Each direction's gate is one tape op holding the (E, d) gate
-at the E edges, and its VJP reads those rows only; its value is made
-densely, in row blocks outside the tape (see :func:`_gated_sum`), and equals
-the dense gate's bit for bit. Each FFN with its residual is
-:func:`autograd.ffn_residual` and the post-norm is :func:`layer_norm`, one
-tape op each. Every fused op gives the bytes of the op-by-op chain it
-replaced. Every constant is a Python float, so a float32 model computes in
-float32 throughout.
+per sentence. Words attend by an edge softmax along ``graph.word_word``,
+:func:`autograd.edge_attention`, one tape op holding (E, heads) arrays;
+characters, fully connected, use :func:`autograd.attention`, one tape op
+over one (heads, n, n) buffer. Both take (n, d) q, k and v and a head count.
+The gate is summed along ``graph.char_word`` both ways, one tape op per
+direction (:func:`_gated_sum`) whose VJP holds the (E, d) gate at the E
+edges and reads those rows only; its value is made densely, in row blocks
+outside the tape, and equals the dense gate's bit for bit. Each FFN with its
+residual is :func:`autograd.ffn_residual` and the post-norm is
+:func:`layer_norm`, one tape op each, so a layer is 20 op nodes. Every fused
+op gives the bytes of the op-by-op chain it replaced. Every constant is a
+Python float, so a float32 model computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .autograd import (
     glorot,
     layer_norm,
     no_grad,
-    segment_sum,
 )
 from .graph import LatticeGraph
 
@@ -131,20 +129,15 @@ def intra_source_attention(
     head's weights are appended: an (n, n) matrix, a view of the one score
     buffer :func:`autograd.attention` turns into weights, or one weight per edge.
     """
-    n, d = h.data.shape
-    d_z = d // heads
     # a Python float: a numpy float64 scalar would promote float32 scores (NEP 50)
-    scale = 1.0 / math.sqrt(d)
+    scale = 1.0 / math.sqrt(h.data.shape[1])
     q = h @ params.wq
     k = h @ params.wk
     v = h @ params.wv
     if edges is None:
-        # heads as a batch axis: q and v as (heads, n, d_z), k as (heads, d_z, n)
-        q, v = (x.reshape(n, heads, d_z).transpose(1, 0, 2) for x in (q, v))
-        o, att = attention(q, k.reshape(n, heads, d_z).transpose(1, 2, 0), v, scale)
+        o, att = attention(q, k, v, heads, scale)
         if weights_out is not None:
             weights_out.extend(att)
-        o = o.transpose(1, 0, 2).reshape(n, d)
     else:
         o, att = edge_attention(q, k, v, *edges, heads, scale)
         if weights_out is not None:
@@ -164,28 +157,28 @@ def _gated_sum(
     t_dst: Tensor, t_src: Tensor, w_dst: Tensor, w_src: Tensor, edges: np.ndarray
 ) -> Tensor:
     """t_dst plus, for each node, its neighbors' states in t_src along ``edges``,
-    each scaled elementwise by gate sigmoid(t_dst_i @ w_dst + t_src_j @ w_src).
+    each scaled elementwise by gate sigmoid(t_dst_i @ w_dst + t_src_j @ w_src),
+    as one tape op.
 
-    The gate is one tape op whose parents are a = t_dst @ w_dst and
-    b = t_src @ w_src and whose value is the (E, d) gate at the edges, in
-    edge order. Its VJP reads those E rows only: one sigmoid derivative, then
-    a's gradient is summed by destination and b's by source. Each node
-    receives its terms in the order a sum over the dense grid takes them, as
-    do the product with the gathered neighbor states and the segment sum
-    after it, so outputs and gradients equal the dense gate's bytes.
+    With a = t_dst @ w_dst and b = t_src @ w_src, the gate at the E edges is
+    y = sigmoid(a[dst] + b[src]), an (E, d) array in edge order. The VJP
+    holds y, t_src[src] and the four inputs' arrays and reads no other row.
+    Each node receives its terms in the order a sum over the dense grid
+    takes them, so outputs and gradients equal the dense gate's bytes.
 
-    The value is made densely and outside the tape, in fixed blocks of
+    The gate is made densely and outside the tape, in fixed blocks of
     destination rows of at most ``_GATE_BLOCK`` elements that each write
     their edges' rows in place, so a cut may fall anywhere, even inside a
     lattice segment. It is dense because the benchmark harness's tests pin the
     pair count; once the program counts its own work (ROADMAP items 1 and 2),
     only this loop becomes a sigmoid of a[dst] + b[src].
     """
-    n, d = t_dst.data.shape
-    m = t_src.data.shape[0]
+    x, xs, wd, ws = t_dst.data, t_src.data, w_dst.data, w_src.data
+    n, d = x.shape
+    m = xs.shape[0]
     dst, src = edges[:, np.argsort(edges[0], kind="stable")]
-    a, b = t_dst @ w_dst, t_src @ w_src
-    y = np.empty((len(dst), d), np.result_type(a.data, b.data))
+    a, b = x @ wd, xs @ ws
+    y = np.empty((len(dst), d), np.result_type(a, b))
     step = max(1, _GATE_BLOCK // max(m * d, 1))
     with no_grad():
         for lo in range(0, n, step):
@@ -193,17 +186,24 @@ def _gated_sum(
             e = slice(*np.searchsorted(dst, [lo, hi]))
             # the sums a_i + b_j of a broadcast, but b is added over whole (m, d)
             # blocks: one long inner loop per row, not one d-wide loop per pair
-            pre = np.repeat(a.data[lo:hi, None, :], m, axis=1)
-            pre += b.data
+            pre = np.repeat(a[lo:hi, None, :], m, axis=1)
+            pre += b
             y[e] = Tensor(pre).sigmoid().data[dst[e] - lo, src[e]]
             del pre  # the block's pre-activation and sigmoid output die here
+    neighbors = xs[src]
 
     def vjp(g):
-        d = _sigmoid_vjp(g, y)
-        return _scatter_rows(d, dst, n), _scatter_rows(d, src, m)
+        g_p = g[dst]
+        g_y = _sigmoid_vjp(g_p * neighbors, y)
+        g_a, g_b = _scatter_rows(g_y, dst, n), _scatter_rows(g_y, src, m)
+        return (g, g_a @ wd.T, x.T @ g_a, g_b @ ws.T, xs.T @ g_b,
+                _scatter_rows(g_p * y, src, m))
 
-    gate = Tensor(y, (a, b), vjp)
-    return t_dst + segment_sum(gate * t_src[src], dst, n)
+    # each state tensor is a parent once per term, in the order the 7-op chain
+    # added them (t_dst: residual, matmul; t_src: matmul, gather); backward()
+    # adds a node's terms parent by parent, so every gradient keeps its bytes
+    parents = (t_dst, t_dst, w_dst, t_src, w_src, t_src)
+    return Tensor(x + _scatter_rows(y * neighbors, dst, n), parents, vjp)
 
 
 def inter_source_fusion(

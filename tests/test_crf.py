@@ -15,7 +15,7 @@ from lexner.crf import (
     viterbi_decode,
 )
 from lexner.data import allowed_transitions, make_tagset, tags_to_spans
-from test_autograd import tape_nodes
+from test_autograd import reshape, tape_nodes
 
 
 def zero_transitions(k: int) -> np.ndarray:
@@ -42,7 +42,7 @@ def ref_log_partition(emissions: Tensor, transitions: Tensor) -> Tensor:
     inner = transitions[:k, :k]
     alpha = transitions[k, :k] + emissions[0]
     for t in range(1, n):
-        alpha = logsumexp(alpha.reshape(k, 1) + inner, axis=0) + emissions[t]
+        alpha = logsumexp(reshape(alpha, k, 1) + inner, axis=0) + emissions[t]
     return logsumexp(alpha + transitions[:k, k], axis=0)
 
 

@@ -162,6 +162,14 @@ class TestEmbeddingTable:
         assert table.tokens == ["\u2028", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
 
+    def test_a_superscript_digit_token_with_one_value_is_not_a_header(self, tmp_path):
+        # "\u00b2".isdigit() holds, but int() cannot read it: a count is decimal digits
+        path = tmp_path / "emb.txt"
+        path.write_text("\u00b2 5\nbar 3\n", encoding="utf-8")
+        table = EmbeddingTable.from_file(path)
+        assert table.tokens == ["\u00b2", "bar"]
+        np.testing.assert_array_equal(table.rows.data[:2], [[5], [3]])
+
     @pytest.mark.parametrize("token", ["\u2028", "\u3000"])
     def test_a_line_of_one_unicode_space_is_malformed(self, tmp_path, token):
         path = tmp_path / "emb.txt"
@@ -252,8 +260,8 @@ class TestFromFileHeader:
 
     @pytest.mark.parametrize(
         "count",
-        ["1000000000000", "9" * 5000, "\u0662\u0660", "\u00b2"],
-        ids=["trillion", "5000-digits", "arabic-indic-20", "superscript-2"],
+        ["1000000000000", "9" * 5000, "\u0662\u0660"],
+        ids=["trillion", "5000-digits", "arabic-indic-20"],
     )
     def test_a_hostile_count_allocates_what_the_file_can_fill(self, tmp_path, count):
         # 50 values per line: a header believed as it stands would ask for 400 TB

@@ -19,7 +19,18 @@ from lexner.fusion import (
 from lexner.graph import build_graph, graph_variant
 from lexner.matching import MatchedWord
 from lexner.model import EncodedSentence, ModelDims, ModelParams, forward_states
-from test_autograd import chain_layer_norm, check_op, concat, gc_off, masked_softmax
+from test_autograd import (
+    chain_gated_sum,
+    chain_layer_norm,
+    check_op,
+    concat,
+    gc_off,
+    held_arrays,
+    masked_softmax,
+    reshape,
+    tape_nodes,
+    transpose,
+)
 
 
 def make_params(d_c, d_ff, heads, seed=0, dtype=np.float64):
@@ -82,7 +93,7 @@ def ref_dense_attention(h, mask, p, heads, scale_dim, weights_out=None):
     outputs = []
     for i in range(heads):
         cols = slice(i * d_z, (i + 1) * d_z)
-        att = masked_softmax((q[:, cols] @ k[:, cols].transpose()) * scale_dim**-0.5, mask)
+        att = masked_softmax((q[:, cols] @ transpose(k[:, cols])) * scale_dim**-0.5, mask)
         if weights_out is not None:
             weights_out.append(att.data)
         outputs.append(att @ v[:, cols])
@@ -112,10 +123,10 @@ def ref_dense_gating(t_c, t_w, graph, p):
     m = t_w.data.shape[0]
     adj = np.zeros((n, m), dtype=t_c.data.dtype)
     adj[tuple(graph.char_word)] = 1
-    alpha = ((t_c @ p.w_c1).reshape(n, 1, d) + (t_w @ p.w_c2).reshape(1, m, d)).sigmoid()
-    s_c = t_c + (alpha * t_w.reshape(1, m, d) * adj.reshape(n, m, 1)).sum(axis=1)
-    beta = ((t_w @ p.w_w1).reshape(m, 1, d) + (t_c @ p.w_w2).reshape(1, n, d)).sigmoid()
-    s_w = t_w + (beta * t_c.reshape(1, n, d) * adj.T.reshape(m, n, 1)).sum(axis=1)
+    alpha = (reshape(t_c @ p.w_c1, n, 1, d) + reshape(t_w @ p.w_c2, 1, m, d)).sigmoid()
+    s_c = t_c + (alpha * reshape(t_w, 1, m, d) * adj.reshape(n, m, 1)).sum(axis=1)
+    beta = (reshape(t_w @ p.w_w1, m, 1, d) + reshape(t_c @ p.w_w2, 1, n, d)).sigmoid()
+    s_w = t_w + (beta * reshape(t_c, 1, n, d) * adj.T.reshape(m, n, 1)).sum(axis=1)
     return s_c, s_w
 
 
@@ -378,6 +389,28 @@ class TestInterSourceFusion:
         np.testing.assert_allclose(s_c.data, expect_c, atol=1e-10)
         np.testing.assert_allclose(s_w.data, expect_w, atol=1e-10)
 
+
+    def test_one_node_per_direction_holding_the_gate_the_neighbors_and_its_inputs(self):
+        graph = build_graph(7, HALL_WORDS)
+        p = make_params(6, 8, 2, seed=22)
+        rng = np.random.default_rng(23)
+        t_c, t_w = Tensor(rng.standard_normal((7, 6))), Tensor(rng.standard_normal((3, 6)))
+        s_c, s_w = inter_source_fusion(t_c, t_w, graph, p)
+        e = graph.char_word.shape[1]
+        directions = [(s_c, (t_c, t_w, p.w_c1, p.w_c2), graph.char_word),
+                      (s_w, (t_w, t_c, p.w_w1, p.w_w2), graph.char_word[::-1])]
+        for out, inputs, edges in directions:
+            t_dst, t_src, w_dst, w_src = inputs
+            order = (t_dst, t_dst, w_dst, t_src, w_src, t_src)
+            assert out._node.parents == tuple(x._node for x in order)
+            assert tape_nodes(out) == 5
+            assert tape_nodes(chain_gated_sum(*inputs, edges)) == 11
+            held = held_arrays(out)
+            assert all(any(a is x.data for a in held) for x in inputs)
+            # of its own, the (E, d) gate and t_src[src]: no (n, m, d) block
+            own = [a.shape for a in held
+                   if a.dtype.kind == "f" and not any(a is x.data for x in inputs)]
+            assert own == [(e, 6), (e, 6)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("variant", ["standard", "wo_word_edge", "fc_inter"])

@@ -27,7 +27,8 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def used_names(tree: ast.AST) -> set[str]:
-    """Names read anywhere, including inside string annotations and ``__all__``."""
+    """Names read anywhere, including inside string annotations. An ``__all__``
+    entry is a string, not a read: listing a name there does not use it."""
     used: set[str] = set()
     annotations = []
     for node in ast.walk(tree):
@@ -39,10 +40,6 @@ def used_names(tree: ast.AST) -> set[str]:
             annotations.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
     for annotation in annotations:
         for c in ast.walk(annotation):
             if isinstance(c, ast.Constant) and isinstance(c.value, str):
@@ -138,6 +135,12 @@ def test_checker_sees_an_unnamed_public_definition():
         "m.by_attribute\n"
     )
     assert set(public_definitions(tree)) - named(tree) == {"unnamed", "Unnamed"}
+
+
+def test_checker_does_not_count_an_all_entry_as_a_use():
+    tree = ast.parse('__all__ = ["listed", "used"]\ndef listed():\n    pass\n'
+                     "def used():\n    pass\nused()\n")
+    assert set(public_definitions(tree)) - named(tree) == {"listed"}
 
 
 def splitlines_calls(tree: ast.Module) -> list[int]:

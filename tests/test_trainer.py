@@ -43,7 +43,9 @@ from lexner.trainer import (
     train_step,
 )
 from test_autograd import (
+    chain_attention,
     chain_ffn,
+    chain_gated_sum,
     chain_word_attention,
     gc_off,
     held_arrays,
@@ -1252,17 +1254,15 @@ class TestTrainingTape:
 
     def test_tape_node_count_of_a_fixed_sentence(self, setup):
         """The nodes behind one tiny sentence's losses: a fused op shows here as
-        a drop, an op split in two as a rise. Per layer and direction the gate
-        is 7 nodes: two matmuls, the gate op, the neighbor gather, the
-        product, the segment sum and the residual add. The last layer's word
-        gate and word FFN reach l_lec only. The CRF partition is one node at
-        any length, and so are each layer_norm, each attention (character
-        or word) and each FFN with its residual: a full layer is 40 op nodes
-        and 28 parameter leaves."""
+        a drop, an op split in two as a rise. The gate is one node per layer
+        and direction. The last layer's word gate and word FFN reach l_lec
+        only. The CRF partition is one node at any length, and so are each
+        layer_norm, each attention (character or word) and each FFN with its
+        residual: a full layer is 20 op nodes and 28 parameter leaves."""
         model, sent = self.fixed_sentence(setup)
         l_ner, l_lec = sentence_losses(model, sent)
-        assert tape_nodes(l_ner) == 153
-        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 182
+        assert tape_nodes(l_ner) == 119
+        assert tape_nodes(total_loss(l_ner, l_lec, 0.5)) == 142
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.2])
@@ -1271,7 +1271,8 @@ class TestTrainingTape:
     ):
         """Losses, every parameter gradient and the watched relu margins (the
         word states' relu, then each FFN's) equal those of the model built on
-        the op-by-op chains that edge_attention and ffn_residual replaced."""
+        the op-by-op chains that attention, edge_attention, the gate and
+        ffn_residual replaced."""
         corpus, trie, _ = setup
         s = corpus.sentences[0]
 
@@ -1285,7 +1286,9 @@ class TestTrainingTape:
             return [x.data.tobytes() for x in losses], grads, margins
 
         got = run()
+        monkeypatch.setattr(fusion, "attention", chain_attention)
         monkeypatch.setattr(fusion, "edge_attention", chain_word_attention)
+        monkeypatch.setattr(fusion, "_gated_sum", chain_gated_sum)
         monkeypatch.setattr(fusion, "ffn_residual", chain_ffn)
         monkeypatch.setattr(Tensor, "relu", where_relu)
         want = run()
