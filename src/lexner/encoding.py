@@ -8,7 +8,6 @@ projection onto the character dimension so both sources share one space.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -47,13 +46,12 @@ INIT_SCALE = 0.1  # rows not read from a file are drawn uniformly from [-0.1, 0.
 class EmbeddingTable:
     """Token -> vector lookup with a trailing UNK row for unknown tokens."""
 
-    def __init__(self, tokens: Sequence[str] | dict[str, int], matrix: np.ndarray):
-        """``tokens`` in row order, or a dict from each token to its row, in row
-        order, which becomes the table's index as it is."""
+    def __init__(self, tokens: Sequence[str], matrix: np.ndarray):
+        """``tokens`` in row order; a repeated token is looked up at its last row."""
         if matrix.shape[0] != len(tokens) + 1:
             raise ValueError("matrix must have one row per token plus an UNK row")
         self.tokens = list(tokens)
-        self.index = tokens if isinstance(tokens, dict) else {t: i for i, t in enumerate(self.tokens)}
+        self.index = {t: i for i, t in enumerate(self.tokens)}
         self.unk_id = len(self.tokens)
         self.rows = Tensor(matrix)
 
@@ -79,35 +77,27 @@ class EmbeddingTable:
     def from_file(
         cls,
         path: str | Path,
-        vocab: Sequence[str] | None = None,
+        vocab: Sequence[str],
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ) -> "EmbeddingTable":
-        """Load `token v1 .. vd` lines; an optional `count dim` first line is skipped.
-        Both split at single spaces only: a tab or U+2028 is part of a token.
+        """A table of exactly ``vocab``'s tokens, read from `token v1 .. vd` lines.
 
-        When ``vocab`` is given, the table covers exactly those tokens and
-        tokens missing from the file are initialized uniformly in
-        [-INIT_SCALE, INIT_SCALE] (requires ``rng``). The file is read once,
-        line by line, and only the vectors of ``vocab`` tokens are kept; every
-        line is still checked, and the first fault in file order is an error
-        naming its line: a malformed line, a value that is not finite in
-        ``dtype`` (nan, inf, or one that overflows it), or a wrong width.
-        A header's count sizes the matrix, but no larger than the file could
-        fill: a line of d values takes at least 2 * d + 1 bytes.
+        An optional `count dim` first line is skipped. Both split at single
+        spaces only: a tab or U+2028 is part of a token. The file is read once,
+        line by line, and each vocab token's vector is written straight into
+        its row; a token the file repeats keeps its last vector. Every line is
+        still checked, and the first fault in file order is an error naming
+        its line: a malformed line, a value that is not finite in ``dtype``
+        (nan, inf, or one that overflows it), or a wrong width. Tokens missing
+        from the file are then drawn uniformly in [-INIT_SCALE, INIT_SCALE],
+        in vocab order (requires ``rng``).
         """
-        wanted = None if vocab is None else set(vocab)
-        # each kept vector is written straight into the matrix, which grows if it fills
-        row_of: dict[str, int] = {}
-        found = np.zeros((0, 0), dtype)
-        count = 0
-        dim: int | None = None
+        table = None  # made at the first vector, which gives the width
         for lineno, line in read_lines(path):
             parts = line.rstrip(" \t").split(" ")
             # isdecimal, not isdigit: a header is what int() reads, and "\u00b2" is a token
             if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
-                # only a size hint, capped below: 19 digits or more hint at no limit
-                count = int(parts[0]) if len(parts[0]) < 19 else sys.maxsize
                 continue
             if len(parts) < 2:
                 if parts[0]:
@@ -122,36 +112,26 @@ class EmbeddingTable:
             if not np.isfinite(vec).all():
                 bad = values[np.isfinite(vec).argmin()]
                 raise ValueError(f"{path}:{lineno}: value {bad!r} is not finite in {vec.dtype}")
-            if dim is None:
-                dim = vec.size
-                count = min(count, (Path(path).stat().st_size + 1) // (2 * dim + 1))
-                # with no vocab, one more row: the UNK row, zeros, so the last cut is free
-                rows = count + 1 if wanted is None else min(count, len(wanted))
-                found = np.zeros((rows, dim), dtype)
-            elif vec.size != dim:
-                raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
-            if wanted is None or token in wanted:
-                i = row_of.setdefault(token, len(row_of))
-                if i == len(found):
-                    # in place where realloc can: no second copy of the rows read so far
-                    found.resize((2 * i + 1, dim), refcheck=False)
-                found[i] = vec
-        if dim is None:
+            if table is None:
+                table = cls(vocab, np.zeros((len(vocab) + 1, vec.size), dtype))
+                matrix, read = table.rows.data, np.zeros(len(vocab), bool)
+            elif vec.size != table.dim:
+                raise ValueError(f"{path}:{lineno}: expected {table.dim} values, got {vec.size}")
+            i = table.index.get(token)
+            if i is not None:
+                matrix[i] = vec
+                read[i] = True
+        if table is None:
             raise ValueError(f"{path}: no embedding vectors found")
-        if vocab is None:
-            # rows past the last token were never written: the UNK row is zeros
-            found.resize((len(row_of) + 1, dim), refcheck=False)
-            return cls(row_of, found)
-        tokens = list(vocab)
-        matrix = np.zeros((len(tokens) + 1, dim), dtype=dtype)
-        for i, tok in enumerate(tokens):
-            if tok in row_of:
-                matrix[i] = found[row_of[tok]]
+        for i in np.flatnonzero(~read):
+            j = table.index[table.tokens[i]]  # a token the vocab repeats has its last row read
+            if read[j]:
+                matrix[i] = matrix[j]
+            elif rng is None:
+                raise ValueError(f"token {table.tokens[i]!r} missing from {path} and no rng given")
             else:
-                if rng is None:
-                    raise ValueError(f"token {tok!r} missing from {path} and no rng given")
-                matrix[i] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=dim).astype(dtype)
-        return cls(tokens, matrix)
+                matrix[i] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=table.dim).astype(dtype)
+        return table
 
 
 @dataclass

@@ -8,7 +8,9 @@ float64, the ``standard``, ``wo_word_edge`` and ``fc_inter`` lattices, the BIO
 and BMES schemes, and ``constrained_decode`` off and on. Only ``decode_tags``
 reads ``constrained_decode``, so both settings share one training run. Two more
 lines hash the names and bytes of freshly built models and the bytes of one
-saved checkpoint.
+saved checkpoint, and the last hashes a float32 model built from embedding
+files: a char file with a ``count dim`` header and a word file whose lines end
+in a space, each missing some of its vocabulary and repeating one token.
 
 A change that claims bit-identity leaves the output unchanged;
 ``tests/test_identity.py`` compares it with ``tests/data/identity.txt``.
@@ -28,6 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from lexner.data import Corpus, Sentence, spans_to_tags, tags_to_spans
+from lexner.encoding import EmbeddingTable
 from lexner.matching import build_trie
 from lexner.model import ModelDims, ModelParams, decode_tags, prepare_corpus
 from lexner.synthetic import OVERFIT_LEXICON, make_overfit_corpus
@@ -65,6 +68,34 @@ def _build(dims: ModelDims, corpus: Corpus, dtype) -> tuple[ModelParams, list]:
     return model, prepare_corpus(corpus, trie, model.tagset)
 
 
+def _write_vectors(path: Path, tokens: list[str], dim: int, header: str, end: str) -> None:
+    rng = np.random.default_rng(len(tokens))
+    lines = (t + " " + " ".join(f"{v:.6f}" for v in rng.uniform(-1, 1, dim)) + end for t in tokens)
+    path.write_text(header + "".join(lines), encoding="utf-8")
+
+
+def _embedded_model() -> ModelParams:
+    """A float32 model built as `lexner train` builds one from embedding files."""
+    corpus = _corpus("bio")
+    trie = build_trie(OVERFIT_LEXICON)
+    chars = sorted({c for s in corpus.sentences for c in s.chars})
+    dims = ModelDims(**DIMS)
+    # a third of each vocabulary missing, out of vocabulary order, one token written twice
+    char_file = chars[::-1][::3] + chars[:1] + chars[1::3]
+    word_file = trie.words[1::3] + trie.words[::3] + trie.words[1:2]
+    rng = np.random.default_rng(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        char_path, word_path = Path(tmp) / "char.vec", Path(tmp) / "word.vec"
+        _write_vectors(char_path, char_file, dims.d_c, f"{len(char_file)} {dims.d_c}\n", "\n")
+        _write_vectors(word_path, word_file, dims.d_w, "", " \n")
+        char_table = EmbeddingTable.from_file(char_path, chars, rng, dtype=np.float32)
+        word_table = EmbeddingTable.from_file(word_path, trie.words, rng, dtype=np.float32)
+    return ModelParams.build(
+        dims, chars, trie.words, corpus.entity_types(), rng,
+        char_table=char_table, word_table=word_table,
+    )
+
+
 def fingerprint() -> Iterator[str]:
     """The identity lines, in a fixed order."""
     ckpt = None
@@ -94,6 +125,7 @@ def fingerprint() -> Iterator[str]:
         built.update(_param_bytes(_build(ModelDims(**DIMS), _corpus("bio"), dtype)[0]))
     yield f"build {built.hexdigest()}"
     yield f"checkpoint {hashlib.sha256(ckpt).hexdigest()}"
+    yield f"embeddings {hashlib.sha256(_param_bytes(_embedded_model())).hexdigest()}"
 
 
 if __name__ == "__main__":

@@ -103,14 +103,14 @@ class TestEmbeddingTable:
     def test_from_file_with_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\nfoo 1 2 3\nbar 0.5 -0.5 0\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
         np.testing.assert_allclose(table.rows.data[table.lookup_index("bar")], [0.5, -0.5, 0])
         assert table.dim == 3
 
     def test_from_file_without_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\nbar 3 4\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
         assert table.dim == 2 and len(table.tokens) == 2
 
     def test_out_of_file_tokens_initialized_uniformly(self, tmp_path):
@@ -126,13 +126,13 @@ class TestEmbeddingTable:
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\nbar 1 2 3\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            EmbeddingTable.from_file(path)
+            EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
 
     def test_non_numeric_value_names_the_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\na 1 x\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"emb\.txt:2: could not convert string to float: 'x'"):
-            EmbeddingTable.from_file(path)
+            EmbeddingTable.from_file(path, ["foo", "a"], rng=None)
 
     @pytest.mark.parametrize(
         "value, dtype",
@@ -146,19 +146,19 @@ class TestEmbeddingTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the float32 overflow warns nothing either
             with pytest.raises(ValueError, match=message):
-                EmbeddingTable.from_file(path, dtype=dtype)
+                EmbeddingTable.from_file(path, ["foo", "bar"], rng=None, dtype=dtype)
 
     def test_u2028_is_a_token_not_a_line_break(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("\u2028 0.5 2\nbar 3 4\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, ["\u2028", "bar"], rng=None)
         assert table.tokens == ["\u2028", "bar"]
         np.testing.assert_array_equal(table.rows.data[0], [0.5, 2])
 
     def test_u2028_token_with_two_integers_is_not_a_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("\u2028 1 2\nbar 3 4\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, ["\u2028", "bar"], rng=None)
         assert table.tokens == ["\u2028", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
 
@@ -166,7 +166,7 @@ class TestEmbeddingTable:
         # "\u00b2".isdigit() holds, but int() cannot read it: a count is decimal digits
         path = tmp_path / "emb.txt"
         path.write_text("\u00b2 5\nbar 3\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, ["\u00b2", "bar"], rng=None)
         assert table.tokens == ["\u00b2", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[5], [3]])
 
@@ -175,20 +175,20 @@ class TestEmbeddingTable:
         path = tmp_path / "emb.txt"
         path.write_text(f"foo 1 2\n{token}\nbar 3 4\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"emb\.txt:2: malformed embedding line"):
-            EmbeddingTable.from_file(path)
+            EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
 
     def test_a_trailing_space_still_loads(self, tmp_path):
         # fastText's .vec files end each line with a space
         path = tmp_path / "emb.txt"
         path.write_text("2 2 \nfoo 1 2 \nbar 3 4 \n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
         assert table.tokens == ["foo", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
 
     def test_largest_finite_float32_loads(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 3e38 -3e38\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, dtype=np.float32)
+        table = EmbeddingTable.from_file(path, ["foo"], rng=None, dtype=np.float32)
         assert np.isfinite(table.rows.data).all()
 
     @pytest.mark.parametrize(
@@ -208,17 +208,24 @@ class TestEmbeddingTable:
     def test_only_the_first_line_can_be_a_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 1\na 1\n2 3\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path)
+        table = EmbeddingTable.from_file(path, ["a", "2"], rng=None)
         assert table.tokens == ["a", "2"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1], [3]])
 
     def test_vocab_rows_equal_the_full_table(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("3 2\nfoo 1 2\nbar 3 4\nfoo 5 6\n", encoding="utf-8")
-        full = EmbeddingTable.from_file(path)
         table = EmbeddingTable.from_file(path, vocab=["foo", "new"], rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(table.rows.data[0], full.rows.data[full.lookup_index("foo")])
         np.testing.assert_array_equal(table.rows.data[0], [5, 6])
+
+    def test_a_token_the_vocab_repeats_gets_its_row_in_each_place(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("foo 1 2\nbar 3 4\n", encoding="utf-8")
+        vocab = ["foo", "new", "foo", "new"]
+        table = EmbeddingTable.from_file(path, vocab, rng=np.random.default_rng(0))
+        draws = np.random.default_rng(0).uniform(-0.1, 0.1, size=(2, 2))
+        np.testing.assert_array_equal(table.rows.data, [[1, 2], draws[0], [1, 2], draws[1], [0, 0]])
+        assert table.lookup_index("foo") == 2
 
     @pytest.mark.parametrize(
         "body, message",
@@ -235,16 +242,19 @@ class TestEmbeddingTable:
 
 
 class TestFromFileHeader:
-    """The `count dim` header sizes the matrix; the rows read are the same whatever it says."""
+    """The `count dim` header is skipped and sizes nothing: the rows read are the same
+    whatever it says."""
 
     @staticmethod
-    def load(tmp_path, header, lines=3, dim=2):
+    def load(tmp_path, header, lines=3, dim=2, dtype=np.float64):
         path = tmp_path / "emb.txt"
         body = "".join(f"t{i} " + " ".join(str(i + j) for j in range(dim)) + "\n" for i in range(lines))
         path.write_text(header + body, encoding="utf-8")
         tracemalloc.start()
         try:
-            table = EmbeddingTable.from_file(path)
+            table = EmbeddingTable.from_file(
+                path, [f"t{i}" for i in range(lines)], rng=None, dtype=dtype
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,6 +276,12 @@ class TestFromFileHeader:
     def test_a_hostile_count_allocates_what_the_file_can_fill(self, tmp_path, count):
         # 50 values per line: a header believed as it stands would ask for 400 TB
         assert self.load(tmp_path, f"{count} 50\n", lines=2, dim=50) < 1 << 20
+
+    @pytest.mark.parametrize("header", ["5000 50\n", ""], ids=["header", "no-header"])
+    def test_a_full_vocab_peaks_below_twice_the_table(self, tmp_path, header):
+        # each vector goes straight into its row: no buffer of the rows read, no second copy
+        peak = self.load(tmp_path, header, lines=5000, dim=50, dtype=np.float32)
+        assert peak < 2 * (5000 + 1) * 50 * np.dtype(np.float32).itemsize
 
     def test_a_vocab_keeps_only_its_rows(self, tmp_path):
         path = tmp_path / "emb.txt"
