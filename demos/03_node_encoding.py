@@ -7,16 +7,16 @@ from lexner import EmbeddingTable, WordProjection, encode_position
 from lexner.encoding import char_states, word_states
 from lexner.matching import MatchedWord
 
-print("sinusoidal encoding, position 0 and 1 at dimension 8:")
-print(" ", np.round(encode_position(0, 8), 4))
-print(" ", np.round(encode_position(1, 8), 4))
+print("sinusoidal table, positions 0 and 1 at dimension 8:")
+for row in np.round(encode_position(2, 8), 4):
+    print(" ", row)
 
-# one call encodes an integer array of any shape, with no length cap:
-# here the (head, tail, tail-head, tail+head) rows of two word spans
+# a sentence builds one table of any length: characters read its first n
+# rows, and words the (head, tail, tail-head, tail+head) rows of their spans
 spans = np.array([[2, 3, 1, 5], [7, 8, 1, 15]])
-print(f"\nword spans {spans.shape} encode to {encode_position(spans, 8).shape}")
-rows = encode_position(np.arange(1000), 8)
-assert np.array_equal(rows[5], encode_position(5, 8))
+rows = encode_position(spans.max() + 1, 8)
+print(f"\nword spans {spans.shape} read {rows[spans].shape} from a {rows.shape} table")
+assert np.array_equal(rows[5], encode_position(1000, 8)[5])
 
 rng = np.random.default_rng(0)
 chars = list("北京人民")

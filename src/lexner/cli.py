@@ -127,10 +127,7 @@ def _cmd_graph(args) -> int:
 
 def _load_embeddings(path: str, vocab, dim: int, rng):
     if path:
-        table = EmbeddingTable.from_file(path, vocab=vocab, rng=rng, dtype=np.float32)
-        if table.dim != dim:
-            raise CorpusError(f"{path}: embedding dim {table.dim} does not match config {dim}")
-        return table
+        return EmbeddingTable.from_file(path, vocab, dim, rng, dtype=np.float32)
     return EmbeddingTable.random(vocab, dim, rng, dtype=np.float32)
 
 

@@ -1,9 +1,10 @@
 """Initial node states: embeddings plus absolute/relative position encodings.
 
-Characters get their embedding plus the sinusoidal encoding of their absolute
+Each source reads one sinusoid table per sentence, ``encode_position(length,
+dim)``. Characters get their embedding plus the table's row at their
 position. Words get their embedding plus a learned nonlinear combination of
-the encodings of head, tail, tail-head and tail+head, then a two-layer
-projection onto the character dimension so both sources share one space.
+the rows at head, tail, tail-head and tail+head, then a two-layer projection
+onto the character dimension so both sources share one space.
 """
 
 from __future__ import annotations
@@ -19,24 +20,20 @@ from .data import read_lines
 from .matching import MatchedWord
 
 
-def encode_position(positions, dim: int) -> np.ndarray:
-    """Sinusoidal encodings, shape ``positions.shape + (dim,)``, in float64.
+def encode_position(length: int, dim: int) -> np.ndarray:
+    """The (length, dim) float64 sinusoid table of positions 0 .. length-1.
 
-    Slots 2k (sin) and 2k+1 (cos) share the frequency 1/10000^(2k/dim).
-    ``positions`` is an int or an integer array; rows are computed on demand,
-    so there is no length cap.
+    Slots 2k (sin) and 2k+1 (cos) share the frequency 1/10000^(2k/dim). A
+    sentence builds its own table, so there is no length cap.
     """
-    pos = np.asarray(positions)
-    if np.any(pos < 0):
-        raise ValueError("position must be non-negative")
     if dim <= 0 or dim % 2 != 0:
         raise ValueError("encoding dimension must be a positive even number")
-    angle = pos[..., None].astype(np.float64) / np.power(
+    angle = np.arange(length, dtype=np.float64)[:, None] / np.power(
         10000.0, np.arange(0, dim, 2, dtype=np.float64) / dim
     )
-    out = np.empty(pos.shape + (dim,), dtype=np.float64)
-    out[..., 0::2] = np.sin(angle)
-    out[..., 1::2] = np.cos(angle)
+    out = np.empty((length, dim), dtype=np.float64)
+    out[:, 0::2] = np.sin(angle)
+    out[:, 1::2] = np.cos(angle)
     return out
 
 
@@ -78,10 +75,11 @@ class EmbeddingTable:
         cls,
         path: str | Path,
         vocab: Sequence[str],
+        dim: int,
         rng: np.random.Generator | None = None,
         dtype=np.float64,
     ) -> "EmbeddingTable":
-        """A table of exactly ``vocab``'s tokens, read from `token v1 .. vd` lines.
+        """``vocab``'s (len(vocab) + 1, dim) table, read from `token v1 .. vdim` lines.
 
         An optional `count dim` first line is skipped. Both split at single
         spaces only: a tab or U+2028 is part of a token. The file is read once,
@@ -89,11 +87,12 @@ class EmbeddingTable:
         its row; a token the file repeats keeps its last vector. Every line is
         still checked, and the first fault in file order is an error naming
         its line: a malformed line, a value that is not finite in ``dtype``
-        (nan, inf, or one that overflows it), or a wrong width. Tokens missing
-        from the file are then drawn uniformly in [-INIT_SCALE, INIT_SCALE],
-        in vocab order (requires ``rng``).
+        (nan, inf, or one that overflows it), or a width other than ``dim``.
+        Tokens missing from the file are then drawn uniformly in
+        [-INIT_SCALE, INIT_SCALE], in vocab order (requires ``rng``).
         """
-        table = None  # made at the first vector, which gives the width
+        table = cls(vocab, np.zeros((len(vocab) + 1, dim), dtype))
+        matrix, read, found = table.rows.data, np.zeros(len(vocab), bool), False
         for lineno, line in read_lines(path):
             parts = line.rstrip(" \t").split(" ")
             # isdecimal, not isdigit: a header is what int() reads, and "\u00b2" is a token
@@ -112,16 +111,14 @@ class EmbeddingTable:
             if not np.isfinite(vec).all():
                 bad = values[np.isfinite(vec).argmin()]
                 raise ValueError(f"{path}:{lineno}: value {bad!r} is not finite in {vec.dtype}")
-            if table is None:
-                table = cls(vocab, np.zeros((len(vocab) + 1, vec.size), dtype))
-                matrix, read = table.rows.data, np.zeros(len(vocab), bool)
-            elif vec.size != table.dim:
-                raise ValueError(f"{path}:{lineno}: expected {table.dim} values, got {vec.size}")
+            if vec.size != dim:
+                raise ValueError(f"{path}:{lineno}: expected {dim} values, got {vec.size}")
+            found = True
             i = table.index.get(token)
             if i is not None:
                 matrix[i] = vec
                 read[i] = True
-        if table is None:
+        if not found:
             raise ValueError(f"{path}: no embedding vectors found")
         for i in np.flatnonzero(~read):
             j = table.index[table.tokens[i]]  # a token the vocab repeats has its last row read
@@ -130,7 +127,7 @@ class EmbeddingTable:
             elif rng is None:
                 raise ValueError(f"token {table.tokens[i]!r} missing from {path} and no rng given")
             else:
-                matrix[i] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=table.dim).astype(dtype)
+                matrix[i] = rng.uniform(-INIT_SCALE, INIT_SCALE, size=dim).astype(dtype)
         return table
 
 
@@ -163,7 +160,7 @@ class WordProjection:
 
 def char_states(chars: Sequence[str], table: EmbeddingTable) -> Tensor:
     """Initial character node states: embedding + absolute position encoding."""
-    positions = encode_position(np.arange(len(chars)), table.dim)
+    positions = encode_position(len(chars), table.dim)
     return table.rows[table.indices(chars)] + positions.astype(table.rows.data.dtype)
 
 
@@ -172,14 +169,15 @@ def word_states(
 ) -> Tensor:
     """Initial word node states, projected to the character dimension.
 
-    Each word's relative-position input stacks the encodings of its head,
-    tail, tail-head and tail+head, so two occurrences of one surface encode
-    differently unless their spans coincide.
+    Each word's relative-position input stacks its head, tail, tail-head and
+    tail+head rows of one position table, so two occurrences of one surface
+    encode differently unless their spans coincide.
     """
     spans = np.array(
         [(w.head, w.tail, w.tail - w.head, w.tail + w.head) for w in words], dtype=np.int64
     ).reshape(len(words), 4)
-    p4 = encode_position(spans, table.dim).reshape(len(words), 4 * table.dim)
+    positions = encode_position(spans.max(initial=0) + 1, table.dim)
+    p4 = positions[spans].reshape(len(words), 4 * table.dim)
     rel = (p4.astype(table.rows.data.dtype) @ proj.w_r).relu()
     v = table.rows[table.indices([w.surface for w in words])] + rel
     return (v @ proj.w1 + proj.b1).tanh() @ proj.w2 + proj.b2

@@ -88,8 +88,10 @@ def _embedded_model() -> ModelParams:
         char_path, word_path = Path(tmp) / "char.vec", Path(tmp) / "word.vec"
         _write_vectors(char_path, char_file, dims.d_c, f"{len(char_file)} {dims.d_c}\n", "\n")
         _write_vectors(word_path, word_file, dims.d_w, "", " \n")
-        char_table = EmbeddingTable.from_file(char_path, chars, rng, dtype=np.float32)
-        word_table = EmbeddingTable.from_file(word_path, trie.words, rng, dtype=np.float32)
+        char_table = EmbeddingTable.from_file(char_path, chars, dims.d_c, rng, dtype=np.float32)
+        word_table = EmbeddingTable.from_file(
+            word_path, trie.words, dims.d_w, rng, dtype=np.float32
+        )
     return ModelParams.build(
         dims, chars, trie.words, corpus.entity_types(), rng,
         char_table=char_table, word_table=word_table,

@@ -442,6 +442,22 @@ class TestTrainPredictEval:
         ]
         assert not (tmp_path / "ckpt").exists()
 
+    def test_an_embedding_width_other_than_the_config_names_the_first_vector(
+        self, workspace, tmp_path, capsys
+    ):
+        lexicon = (workspace / "lexicon.txt").read_text(encoding="utf-8").split()
+        emb = tmp_path / "words.emb"
+        # d_w = 8 in the config; the header on line 1 is skipped, so line 2 is the first vector
+        emb.write_text(
+            f"{len(lexicon)} 50\n" + "".join(w + " 0.5" * 50 + "\n" for w in lexicon),
+            encoding="utf-8",
+        )
+        cfg = config_with(workspace, tmp_path, f"word_emb_file = {emb}\n")
+        assert run(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {emb}:2: expected 8 values, got 50"]
+        assert not (tmp_path / "ckpt").exists()
+
     def test_predict_splits_sentences_as_load_corpus_does(
         self, workspace, checkpoint, tmp_path
     ):

@@ -29,23 +29,36 @@ def ref_position(pos: int, dim: int) -> np.ndarray:
     return out
 
 
+def ref_encode_positions(positions, dim: int) -> np.ndarray:
+    """The arbitrary-position encoder that the per-sentence table replaced:
+    shape ``positions.shape + (dim,)``, every row computed at its own position."""
+    pos = np.asarray(positions)
+    angle = pos[..., None].astype(np.float64) / np.power(
+        10000.0, np.arange(0, dim, 2, dtype=np.float64) / dim
+    )
+    out = np.empty(pos.shape + (dim,), dtype=np.float64)
+    out[..., 0::2] = np.sin(angle)
+    out[..., 1::2] = np.cos(angle)
+    return out
+
+
 class TestEncodePosition:
     def test_position_zero(self):
-        np.testing.assert_array_equal(encode_position(0, 4), [0.0, 1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(encode_position(1, 4)[0], [0.0, 1.0, 0.0, 1.0])
 
     def test_position_one_dim_two(self):
-        np.testing.assert_allclose(encode_position(1, 2), [np.sin(1.0), np.cos(1.0)])
+        np.testing.assert_allclose(encode_position(2, 2)[1], [np.sin(1.0), np.cos(1.0)])
 
     def test_large_position_against_arbitrary_precision(self):
         import mpmath
 
         mpmath.mp.dps = 50
-        got = encode_position(10000, 2)
+        got = encode_position(10001, 2)[10000]
         assert abs(got[0] - float(mpmath.sin(10000))) < 1e-12
         assert abs(got[1] - float(mpmath.cos(10000))) < 1e-12
 
     def test_paired_slots_share_frequency(self):
-        v = encode_position(3, 8)
+        v = encode_position(4, 8)[3]
         for k in range(4):
             angle = 3 / 10000 ** (2 * k / 8)
             assert v[2 * k] == pytest.approx(np.sin(angle))
@@ -53,27 +66,23 @@ class TestEncodePosition:
 
     def test_entries_bounded(self):
         for pos in (0, 1, 17, 400):
-            v = encode_position(pos, 16)
+            v = encode_position(pos + 1, 16)[pos]
             assert np.all(v >= -1.0) and np.all(v <= 1.0)
 
-    def test_rejects_odd_dim_and_negative_pos(self):
+    def test_rejects_odd_or_zero_dim(self):
         with pytest.raises(ValueError):
-            encode_position(0, 3)
+            encode_position(1, 3)
         with pytest.raises(ValueError):
-            encode_position(-1, 4)
-
-    def test_rejects_a_negative_entry_in_an_array(self):
-        with pytest.raises(ValueError):
-            encode_position(np.array([0, 3, -2]), 4)
+            encode_position(1, 0)
 
     def test_scalar_matches_reference(self):
         for pos in (0, 1, 7, 511, 4000):
-            got = encode_position(pos, 6)
+            got = encode_position(pos + 1, 6)[pos]
             assert got.shape == (6,) and got.dtype == np.float64
             np.testing.assert_allclose(got, ref_position(pos, 6), atol=1e-12)
 
     def test_vector_matches_reference(self):
-        got = encode_position(np.arange(600), 8)
+        got = encode_position(600, 8)
         assert got.shape == (600, 8) and got.dtype == np.float64
         for pos in range(600):
             np.testing.assert_allclose(got[pos], ref_position(pos, 8), atol=1e-12)
@@ -83,7 +92,7 @@ class TestEncodePosition:
         heads = rng.integers(0, 300, size=50)
         tails = heads + rng.integers(0, 6, size=50)
         spans = np.stack([heads, tails, tails - heads, tails + heads], axis=1)
-        got = encode_position(spans, 6)
+        got = encode_position(spans.max() + 1, 6)[spans]
         assert got.shape == (50, 4, 6)
         for j in range(50):
             for slot in range(4):
@@ -103,21 +112,21 @@ class TestEmbeddingTable:
     def test_from_file_with_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\nfoo 1 2 3\nbar 0.5 -0.5 0\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
+        table = EmbeddingTable.from_file(path, ["foo", "bar"], 3, rng=None)
         np.testing.assert_allclose(table.rows.data[table.lookup_index("bar")], [0.5, -0.5, 0])
         assert table.dim == 3
 
     def test_from_file_without_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\nbar 3 4\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
+        table = EmbeddingTable.from_file(path, ["foo", "bar"], 2, rng=None)
         assert table.dim == 2 and len(table.tokens) == 2
 
     def test_out_of_file_tokens_initialized_uniformly(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\n", encoding="utf-8")
         rng = np.random.default_rng(1)
-        table = EmbeddingTable.from_file(path, vocab=["foo", "new"], rng=rng)
+        table = EmbeddingTable.from_file(path, vocab=["foo", "new"], dim=2, rng=rng)
         row = table.rows.data[table.lookup_index("new")]
         assert np.all(np.abs(row) <= 0.1)
         np.testing.assert_allclose(table.rows.data[0], [1, 2])
@@ -126,13 +135,19 @@ class TestEmbeddingTable:
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\nbar 1 2 3\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
+            EmbeddingTable.from_file(path, ["foo", "bar"], 2, rng=None)
+
+    def test_a_first_vector_of_another_width_is_named_before_a_later_fault(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\nfoo 1 2 3\nbar\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.txt:2: expected 2 values, got 3"):
+            EmbeddingTable.from_file(path, ["foo", "bar"], 2, rng=None)
 
     def test_non_numeric_value_names_the_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\na 1 x\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"emb\.txt:2: could not convert string to float: 'x'"):
-            EmbeddingTable.from_file(path, ["foo", "a"], rng=None)
+            EmbeddingTable.from_file(path, ["foo", "a"], 2, rng=None)
 
     @pytest.mark.parametrize(
         "value, dtype",
@@ -146,19 +161,19 @@ class TestEmbeddingTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the float32 overflow warns nothing either
             with pytest.raises(ValueError, match=message):
-                EmbeddingTable.from_file(path, ["foo", "bar"], rng=None, dtype=dtype)
+                EmbeddingTable.from_file(path, ["foo", "bar"], 2, rng=None, dtype=dtype)
 
     def test_u2028_is_a_token_not_a_line_break(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("\u2028 0.5 2\nbar 3 4\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["\u2028", "bar"], rng=None)
+        table = EmbeddingTable.from_file(path, ["\u2028", "bar"], 2, rng=None)
         assert table.tokens == ["\u2028", "bar"]
         np.testing.assert_array_equal(table.rows.data[0], [0.5, 2])
 
     def test_u2028_token_with_two_integers_is_not_a_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("\u2028 1 2\nbar 3 4\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["\u2028", "bar"], rng=None)
+        table = EmbeddingTable.from_file(path, ["\u2028", "bar"], 2, rng=None)
         assert table.tokens == ["\u2028", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
 
@@ -166,7 +181,7 @@ class TestEmbeddingTable:
         # "\u00b2".isdigit() holds, but int() cannot read it: a count is decimal digits
         path = tmp_path / "emb.txt"
         path.write_text("\u00b2 5\nbar 3\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["\u00b2", "bar"], rng=None)
+        table = EmbeddingTable.from_file(path, ["\u00b2", "bar"], 1, rng=None)
         assert table.tokens == ["\u00b2", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[5], [3]])
 
@@ -175,20 +190,20 @@ class TestEmbeddingTable:
         path = tmp_path / "emb.txt"
         path.write_text(f"foo 1 2\n{token}\nbar 3 4\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"emb\.txt:2: malformed embedding line"):
-            EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
+            EmbeddingTable.from_file(path, ["foo", "bar"], 2, rng=None)
 
     def test_a_trailing_space_still_loads(self, tmp_path):
         # fastText's .vec files end each line with a space
         path = tmp_path / "emb.txt"
         path.write_text("2 2 \nfoo 1 2 \nbar 3 4 \n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["foo", "bar"], rng=None)
+        table = EmbeddingTable.from_file(path, ["foo", "bar"], 2, rng=None)
         assert table.tokens == ["foo", "bar"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1, 2], [3, 4]])
 
     def test_largest_finite_float32_loads(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 3e38 -3e38\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["foo"], rng=None, dtype=np.float32)
+        table = EmbeddingTable.from_file(path, ["foo"], 2, rng=None, dtype=np.float32)
         assert np.isfinite(table.rows.data).all()
 
     @pytest.mark.parametrize(
@@ -203,26 +218,28 @@ class TestEmbeddingTable:
         path = tmp_path / "emb.txt"
         path.write_text(f"foo 1 2\n{line}\nbaz 3 4\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"emb\.txt:2: {re.escape(message)}"):
-            EmbeddingTable.from_file(path, vocab=["foo"])
+            EmbeddingTable.from_file(path, vocab=["foo"], dim=2)
 
     def test_only_the_first_line_can_be_a_header(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 1\na 1\n2 3\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, ["a", "2"], rng=None)
+        table = EmbeddingTable.from_file(path, ["a", "2"], 1, rng=None)
         assert table.tokens == ["a", "2"]
         np.testing.assert_array_equal(table.rows.data[:2], [[1], [3]])
 
     def test_vocab_rows_equal_the_full_table(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("3 2\nfoo 1 2\nbar 3 4\nfoo 5 6\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, vocab=["foo", "new"], rng=np.random.default_rng(0))
+        table = EmbeddingTable.from_file(
+            path, vocab=["foo", "new"], dim=2, rng=np.random.default_rng(0)
+        )
         np.testing.assert_array_equal(table.rows.data[0], [5, 6])
 
     def test_a_token_the_vocab_repeats_gets_its_row_in_each_place(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("foo 1 2\nbar 3 4\n", encoding="utf-8")
         vocab = ["foo", "new", "foo", "new"]
-        table = EmbeddingTable.from_file(path, vocab, rng=np.random.default_rng(0))
+        table = EmbeddingTable.from_file(path, vocab, 2, rng=np.random.default_rng(0))
         draws = np.random.default_rng(0).uniform(-0.1, 0.1, size=(2, 2))
         np.testing.assert_array_equal(table.rows.data, [[1, 2], draws[0], [1, 2], draws[1], [0, 0]])
         assert table.lookup_index("foo") == 2
@@ -238,7 +255,7 @@ class TestEmbeddingTable:
         path = tmp_path / "emb.txt"
         path.write_bytes(body)
         with pytest.raises(ValueError, match=message):
-            EmbeddingTable.from_file(path, vocab=["foo"])
+            EmbeddingTable.from_file(path, vocab=["foo"], dim=2)
 
 
 class TestFromFileHeader:
@@ -253,7 +270,7 @@ class TestFromFileHeader:
         tracemalloc.start()
         try:
             table = EmbeddingTable.from_file(
-                path, [f"t{i}" for i in range(lines)], rng=None, dtype=dtype
+                path, [f"t{i}" for i in range(lines)], dim, rng=None, dtype=dtype
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -286,7 +303,7 @@ class TestFromFileHeader:
     def test_a_vocab_keeps_only_its_rows(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1000000000000 2\na 1 2\nb 3 4\nc 5 6\n", encoding="utf-8")
-        table = EmbeddingTable.from_file(path, vocab=["c", "a"])
+        table = EmbeddingTable.from_file(path, vocab=["c", "a"], dim=2)
         np.testing.assert_array_equal(table.rows.data, [[5, 6], [1, 2], [0, 0]])
 
 
@@ -402,3 +419,39 @@ class TestInitialStates:
         h_c, h_w = initial_states(list("abc"), words, char_table, word_table, proj)
         assert h_c.data.dtype == dtype and h_w.data.dtype == dtype
         assert h_c.data.shape == (3, 6) and h_w.data.shape == (2, 6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_arbitrary_position_composition(self, dtype):
+        """One table per sentence gives the bytes of encoding every position on its own."""
+        rng = np.random.default_rng(9)
+        d_c, d_w = 6, 4
+        chars, surfaces = list("abcdefgh"), ["ab", "bcd", "e", "fgh"]
+        char_table = EmbeddingTable.random(chars, d_c, rng, dtype=dtype)
+        word_table = EmbeddingTable.random(surfaces, d_w, rng, dtype=dtype)
+        proj = WordProjection.init(d_w, d_c, rng, dtype=dtype)
+        cases = [(1, 0), (1, 3), (7, 0)] + [(int(n), int(n)) for n in rng.integers(2, 80, 30)]
+        for n, m in cases:
+            sent = [chars[i] for i in rng.integers(0, len(chars), n)]
+            heads = rng.integers(0, n, m)
+            tails = np.minimum(heads + rng.integers(0, 4, m), n - 1)
+            if m:
+                heads[0], tails[0] = rng.integers(0, n), n - 1  # tail+head can reach 2n-2
+            words = [
+                MatchedWord(surfaces[rng.integers(0, len(surfaces))], int(h), int(t))
+                for h, t in zip(heads, tails)
+            ]
+            h_c, h_w = initial_states(sent, words, char_table, word_table, proj)
+
+            # the composition as it stood before the table, op for op
+            positions = ref_encode_positions(np.arange(n), d_c)
+            want_c = char_table.rows[char_table.indices(sent)] + positions.astype(dtype)
+            spans = np.array(
+                [(w.head, w.tail, w.tail - w.head, w.tail + w.head) for w in words], np.int64
+            ).reshape(m, 4)
+            p4 = ref_encode_positions(spans, d_w).reshape(m, 4 * d_w)
+            rel = (p4.astype(dtype) @ proj.w_r).relu()
+            v = word_table.rows[word_table.indices([w.surface for w in words])] + rel
+            want_w = (v @ proj.w1 + proj.b1).tanh() @ proj.w2 + proj.b2
+            assert h_c.data.dtype == h_w.data.dtype == dtype
+            assert h_c.data.tobytes() == want_c.data.tobytes()
+            assert h_w.data.shape == (m, d_c) and h_w.data.tobytes() == want_w.data.tobytes()
