@@ -4,7 +4,8 @@ for every parameter tensor of a small model."""
 import numpy as np
 
 from lexner import build_trie
-from lexner.model import ModelDims, ModelParams, prepare_sentence
+from lexner.data import Corpus, Sentence
+from lexner.model import ModelDims, ModelParams, prepare_corpus
 from lexner.synthetic import make_overfit_corpus
 from lexner.trainer import grad_check
 
@@ -20,7 +21,8 @@ model = ModelParams.build(
 
 sentence = list("zadxy")  # 5 characters, 3 matched words
 tags = ["O", "B-PER", "I-PER", "O", "O"]
-enc = prepare_sentence(sentence, trie, model.tagset, tags)
+# gold labels enter through prepare_corpus, here a one-sentence corpus
+[enc] = prepare_corpus(Corpus([Sentence(sentence, tags)]), trie, model.tagset)
 print(f"probe sentence {''.join(sentence)!r}: "
       f"{[w.surface for w in enc.graph.words]} matched")
 

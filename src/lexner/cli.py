@@ -16,11 +16,14 @@ import numpy as np
 from . import model as model_mod
 from .data import (
     SCHEMES,
+    Corpus,
     CorpusError,
+    Sentence,
     corpus_stats,
     evaluate,
     load_corpus,
     load_lexicon,
+    make_tagset,
     malformed_line,
     read_lines,
     read_sentences,
@@ -196,16 +199,17 @@ def _cmd_gradcheck(args) -> int:
     dims = cfg.dims()
     corpus, lexicon = make_overfit_corpus(seed=13)
     trie = build_trie(lexicon, dims.max_word_len)
-    # pick a sentence with a healthy word set; its gold tags in the model's scheme
-    sent_src = max(corpus.sentences, key=lambda s: len(match_sentence(trie, s.chars)[0]))
-    spans = tags_to_spans(sent_src.tags, corpus.scheme)
-    gold = spans_to_tags(spans, len(sent_src), dims.tag_scheme)
+    # the probe: a sentence with a healthy word set, labelled once in the tagset
+    # that every attempt's model has
+    src = max(corpus.sentences, key=lambda s: len(match_sentence(trie, s.chars)[0]))
+    gold = spans_to_tags(tags_to_spans(src.tags, corpus.scheme), len(src), dims.tag_scheme)
+    probe = Corpus([Sentence(src.chars, gold)], dims.tag_scheme)
+    [sent] = prepare_corpus(probe, trie, make_tagset(corpus.entity_types(), dims.tag_scheme))
     chars = sorted({c for s in corpus.sentences for c in s.chars})
     report = None
     for attempt in range(8):  # re-seed if a relu input sits on its kink
         rng = np.random.default_rng(cfg.seed + attempt)
         model = ModelParams.build(dims, chars, trie.words, corpus.entity_types(), rng, np.float64)
-        sent = prepare_sentence(sent_src.chars, trie, model.tagset, gold, dims.tag_scheme)
         try:
             report = grad_check(model, sent, lam=0.3)
             break

@@ -307,7 +307,7 @@ class EncodedSentence:
     """A sentence with everything the forward pass needs precomputed.
 
     ``graph`` is always the standard lattice; the forward pass derives the
-    model's own variant of it.
+    model's own variant of it. Only ``prepare_corpus`` sets the gold fields.
     """
 
     chars: list[str]
@@ -316,39 +316,34 @@ class EncodedSentence:
     lec_labels: np.ndarray | None = None      # gold word properties, length m
 
 
-def prepare_sentence(
-    chars: Sequence[str],
-    trie: LexiconTrie,
-    tagset: Sequence[str] | None = None,
-    gold_tags: Sequence[str] | None = None,
-    scheme: str = "bio",
-) -> EncodedSentence:
+def prepare_sentence(chars: Sequence[str], trie: LexiconTrie) -> EncodedSentence:
+    """Match ``chars`` against the lexicon and build the standard lattice."""
     words, _ = match_sentence(trie, chars)
-    graph = build_graph(len(chars), words)
-    tags = None
-    lec = None
-    if gold_tags is not None:
-        if tagset is None:
-            raise ValueError("tagset required when gold tags are given")
-        types = {t.partition("-")[2] for t in tagset if t != "O"}
-        if list(tagset) != make_tagset(types, scheme):
-            theirs = next((s for s in SCHEMES if make_tagset(types, s) == list(tagset)), "none")
-            raise ValueError(f"gold tags use scheme {scheme}, tagset {list(tagset)} uses {theirs}")
-        tag_ids = {t: i for i, t in enumerate(tagset)}
-        try:
-            tags = np.array([tag_ids[t] for t in gold_tags], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"tag {exc.args[0]!r} not in tagset") from None
-        lec = np.array(label_lec(words, tags_to_spans(gold_tags, scheme)), dtype=np.int64)
-    return EncodedSentence(list(chars), graph, tags, lec)
+    return EncodedSentence(list(chars), build_graph(len(chars), words))
 
 
 def prepare_corpus(
     corpus: Corpus, trie: LexiconTrie, tagset: Sequence[str]
 ) -> list[EncodedSentence]:
-    return [
-        prepare_sentence(s.chars, trie, tagset, s.tags, corpus.scheme) for s in corpus.sentences
-    ]
+    """Prepare each sentence with its gold tag ids and word properties, having
+    checked once that ``tagset`` is the tagset of ``corpus.scheme``."""
+    tagset = list(tagset)
+    types = {t.partition("-")[2] for t in tagset if t != "O"}
+    if tagset != make_tagset(types, corpus.scheme):
+        theirs = next((s for s in SCHEMES if make_tagset(types, s) == tagset), "none")
+        raise ValueError(f"gold tags use scheme {corpus.scheme}, tagset {tagset} uses {theirs}")
+    tag_ids = {t: i for i, t in enumerate(tagset)}
+    sents = []
+    for s in corpus.sentences:
+        enc = prepare_sentence(s.chars, trie)
+        try:
+            enc.tags = np.array([tag_ids[t] for t in s.tags], dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"tag {exc.args[0]!r} not in tagset") from None
+        spans = tags_to_spans(s.tags, corpus.scheme)
+        enc.lec_labels = np.array(label_lec(enc.graph.words, spans), dtype=np.int64)
+        sents.append(enc)
+    return sents
 
 
 def forward_states(

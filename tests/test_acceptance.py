@@ -11,11 +11,11 @@ import numpy as np
 
 from lexner.autograd import Tensor
 from lexner.crf import log_partition, viterbi_decode
-from lexner.data import Corpus
+from lexner.data import Corpus, Sentence
 from lexner.fusion import FusionLayerParams, intra_source_attention
 from lexner.graph import build_graph
 from lexner.matching import MatchedWord, build_trie, match_sentence
-from lexner.model import ModelDims, ModelParams, predict_lec, prepare_corpus, prepare_sentence
+from lexner.model import ModelDims, ModelParams, predict_lec, prepare_corpus
 from lexner.synthetic import make_overfit_corpus
 from lexner.trainer import (
     ReluKinkError,
@@ -110,7 +110,7 @@ def test_gradient_check():
             dims, chars, trie.words, corpus.entity_types(),
             np.random.default_rng(seed), dtype=np.float64,
         )
-        enc = prepare_sentence(sentence, trie, model.tagset, tags)
+        [enc] = prepare_corpus(Corpus([Sentence(sentence, tags)]), trie, model.tagset)
         assert len(enc.graph.words) == 3
         try:
             rep = grad_check(model, enc, lam=0.3, max_entries_per_tensor=16)

@@ -72,6 +72,12 @@ def tiny_model(setup, seed=0, dtype=np.float32):
     return ModelParams.build(dims, chars, trie.words, corpus.entity_types(), rng, dtype=dtype)
 
 
+def gold_sentence(sent, trie, tagset):
+    """``sent`` with its gold labels, prepared as a one-sentence bio corpus."""
+    [enc] = prepare_corpus(Corpus([sent]), trie, tagset)
+    return enc
+
+
 def tiny_config(**kw):
     base = dict(TINY)
     base.update(
@@ -270,7 +276,7 @@ class TestGradCheck:
         corpus, trie, chars = setup
         model = tiny_model(setup, seed=0, dtype=np.float64)
         sent = corpus.sentences[0]
-        enc = prepare_sentence(sent.chars, trie, model.tagset, sent.tags)
+        enc = gold_sentence(sent, trie, model.tagset)
         report = grad_check(model, enc, lam=0.3, max_entries_per_tensor=6)
         assert report.ok, report.format()
         assert report.max_rel_error < 1e-4
@@ -280,7 +286,7 @@ class TestGradCheck:
         corpus, trie, _ = setup
         model = tiny_model(setup, dtype=np.float32)
         sent = corpus.sentences[0]
-        enc = prepare_sentence(sent.chars, trie, model.tagset, sent.tags)
+        enc = gold_sentence(sent, trie, model.tagset)
         with pytest.raises(NumericError, match="float64"):
             grad_check(model, enc)
 
@@ -288,7 +294,7 @@ class TestGradCheck:
         corpus, trie, _ = setup
         model = tiny_model(setup, dtype=np.float64)
         sent = corpus.sentences[0]
-        enc = prepare_sentence(sent.chars, trie, model.tagset, sent.tags)
+        enc = gold_sentence(sent, trie, model.tagset)
         report = grad_check(model, enc, lam=0.0, max_entries_per_tensor=5)
         assert report.ok
         from lexner.model import sentence_losses
@@ -304,7 +310,7 @@ class TestGradCheck:
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=0, dtype=np.float64)
         sent = corpus.sentences[0]
-        enc = prepare_sentence(sent.chars, trie, model.tagset, sent.tags)
+        enc = gold_sentence(sent, trie, model.tagset)
         recording = []
         losses = trainer_mod.sentence_losses
 
@@ -321,7 +327,7 @@ class TestGradCheck:
         corpus, trie, _ = setup
         model = tiny_model(setup, dtype=np.float64)
         sent = corpus.sentences[0]
-        enc = prepare_sentence(sent.chars, trie, model.tagset, sent.tags)
+        enc = gold_sentence(sent, trie, model.tagset)
         report = grad_check(model, enc, lam=0.3, max_entries_per_tensor=6)
         # corrupt the analytic gradient path by scaling a weight after check:
         # instead simulate by comparing against a perturbed tolerance
@@ -428,10 +434,60 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="gold tags use scheme bio, tagset .* uses bmes"):
             prepare_corpus(bio, trie, model.tagset)
         with pytest.raises(ValueError, match=r"tagset \['O', 'B-PER'\] uses none"):
-            prepare_sentence(list("xa"), trie, ["O", "B-PER"], ["O", "B-PER"])
+            gold_sentence(Sentence(list("xa"), ["O", "B-PER"]), trie, ["O", "B-PER"])
         bmes = Corpus([Sentence(list("xay"), ["O", "S-PER", "O"])], "bmes")
         want = [0, model.tagset.index("S-PER"), 0]
         assert prepare_corpus(bmes, trie, model.tagset)[0].tags.tolist() == want
+
+    def test_tagset_is_checked_once_before_any_sentence_is_matched(self, setup, monkeypatch):
+        corpus, trie, chars = setup
+        model = ModelParams.build(
+            ModelDims(**TINY, tag_scheme="bmes"), chars, trie.words, corpus.entity_types(),
+            np.random.default_rng(2),
+        )
+        message = "gold tags use scheme bio, tagset .* uses bmes"
+        # an empty corpus has no sentence to check it against
+        with pytest.raises(ValueError, match=message):
+            prepare_corpus(Corpus([], "bio"), trie, model.tagset)
+        matched = []
+
+        def spy(trie, chars):
+            matched.append(chars)
+            return match_sentence(trie, chars)
+
+        match_sentence = model_mod.match_sentence
+        monkeypatch.setattr(model_mod, "match_sentence", spy)
+        with pytest.raises(ValueError, match=message):
+            prepare_corpus(corpus, trie, model.tagset)
+        assert matched == []
+
+    def test_gold_tag_outside_the_tagset_is_refused(self, setup):
+        corpus, trie, _ = setup
+        model = tiny_model(setup)
+        assert "B-GPE" not in model.tagset
+        gpe = Corpus([Sentence(list("xay"), ["O", "B-GPE", "I-GPE"])])
+        with pytest.raises(ValueError, match="tag 'B-GPE' not in tagset"):
+            prepare_corpus(gpe, trie, model.tagset)
+
+    def test_gold_labels_enter_only_through_prepare_corpus(self, setup, monkeypatch):
+        """prepare_sentence leaves the gold fields unset; prepare_corpus calls it
+        through the module, once per sentence, and then labels the sentence."""
+        corpus, trie, _ = setup
+        model = tiny_model(setup)
+        s = corpus.sentences[0]
+        bare = prepare_sentence(s.chars, trie)
+        assert bare.tags is None and bare.lec_labels is None
+        prepared = []
+
+        def spy(chars, trie):
+            prepared.append(prepare_sentence(chars, trie))
+            return prepared[-1]
+
+        monkeypatch.setattr(model_mod, "prepare_sentence", spy)
+        sents = prepare_corpus(corpus, trie, model.tagset)
+        assert sents == prepared and len(sents) == len(corpus.sentences)
+        assert sents[0].tags.tolist() == [model.tagset.index(t) for t in s.tags]
+        assert len(sents[0].lec_labels) == sents[0].graph.m
 
     def test_config_variant_must_match_the_model(self, setup, tmp_path):
         corpus, trie, _ = setup
@@ -587,6 +643,17 @@ class TestTrainConfigFile:
         path.write_text("train_file\u2028 = a.tsv\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"unknown config key 'train_file\\u2028'"):
             TrainConfig.from_file(path)
+
+    def test_a_repeated_key_keeps_its_last_value(self, tmp_path):
+        path = tmp_path / "t.cfg"
+        path.write_text("d_c = 8\nd_c = 16\n", encoding="utf-8")
+        assert TrainConfig.from_file(path).d_c == 16
+
+    def test_readme_config_section_names_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file\n", 1)[1].split("\n## ", 1)[0]
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert [n for n in names if not re.search(rf"\b{n}\b", section)] == []
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "t.cfg"
@@ -1123,7 +1190,7 @@ class TestTapeFreeInference:
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=4, dtype=np.float64)
         s = max(corpus.sentences, key=len)
-        return model, prepare_sentence(s.chars, trie, model.tagset, s.tags)
+        return model, gold_sentence(s, trie, model.tagset)
 
     def test_decode_and_predict_lec_record_no_tape(self, model_and_sentence, monkeypatch):
         model, sent = model_and_sentence
@@ -1184,7 +1251,7 @@ class TestTrainingTape:
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=4)
         s = max(corpus.sentences, key=len)
-        sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
+        sent = gold_sentence(s, trie, model.tagset)
         calls, outputs, gates, edge_gates = [], [], [], []
         sigmoid, gated_sum = Tensor.sigmoid, fusion._gated_sum
 
@@ -1248,7 +1315,7 @@ class TestTrainingTape:
         corpus, trie, _ = setup
         model = tiny_model(setup, seed=4)
         s = corpus.sentences[0]
-        sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
+        sent = gold_sentence(s, trie, model.tagset)
         assert (len(sent.chars), sent.graph.m, model.dims.layers) == (14, 16, 2)
         return model, sent
 
@@ -1278,7 +1345,7 @@ class TestTrainingTape:
 
         def run():
             model = tiny_model(setup, seed=4, dtype=dtype)
-            sent = prepare_sentence(s.chars, trie, model.tagset, s.tags)
+            sent = gold_sentence(s, trie, model.tagset)
             with watch_relu_kinks() as margins:
                 losses = sentence_losses(model, sent, rate, rate, np.random.default_rng(7))
             total_loss(*losses, 0.5).backward()
@@ -1378,7 +1445,7 @@ class TestWordlessSentence:
         _, trie, _ = setup
         chars, tags = request.param
         model = tiny_model(setup, seed=8, dtype=np.float64)
-        sent = prepare_sentence(list(chars), trie, model.tagset, tags)
+        sent = gold_sentence(Sentence(list(chars), tags), trie, model.tagset)
         assert sent.graph.m == 0 and sent.graph.char_word.shape == (2, 0)
         return model, sent
 
